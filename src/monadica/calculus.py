@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import core
 from .core import GeneralizedReal, as_generalized
@@ -49,6 +49,7 @@ from .expr import (
     Sin,
     Sub,
     Var,
+    compile_real,
     iter_nodes,
 )
 from .sets import GeneralizedSet, Interval, RealSet
@@ -118,7 +119,7 @@ def gen_eval(e: Expr, x) -> GeneralizedReal:
         return gen_eval(e.outer, gen_eval(e.inner, x))
     if isinstance(e, InverseExpr):
         s0 = e.eval_real(x.shadow)
-        slope = 1.0 / e.fn.deriv.eval_real(s0)
+        slope = 1.0 / e.fn.real_fn(1)(s0)
         return GeneralizedReal(s0, _scale_dpart(x, slope))
     raise TypeError(f"cannot evaluate node {type(e).__name__}")
 
@@ -152,7 +153,12 @@ def _domain_bounds(domain: RealSet) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class NaturalExtension:
-    """A real function, its validity interval, and its symbolic derivative."""
+    """A real function, its validity interval, and its symbolic derivative.
+
+    Sampling loops evaluate the trees through ``real_fn``, which compiles
+    each derivative tree once (see ``expr.compile_real``) and returns
+    exactly what the tree walk ``eval_real`` would.
+    """
 
     expr: Expr
     domain: RealSet
@@ -174,16 +180,27 @@ class NaturalExtension:
                 raise DomainError(
                     f"({lo}, {hi}) exceeds the declared domain of {node}"
                 )
-        deriv = expr.deriv()
+        ext = cls(expr, interval, expr.deriv())
+        value, slope = ext.real_fn(0), ext.real_fn(1)
         for xi in _probe_points(lo, hi, probes):
             try:
-                expr.eval_real(xi)
-                deriv.eval_real(xi)
+                value(xi)
+                slope(xi)
             except MonadicaError as exc:
                 raise DomainError(
                     f"function is not valid on ({lo}, {hi}): {exc}"
                 ) from exc
-        return cls(expr, interval, deriv)
+        return ext
+
+    def real_fn(self, k: int) -> Callable[[float], float]:
+        """The k-th derivative (k = 0 is the function) as a compiled
+        function of one float, built on first use."""
+        # caches live in the instance dict, because the dataclass is frozen
+        compiled = self.__dict__.setdefault("_compiled", {})
+        fn = compiled.get(k)
+        if fn is None:
+            fn = compiled[k] = compile_real(self.deriv_exprs(k)[k])
+        return fn
 
     def _require(self, s: float) -> None:
         if not self.domain.contains(s):
@@ -199,22 +216,30 @@ class NaturalExtension:
         """value(shadow) + derivative(shadow) * dx."""
         x = as_generalized(x)
         self._require(x.shadow)
-        value = self.expr.eval_real(x.shadow)
-        slope = self.deriv.eval_real(x.shadow)
+        value = self.real_fn(0)(x.shadow)
+        slope = self.real_fn(1)(x.shadow)
         return GeneralizedReal(value, _scale_dpart(x, slope))
 
     def deriv_at(self, x) -> float:
         """The derivative, constant on each monad."""
         x = as_generalized(x)
         self._require(x.shadow)
-        return self.deriv.eval_real(x.shadow)
+        return self.real_fn(1)(x.shadow)
 
     def deriv_exprs(self, upto: int) -> list[Expr]:
-        """[function, derivative, ..., upto-th derivative] as expressions."""
-        out = [self.expr]
-        for _ in range(upto):
-            out.append(out[-1].deriv())
-        return out
+        """[function, derivative, ..., upto-th derivative] as expressions.
+
+        Each tree is differentiated once and kept: repeated calls return
+        the same objects."""
+        trees = self.__dict__.get("_trees", (self.expr, self.deriv))
+        if len(trees) <= upto:
+            # grown apart and stored whole, so concurrent callers never see
+            # a tree at the wrong order
+            grown = list(trees)
+            while len(grown) <= upto:
+                grown.append(grown[-1].deriv())
+            trees = self.__dict__["_trees"] = tuple(grown)
+        return list(trees[: max(upto, 0) + 1])
 
     def eval_higher(self, m: int, x) -> GeneralizedReal:
         """m-th extension: (m-1)-th derivative value plus m-th derivative
@@ -247,20 +272,8 @@ class NaturalExtension:
             ) from exc
 
 
-def nat_ext_eval(f: NaturalExtension, x) -> GeneralizedReal:
-    return f.eval_at(x)
-
-
 def derivative_at(f: NaturalExtension, x) -> float:
     return f.deriv_at(x)
-
-
-def mth_ext_eval(f: NaturalExtension, m: int, x) -> GeneralizedReal:
-    return f.eval_higher(m, x)
-
-
-def mth_derivative(f: NaturalExtension, m: int, x) -> float:
-    return f.deriv_higher(m, x)
 
 
 def compose_ext(outer: NaturalExtension, inner: NaturalExtension) -> NaturalExtension:
@@ -289,11 +302,13 @@ class TaylorExpansion:
         }
 
 
-def _max_abs_on_segment(e: Expr, lo: float, hi: float, samples: int = 2049) -> float:
+def _max_abs_on_segment(
+    fn: Callable[[float], float], lo: float, hi: float, samples: int = 2049
+) -> float:
     if lo > hi:
         lo, hi = hi, lo
     xs = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
-    vals = [abs(e.eval_real(t)) for t in xs]
+    vals = [abs(fn(t)) for t in xs]
     best = max(range(samples), key=lambda i: vals[i])
     # ternary refinement around the sampled argmax
     a = xs[max(0, best - 1)]
@@ -301,11 +316,11 @@ def _max_abs_on_segment(e: Expr, lo: float, hi: float, samples: int = 2049) -> f
     for _ in range(60):
         m1 = a + (b - a) / 3.0
         m2 = b - (b - a) / 3.0
-        if abs(e.eval_real(m1)) < abs(e.eval_real(m2)):
+        if abs(fn(m1)) < abs(fn(m2)):
             a = m1
         else:
             b = m2
-    return max(vals[best], abs(e.eval_real((a + b) / 2.0)))
+    return max(vals[best], abs(fn((a + b) / 2.0)))
 
 
 def taylor_expand(f: NaturalExtension, center: float, order: int, x) -> TaylorExpansion:
@@ -324,12 +339,12 @@ def taylor_expand(f: NaturalExtension, center: float, order: int, x) -> TaylorEx
     partial = 0.0
     for k in range(order + 1):
         partial += lams[k].eval_real(center) * h**k / math.factorial(k)
-    target = f.expr.eval_real(x.shadow)
+    target = f.real_fn(0)(x.shadow)
     scale = h ** (order + 1) / math.factorial(order + 1)
-    top = lams[order + 1]
+    top = f.real_fn(order + 1)
 
     def gap(theta: float) -> float:
-        return target - partial - scale * top.eval_real(center + theta * h)
+        return target - partial - scale * top(center + theta * h)
 
     theta = _find_unit_root(gap, abs_tol=1e-13 * max(1.0, abs(target)))
     bound = _max_abs_on_segment(top, center, x.shadow) * abs(h) ** (order + 1)
@@ -377,10 +392,11 @@ def mean_value_point(f: NaturalExtension, a, b) -> float:
     sa, sb = a.shadow, b.shadow
     f._require(sa)
     f._require(sb)
-    slope = (f.expr.eval_real(sb) - f.expr.eval_real(sa)) / (sb - sa)
+    phi, lam = f.real_fn(0), f.real_fn(1)
+    slope = (phi(sb) - phi(sa)) / (sb - sa)
 
     def h(t: float) -> float:
-        return f.deriv.eval_real(t) - slope
+        return lam(t) - slope
 
     cells = 1024
     ts = [sa + (sb - sa) * i / cells for i in range(1, cells)]
@@ -426,7 +442,7 @@ class InverseExpr(Expr):
         return wlo + inset, whi - inset
 
     def eval_real(self, y: float) -> float:
-        phi = self.fn.expr.eval_real
+        phi = self.fn.real_fn(0)
         lo, hi = self._window()
         va, vb = phi(lo), phi(hi)
         increasing = vb >= va
@@ -441,7 +457,7 @@ class InverseExpr(Expr):
             else:
                 hi = mid
         root = (lo + hi) / 2.0
-        dphi = self.fn.deriv.eval_real
+        dphi = self.fn.real_fn(1)
         for _ in range(3):  # Newton polish
             d = dphi(root)
             if d == 0.0:
@@ -466,16 +482,17 @@ def inverse_extension(f: NaturalExtension, samples: int = 1024) -> NaturalExtens
     """
     lo, hi = _domain_bounds(f.domain)
     xs = _probe_points(lo, hi, samples)
-    values = [f.expr.eval_real(t) for t in xs]
+    phi, lam = f.real_fn(0), f.real_fn(1)
+    values = [phi(t) for t in xs]
     diffs = [b - a for a, b in zip(values, values[1:])]
     if any(d == 0.0 for d in diffs) or (min(diffs) < 0.0 < max(diffs)):
         raise NotInjective("function is not strictly monotone on its domain")
-    derivs = [f.deriv.eval_real(t) for t in xs]
+    derivs = [lam(t) for t in xs]
     if any(d == 0.0 for d in derivs) or (min(derivs) < 0.0 < max(derivs)):
         raise VanishingDerivative("derivative has a zero on the domain")
     # a zero without a sign change hides at critical points of the derivative
-    second = f.deriv.deriv()
-    curls = [second.eval_real(t) for t in xs]
+    curl = f.real_fn(2)
+    curls = [curl(t) for t in xs]
     zero_tol = 1e-12 * max(1.0, max(abs(d) for d in derivs))
     for i in range(len(xs) - 1):
         if curls[i] * curls[i + 1] < 0.0:
@@ -483,12 +500,12 @@ def inverse_extension(f: NaturalExtension, samples: int = 1024) -> NaturalExtens
             fa = curls[i]
             for _ in range(100):
                 mid = (a + b) / 2.0
-                fm = second.eval_real(mid)
+                fm = curl(mid)
                 if (fa < 0.0) == (fm < 0.0):
                     a, fa = mid, fm
                 else:
                     b = mid
-            if abs(f.deriv.eval_real((a + b) / 2.0)) <= zero_tol:
+            if abs(lam((a + b) / 2.0)) <= zero_tol:
                 raise VanishingDerivative("derivative has a zero on the domain")
     inv_expr = InverseExpr(f)
     ylo, yhi = sorted((values[0], values[-1]))
@@ -502,8 +519,9 @@ def inverse_extension(f: NaturalExtension, samples: int = 1024) -> NaturalExtens
 
 def _deriv_zeros(f: NaturalExtension, a: float, b: float, samples: int = 513):
     """Zeros of the derivative on [a, b]; returns (zeros, is_constant)."""
+    lam = f.real_fn(1)
     xs = [a + (b - a) * i / (samples - 1) for i in range(samples)]
-    vals = [f.deriv.eval_real(t) for t in xs]
+    vals = [lam(t) for t in xs]
     tol = 1e-12 * max(1.0, max(abs(v) for v in vals))
     if all(abs(v) <= tol for v in vals):
         return [], True
@@ -517,7 +535,7 @@ def _deriv_zeros(f: NaturalExtension, a: float, b: float, samples: int = 513):
             flo = vals[i]
             for _ in range(100):
                 mid = (lo2 + hi2) / 2.0
-                fm = f.deriv.eval_real(mid)
+                fm = lam(mid)
                 if (flo < 0.0) == (fm < 0.0):
                     lo2, flo = mid, fm
                 else:
@@ -543,8 +561,7 @@ def image_set(f: NaturalExtension, g: GeneralizedSet) -> GeneralizedSet:
     ints: list[Interval] = []
     pts: list[float] = []
     extras: list[float] = []
-    phi = f.expr.eval_real
-    lam = f.deriv.eval_real
+    phi, lam = f.real_fn(0), f.real_fn(1)
 
     def is_flat(t: float) -> bool:
         return abs(lam(t)) <= 1e-12

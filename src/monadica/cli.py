@@ -15,7 +15,7 @@ import sys
 
 from . import calculus, core, sets, verify
 from .calculus import NaturalExtension
-from .errors import MonadicaError
+from .errors import DomainError, MonadicaError
 from .expr import differentiate, parse
 
 
@@ -26,8 +26,13 @@ def _default_seed() -> int:
         return 0
 
 
-def _print_json(data, pretty: bool) -> None:
-    print(json.dumps(data, indent=2 if pretty else None))
+def _print_json(data, pretty: bool = False) -> None:
+    """Print strict JSON: a non-finite number in a result is an error."""
+    try:
+        text = json.dumps(data, indent=2 if pretty else None, allow_nan=False)
+    except ValueError:
+        raise DomainError("result is not finite, and JSON has no Infinity or NaN") from None
+    print(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -186,7 +191,7 @@ def _dispatch(ns) -> int:
     if ns.command == "diff":
         x = core.from_json(ns.at)
         d = differentiate(parse(ns.expr), ns.order)
-        print(json.dumps(d.eval_real(core.sigma(x))))
+        _print_json(d.eval_real(core.sigma(x)))
         return 0
     if ns.command == "taylor":
         lo, hi = ns.domain
@@ -199,7 +204,7 @@ def _dispatch(ns) -> int:
         from . import seq as seq_mod
 
         x = core.from_json(ns.value)
-        print(json.dumps(seq_mod.prefix(x, ns.terms)))
+        _print_json(seq_mod.prefix(x, ns.terms))
         return 0
     if ns.command == "sets":
         return _cmd_sets(ns)

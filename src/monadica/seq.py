@@ -113,6 +113,8 @@ def term(x, n: int, catalog: Catalog = DEFAULT_CATALOG) -> float:
 
 def prefix(x, n_terms: int, catalog: Catalog = DEFAULT_CATALOG) -> list[float]:
     """First n_terms terms of the sequence a value denotes."""
+    if n_terms < 0:
+        raise DomainError(f"number of terms must be nonnegative, got {n_terms}")
     return [term(x, n, catalog) for n in range(1, n_terms + 1)]
 
 
@@ -191,18 +193,11 @@ def oracle_pow_nat(
     return acc
 
 
-def converges_to(seq_prefix: Sequence[float], limit: float, eps: float) -> bool:
-    """Desk-check helper: does the tail of a prefix sit within eps of limit?"""
-    tail = seq_prefix[len(seq_prefix) // 2 :]
-    return all(abs(v - limit) <= eps for v in tail)
-
-
 __all__ = [
     "Catalog",
     "DEFAULT_CATALOG",
     "SequenceGenerator",
     "convergence_witness",
-    "converges_to",
     "geometric",
     "harmonic",
     "impulse",

@@ -582,21 +582,34 @@ def realset_to_dict(s: RealSet) -> dict:
     }
 
 
+def _dec_list(data: Mapping, key: str) -> Sequence:
+    items = data.get(key, ())
+    if not isinstance(items, (list, tuple)):
+        raise DomainError(f"malformed set encoding: {key!r} must be a list")
+    return items
+
+
+def _dec_reals(data: Mapping, key: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(p) for p in _dec_list(data, key))
+    except (TypeError, ValueError):
+        raise DomainError(f"malformed set encoding: {key!r} must hold numbers") from None
+
+
+def _dec_interval(item) -> Interval:
+    try:
+        lo, hi = item["lo"], item["hi"]
+        lo_closed, hi_closed = item.get("lo_closed", True), item.get("hi_closed", True)
+    except (KeyError, TypeError, AttributeError):
+        raise DomainError(f"malformed interval encoding: {item!r}") from None
+    return Interval(_dec_endpoint(lo), _dec_endpoint(hi), bool(lo_closed), bool(hi_closed))
+
+
 def realset_from_dict(data: Mapping) -> RealSet:
     if not isinstance(data, Mapping):
         raise DomainError(f"malformed set encoding: {data!r}")
-    ints = []
-    for item in data.get("intervals", ()):
-        ints.append(
-            Interval(
-                _dec_endpoint(item["lo"]),
-                _dec_endpoint(item["hi"]),
-                bool(item.get("lo_closed", True)),
-                bool(item.get("hi_closed", True)),
-            )
-        )
-    points: Sequence[float] = data.get("points", ())
-    return RealSet(tuple(ints), tuple(float(p) for p in points))
+    ints = tuple(_dec_interval(item) for item in _dec_list(data, "intervals"))
+    return RealSet(ints, _dec_reals(data, "points"))
 
 
 def set_to_dict(g: GeneralizedSet) -> dict:
@@ -607,8 +620,7 @@ def set_to_dict(g: GeneralizedSet) -> dict:
 
 def set_from_dict(data: Mapping) -> GeneralizedSet:
     base = realset_from_dict(data)
-    extras = data.get("extras", ())
-    return GeneralizedSet(base, tuple(float(p) for p in extras))
+    return GeneralizedSet(base, _dec_reals(data, "extras"))
 
 
 def set_to_json(g: GeneralizedSet) -> str:

@@ -12,6 +12,15 @@ def run(capsys, *argv):
     return code, out
 
 
+def strict_json(text):
+    """Parse one JSON document, refusing Infinity and NaN."""
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestEval:
     def test_exponential_of_an_impulse(self, capsys):
         code, out = run(capsys, "eval", "exp(x)", "--at", '{"shadow":0,"d":{"e:1":1}}')
@@ -40,6 +49,23 @@ class TestDiff:
         code, out = run(capsys, "diff", "x^2", "--at", '{"shadow":3,"d":{}}', "--order", "2")
         assert json.loads(out) == 2.0
 
+    def test_overflowing_literal_is_a_domain_error(self, capsys):
+        code, out = run(capsys, "diff", "1e400*x", "--at", '{"shadow":1,"d":{}}')
+        assert code == 1
+        assert "1e400" in strict_json(out)["error"]
+
+    def test_non_finite_result_is_an_error_not_infinity(self, capsys):
+        code, out = run(
+            capsys, "diff", "1e300*x^2", "--at", '{"shadow":1e10,"d":{}}', "--order", "0"
+        )
+        assert code == 1
+        assert "not finite" in strict_json(out)["error"]
+
+    def test_expression_starting_with_minus_after_double_dash(self, capsys):
+        code, out = run(capsys, "eval", "--at", '{"shadow":3,"d":{}}', "--", "-x^2")
+        assert code == 0
+        assert strict_json(out) == {"shadow": -9.0, "d": {}}
+
 
 class TestTaylor:
     def test_exponential(self, capsys):
@@ -59,6 +85,14 @@ class TestTaylor:
         assert doc["partial_sum"] == pytest.approx(1.6458333333333333)
         assert 0 < doc["theta"] < 1
 
+    def test_negative_center_in_equals_form(self, capsys):
+        code, out = run(
+            capsys, "taylor", "exp(x)", "--center=-7e-05", "--order", "2",
+            "--at", '{"shadow":0.5,"d":{}}',
+        )
+        assert code == 0
+        assert 0 < strict_json(out)["theta"] < 1
+
 
 class TestSeq:
     def test_prefix(self, capsys):
@@ -70,6 +104,11 @@ class TestSeq:
         code, out = run(capsys, "seq", "print", '{"shadow":0,"d":{"bogus":1}}')
         assert code == 1
         assert "bogus" in json.loads(out)["error"]
+
+    def test_negative_term_count_is_rejected(self, capsys):
+        code, out = run(capsys, "seq", "print", '{"shadow":2,"d":{}}', "--terms", "-3")
+        assert code == 1
+        assert "nonnegative" in strict_json(out)["error"]
 
 
 class TestSets:
@@ -105,6 +144,21 @@ class TestSets:
         code, out = run(capsys, "sets", "union", self.CLOSED_01)
         assert code == 1
         assert "error" in json.loads(out)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            '{"intervals":[{"lo":0}]}',
+            '{"intervals":[3]}',
+            '{"intervals":{"lo":0,"hi":1}}',
+            '{"points":["abc"]}',
+            '{"extras":[null]}',
+        ],
+    )
+    def test_malformed_set_is_a_domain_error(self, capsys, bad):
+        code, out = run(capsys, "sets", "union", bad, "{}")
+        assert code == 1
+        assert "malformed" in strict_json(out)["error"]
 
     def test_monad_takes_a_real_set(self, capsys):
         code, out = run(

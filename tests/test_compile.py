@@ -1,0 +1,165 @@
+"""compile_real against the tree walk it must reproduce bit for bit."""
+
+import math
+import random
+import struct
+import sys
+import threading
+from fractions import Fraction
+
+from monadica.calculus import InverseExpr, NaturalExtension
+from monadica.expr import (
+    Add,
+    Compose,
+    Const,
+    Cos,
+    Div,
+    Exp,
+    Expr,
+    Log,
+    Mul,
+    Neg,
+    PowInt,
+    PowReal,
+    Root,
+    Sin,
+    Sub,
+    Var,
+    compile_real,
+    parse,
+)
+
+X = Var()
+KINDS = (
+    "add", "sub", "mul", "div", "neg", "powint", "powreal", "root",
+    "exp", "log", "sin", "cos", "compose",
+)
+# zeros, negatives, and magnitudes that overflow exp and negative powers
+POINTS = (-800.0, -2.0, -1.0, -0.5, 0.0, 1e-200, 0.3, 0.5, 1.0, 1.5, 2.0, 3.0, 800.0)
+CHECKS = (
+    "division by zero at",
+    "zero base with negative exponent at",
+    "real power needs a positive base",
+    "root needs a positive argument",
+    "log needs a positive argument",
+)
+
+
+def random_tree(rng, depth, pool, leaf):
+    """A tree over every node type; a quarter of the picks reuse an earlier
+    subtree object, so trees share nodes, also across Compose scopes."""
+    if pool and rng.random() < 0.25:
+        return rng.choice(pool)
+    if depth == 0 or rng.random() < 0.2:
+        r = rng.random()
+        t = X if r < 0.5 else leaf if r > 0.9 else Const(rng.choice((0.0, 1.0, -1.0, 0.5, 2.5, -3.0)))
+    else:
+        kind = rng.choice(KINDS)
+
+        def sub():
+            return random_tree(rng, depth - 1, pool, leaf)
+
+        if kind in ("add", "sub", "mul", "div", "compose"):
+            node = {"add": Add, "sub": Sub, "mul": Mul, "div": Div, "compose": Compose}[kind]
+            t = node(sub(), sub())
+        elif kind == "powint":
+            t = PowInt(sub(), rng.choice((-3, -2, -1, 0, 1, 2, 5)))
+        elif kind == "powreal":
+            t = PowReal(sub(), rng.choice((0.5, -1.5, 2.25, 1.0 / 3.0)))
+        elif kind == "root":
+            t = Root(sub(), rng.choice((2, 3, 5)))
+        else:
+            t = {"neg": Neg, "exp": Exp, "log": Log, "sin": Sin, "cos": Cos}[kind](sub())
+    pool.append(t)
+    return t
+
+
+def outcome(fn, x):
+    try:
+        return "value", struct.pack("<d", fn(x))
+    except Exception as exc:  # the error itself is what gets compared
+        return "error", type(exc), str(exc)
+
+
+def test_compiled_trees_match_the_tree_walk_bit_for_bit():
+    # an unknown node type: the compiler calls its own eval_real
+    inverse = InverseExpr(NaturalExtension.on_interval(parse("exp(x) + x"), -2.0, 2.0))
+    seen_checks, values = set(), 0
+    for seed in range(6):
+        rng = random.Random(seed)
+        for _ in range(40):
+            tree = random_tree(rng, 4, [], inverse)
+            for e in (tree, tree.deriv()):
+                fn = compile_real(e)
+                for x in POINTS:
+                    want = outcome(e.eval_real, x)
+                    assert outcome(fn, x) == want, (str(e), x)
+                    if want[0] == "value":
+                        values += 1
+                    else:
+                        seen_checks.update(c for c in CHECKS if want[2].startswith(c))
+    assert seen_checks == set(CHECKS)
+    assert values > 1000
+
+
+class Counted(Expr):
+    """Counts its evaluations, to observe how often a node is evaluated."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def eval_real(self, xi):
+        self.calls += 1
+        return xi + 1.0
+
+
+def test_shared_nodes_are_evaluated_once_per_binding():
+    c = Counted()
+    shared = Mul(c, c)
+    e = Add(shared, Compose(Add(shared, c), shared))
+    want = e.eval_real(0.5)
+    walked, c.calls = c.calls, 0
+    assert compile_real(e)(0.5) == want
+    # x-scope: c once; inner binding of the Compose: c once
+    assert (walked, c.calls) == (7, 2)
+
+
+def test_constants_are_bound_not_printed():
+    # none of these survives being printed into source as its repr
+    for value in (math.inf, -math.nan, Fraction(1, 3)):
+        e = Mul(Const(value), X)
+        assert outcome(compile_real(e), 3.0) == outcome(e.eval_real, 3.0)
+
+
+def test_deriv_exprs_returns_the_same_trees_on_repeated_calls():
+    f = NaturalExtension.on_interval(parse("exp(sin(x)) * x^3"), -2.0, 2.0)
+    first = f.deriv_exprs(3)
+    again = f.deriv_exprs(4)
+    assert first[1] is f.deriv
+    assert all(a is b for a, b in zip(first, again))
+    assert f.deriv_exprs(0) == [f.expr]
+
+
+def test_concurrent_callers_get_every_tree_at_its_order():
+    reference = [parse("exp(sin(x)) * x^3")]
+    for _ in range(5):
+        reference.append(reference[-1].deriv())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            f = NaturalExtension.on_interval(reference[0], -1.0, 1.0)
+            got = {}
+            threads = [
+                threading.Thread(target=lambda k=k: got.setdefault(k, f.deriv_exprs(k)))
+                for k in (2, 3, 4, 5, 4, 3)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            for k, trees in got.items():
+                assert trees == reference[: k + 1], k
+    finally:
+        sys.setswitchinterval(interval)
