@@ -66,57 +66,65 @@ def _scale_dpart(x: GeneralizedReal, factor: float) -> dict[str, float]:
 
 
 def gen_eval(e: Expr, x) -> GeneralizedReal:
-    """Evaluate a tree over the generalized reals, hatted node by node."""
+    """Evaluate a tree over the generalized reals, hatted node by node.  A
+    float operation that overflows raises OutOfDomain."""
     x = as_generalized(x)
+    try:
+        return _gen_eval(e, x)
+    except OverflowError as exc:
+        raise OutOfDomain(f"evaluation overflows at {x}") from exc
+
+
+def _gen_eval(e: Expr, x: GeneralizedReal) -> GeneralizedReal:
     if isinstance(e, Const):
         return GeneralizedReal(e.value)
     if isinstance(e, Var):
         return x
     if isinstance(e, Add):
-        return core.add(gen_eval(e.lhs, x), gen_eval(e.rhs, x))
+        return core.add(_gen_eval(e.lhs, x), _gen_eval(e.rhs, x))
     if isinstance(e, Sub):
-        return core.sub(gen_eval(e.lhs, x), gen_eval(e.rhs, x))
+        return core.sub(_gen_eval(e.lhs, x), _gen_eval(e.rhs, x))
     if isinstance(e, Mul):
-        return core.mul(gen_eval(e.lhs, x), gen_eval(e.rhs, x))
+        return core.mul(_gen_eval(e.lhs, x), _gen_eval(e.rhs, x))
     if isinstance(e, Div):
-        return core.div(gen_eval(e.lhs, x), gen_eval(e.rhs, x))
+        return core.div(_gen_eval(e.lhs, x), _gen_eval(e.rhs, x))
     if isinstance(e, Neg):
-        return core.neg(gen_eval(e.arg, x))
+        return core.neg(_gen_eval(e.arg, x))
     if isinstance(e, PowInt):
-        u = gen_eval(e.base, x)
+        u = _gen_eval(e.base, x)
         if e.exponent >= 0:
             return core.pow_nat(u, e.exponent)
         return core.inv(core.pow_nat(u, -e.exponent))
     if isinstance(e, PowReal):
-        u = gen_eval(e.base, x)
+        u = _gen_eval(e.base, x)
         s = u.shadow
         if s <= 0.0:
             raise OutOfDomain(f"real power needs a positive shadow, got {s!r}")
         a = e.exponent
         return GeneralizedReal(s**a, _scale_dpart(u, a * s ** (a - 1.0)))
     if isinstance(e, Root):
-        u = gen_eval(e.base, x)
+        u = _gen_eval(e.base, x)
         try:
             return core.root(u, e.degree)
         except DomainError as exc:
             raise OutOfDomain(str(exc)) from exc
     if isinstance(e, Exp):
-        u = gen_eval(e.arg, x)
+        u = _gen_eval(e.arg, x)
         v = math.exp(u.shadow)
         return GeneralizedReal(v, _scale_dpart(u, v))
     if isinstance(e, Log):
-        u = gen_eval(e.arg, x)
+        u = _gen_eval(e.arg, x)
         if u.shadow <= 0.0:
             raise OutOfDomain(f"log needs a positive shadow, got {u.shadow!r}")
         return GeneralizedReal(math.log(u.shadow), _scale_dpart(u, 1.0 / u.shadow))
     if isinstance(e, Sin):
-        u = gen_eval(e.arg, x)
+        u = _gen_eval(e.arg, x)
         return GeneralizedReal(math.sin(u.shadow), _scale_dpart(u, math.cos(u.shadow)))
     if isinstance(e, Cos):
-        u = gen_eval(e.arg, x)
+        u = _gen_eval(e.arg, x)
         return GeneralizedReal(math.cos(u.shadow), _scale_dpart(u, -math.sin(u.shadow)))
     if isinstance(e, Compose):
-        return gen_eval(e.outer, gen_eval(e.inner, x))
+        return _gen_eval(e.outer, _gen_eval(e.inner, x))
     if isinstance(e, InverseExpr):
         s0 = e.eval_real(x.shadow)
         slope = 1.0 / e.fn.real_fn(1)(s0)
@@ -441,7 +449,7 @@ class InverseExpr(Expr):
         inset = (whi - wlo) * 1e-12
         return wlo + inset, whi - inset
 
-    def eval_real(self, y: float) -> float:
+    def _eval_real(self, y: float) -> float:
         phi = self.fn.real_fn(0)
         lo, hi = self._window()
         va, vb = phi(lo), phi(hi)

@@ -13,7 +13,7 @@ import os
 import shlex
 import sys
 
-from . import calculus, core, sets, verify
+from . import calculus, core, sets
 from .calculus import NaturalExtension
 from .errors import DomainError, MonadicaError
 from .expr import differentiate, parse
@@ -73,7 +73,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pretty", action="store_true")
 
     p = sub.add_parser("verify", help="run the verification suites")
-    p.add_argument("--suite", choices=sorted(verify.SUITES), default=None)
+    p.add_argument(
+        "--suite", choices=_SuiteNames(), default=None, metavar="SUITE",
+        help="run one suite: %(choices)s",
+    )
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--pretty", action="store_true")
 
@@ -165,7 +168,26 @@ _SET_OPS = {
 }
 
 
+class _SuiteNames:
+    """The names in ``verify.SUITES``, read when argparse checks or lists
+    them, so that only the verify verb imports the verify module."""
+
+    @staticmethod
+    def _names() -> list[str]:
+        from . import verify
+
+        return sorted(verify.SUITES)
+
+    def __contains__(self, name) -> bool:
+        return name in self._names()
+
+    def __iter__(self):
+        return iter(self._names())
+
+
 def _cmd_verify(ns) -> int:
+    from . import verify
+
     seed = ns.seed if ns.seed is not None else _default_seed()
     results = (
         verify.run_suite(ns.suite, seed) if ns.suite else verify.run_all(seed)

@@ -274,11 +274,16 @@ def archimedean_witness(x, y) -> int:
     sx, sy = x.shadow, y.shadow
     if sx <= 0.0:
         raise DomainError("archimedean witness requires x > 0")
-    m = max(1, math.floor(sy / sx) + 1)
-    while m * sx <= sy:
-        m += 1
-    while m > 1 and (m - 1) * sx > sy:
-        m -= 1
+    try:
+        m = max(1, math.floor(sy / sx) + 1)
+        while m * sx <= sy:
+            m += 1
+        while m > 1 and (m - 1) * sx > sy:
+            m -= 1
+    except OverflowError as exc:
+        raise DomainError(
+            f"archimedean witness for {sy!r} / {sx!r} exceeds the float range"
+        ) from exc
     return m
 
 
@@ -300,6 +305,9 @@ def density_nonreal_between(xi: float, eta: float) -> GeneralizedReal:
 
 # -- wire format --------------------------------------------------------------
 
+#: The types ``json.loads`` gives numbers: booleans and strings are not numbers.
+JSON_NUMBER_TYPES = frozenset({int, float})
+
 
 def to_dict(x) -> dict:
     x = as_generalized(x)
@@ -314,6 +322,8 @@ def from_dict(data: Mapping) -> GeneralizedReal:
         raise DomainError(f"malformed value encoding: {data!r}") from exc
     if not isinstance(dpart, Mapping):
         raise DomainError('value encoding field "d" must be an object')
+    if not {type(shadow), *map(type, dpart.values())} <= JSON_NUMBER_TYPES:
+        raise DomainError(f"malformed value encoding: numbers expected in {data!r}")
     return GeneralizedReal(shadow, dict(dpart))
 
 

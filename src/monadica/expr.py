@@ -24,7 +24,19 @@ class Expr:
     """Base class; concrete nodes are frozen dataclasses below."""
 
     def eval_real(self, xi: float) -> float:
-        raise NotImplementedError
+        """The value at a real point.  A float operation that overflows
+        raises OutOfDomain, like any other point where the tree has no value."""
+        try:
+            return self._eval_real(xi)
+        except OverflowError as exc:
+            raise OutOfDomain(f"evaluation overflows at {xi!r}") from exc
+
+    def _eval_real(self, xi: float) -> float:
+        """This node's value, as the tree walk computes it; a node type
+        that defines eval_real instead is walked through that."""
+        if type(self).eval_real is Expr.eval_real:
+            raise NotImplementedError
+        return self.eval_real(xi)
 
     def deriv(self) -> "Expr":
         raise NotImplementedError
@@ -77,7 +89,7 @@ def _coerce(value) -> Expr:
 class Const(Expr):
     value: float
 
-    def eval_real(self, xi):
+    def _eval_real(self, xi):
         return self.value
 
     def deriv(self):
@@ -89,7 +101,7 @@ class Const(Expr):
 
 @dataclass(frozen=True)
 class Var(Expr):
-    def eval_real(self, xi):
+    def _eval_real(self, xi):
         return xi
 
     def deriv(self):
@@ -104,8 +116,8 @@ class Add(Expr):
     lhs: Expr
     rhs: Expr
 
-    def eval_real(self, xi):
-        return self.lhs.eval_real(xi) + self.rhs.eval_real(xi)
+    def _eval_real(self, xi):
+        return self.lhs._eval_real(xi) + self.rhs._eval_real(xi)
 
     def deriv(self):
         return add(self.lhs.deriv(), self.rhs.deriv())
@@ -119,8 +131,8 @@ class Sub(Expr):
     lhs: Expr
     rhs: Expr
 
-    def eval_real(self, xi):
-        return self.lhs.eval_real(xi) - self.rhs.eval_real(xi)
+    def _eval_real(self, xi):
+        return self.lhs._eval_real(xi) - self.rhs._eval_real(xi)
 
     def deriv(self):
         return sub(self.lhs.deriv(), self.rhs.deriv())
@@ -134,8 +146,8 @@ class Mul(Expr):
     lhs: Expr
     rhs: Expr
 
-    def eval_real(self, xi):
-        return self.lhs.eval_real(xi) * self.rhs.eval_real(xi)
+    def _eval_real(self, xi):
+        return self.lhs._eval_real(xi) * self.rhs._eval_real(xi)
 
     def deriv(self):
         return add(
@@ -156,11 +168,11 @@ class Div(Expr):
     rhs: Expr
     domain: "RealSet | None" = None
 
-    def eval_real(self, xi):
-        d = self.rhs.eval_real(xi)
+    def _eval_real(self, xi):
+        d = self.rhs._eval_real(xi)
         if d == 0.0:
             raise OutOfDomain(f"division by zero at {xi!r}")
-        return self.lhs.eval_real(xi) / d
+        return self.lhs._eval_real(xi) / d
 
     def deriv(self):
         num = sub(mul(self.lhs.deriv(), self.rhs), mul(self.lhs, self.rhs.deriv()))
@@ -174,8 +186,8 @@ class Div(Expr):
 class Neg(Expr):
     arg: Expr
 
-    def eval_real(self, xi):
-        return -self.arg.eval_real(xi)
+    def _eval_real(self, xi):
+        return -self.arg._eval_real(xi)
 
     def deriv(self):
         return neg(self.arg.deriv())
@@ -189,8 +201,8 @@ class PowInt(Expr):
     base: Expr
     exponent: int
 
-    def eval_real(self, xi):
-        b = self.base.eval_real(xi)
+    def _eval_real(self, xi):
+        b = self.base._eval_real(xi)
         if self.exponent < 0 and b == 0.0:
             raise OutOfDomain(f"zero base with negative exponent at {xi!r}")
         return b**self.exponent
@@ -213,8 +225,8 @@ class PowReal(Expr):
     exponent: float
     domain: "RealSet | None" = None
 
-    def eval_real(self, xi):
-        b = self.base.eval_real(xi)
+    def _eval_real(self, xi):
+        b = self.base._eval_real(xi)
         if b <= 0.0:
             raise OutOfDomain(f"real power needs a positive base, got {b!r}")
         return b**self.exponent
@@ -236,8 +248,8 @@ class Root(Expr):
     degree: int
     domain: "RealSet | None" = None
 
-    def eval_real(self, xi):
-        b = self.base.eval_real(xi)
+    def _eval_real(self, xi):
+        b = self.base._eval_real(xi)
         if b <= 0.0:
             raise OutOfDomain(f"root needs a positive argument, got {b!r}")
         if self.degree == 2:
@@ -257,8 +269,8 @@ class Root(Expr):
 class Exp(Expr):
     arg: Expr
 
-    def eval_real(self, xi):
-        return math.exp(self.arg.eval_real(xi))
+    def _eval_real(self, xi):
+        return math.exp(self.arg._eval_real(xi))
 
     def deriv(self):
         return mul(Exp(self.arg), self.arg.deriv())
@@ -274,8 +286,8 @@ class Log(Expr):
     arg: Expr
     domain: "RealSet | None" = None
 
-    def eval_real(self, xi):
-        a = self.arg.eval_real(xi)
+    def _eval_real(self, xi):
+        a = self.arg._eval_real(xi)
         if a <= 0.0:
             raise OutOfDomain(f"log needs a positive argument, got {a!r}")
         return math.log(a)
@@ -291,8 +303,8 @@ class Log(Expr):
 class Sin(Expr):
     arg: Expr
 
-    def eval_real(self, xi):
-        return math.sin(self.arg.eval_real(xi))
+    def _eval_real(self, xi):
+        return math.sin(self.arg._eval_real(xi))
 
     def deriv(self):
         return mul(Cos(self.arg), self.arg.deriv())
@@ -305,8 +317,8 @@ class Sin(Expr):
 class Cos(Expr):
     arg: Expr
 
-    def eval_real(self, xi):
-        return math.cos(self.arg.eval_real(xi))
+    def _eval_real(self, xi):
+        return math.cos(self.arg._eval_real(xi))
 
     def deriv(self):
         return mul(neg(Sin(self.arg)), self.arg.deriv())
@@ -322,8 +334,8 @@ class Compose(Expr):
     outer: Expr
     inner: Expr
 
-    def eval_real(self, xi):
-        return self.outer.eval_real(self.inner.eval_real(xi))
+    def _eval_real(self, xi):
+        return self.outer._eval_real(self.inner._eval_real(xi))
 
     def deriv(self):
         return mul(Compose(self.outer.deriv(), self.inner), self.inner.deriv())
@@ -422,11 +434,12 @@ def compile_real(e: Expr) -> Callable[[float], float]:
     The function returns exactly what ``e.eval_real`` returns: every node
     does the same float operation in the same order (a quotient evaluates
     its denominator first), and every domain check raises the same error
-    with the same message.  Each distinct node object is evaluated once per
-    binding of the variable (``Compose`` rebinds it), so shared subtrees
-    are evaluated once.  Node types the compiler does not know are called
-    through their own ``eval_real``.  Compiling costs about 20 to 150
-    tree walks, so ``eval_real`` remains the path for one-shot evaluation.
+    with the same message, an overflow included.  Each distinct node object
+    is evaluated once per binding of the variable (``Compose`` rebinds it),
+    so shared subtrees are evaluated once.  Node types the compiler does not
+    know are called through their own ``_eval_real``.  Compiling costs
+    about 20 to 150 tree walks, so ``eval_real`` remains the path for
+    one-shot evaluation.
     """
     return _Compiler().build(e)
 
@@ -506,14 +519,19 @@ class _Compiler:
         elif t is Compose:
             name = self.value(e.outer, self.value(e.inner, x))
         else:
-            name = self.let(f"{self.bind(e.eval_real)}({x})")
+            name = self.let(f"{self.bind(e._eval_real)}({x})")
         self.names[key] = name
         return name
 
     def build(self, e: Expr) -> Callable[[float], float]:
         result = self.value(e, "x")
-        body = "".join(f"    {line}\n" for line in self.lines)
-        source = f"def compiled(x):\n{body}    return {result}\n"
+        body = "".join(f"        {line}\n" for line in self.lines)
+        overflow = self.bind("evaluation overflows at {!r}")
+        source = (
+            f"def compiled(x):\n    try:\n{body}        return {result}\n"
+            f"    except OverflowError as exc:\n"
+            f"        raise OutOfDomain({overflow}.format(x)) from exc\n"
+        )
         # the bound names are the function's globals
         exec(compile(source, "<compile_real>", "exec"), self.env)
         return self.env["compiled"]

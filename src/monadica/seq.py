@@ -10,6 +10,9 @@ against them.
 
 from __future__ import annotations
 
+import math
+import operator
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -88,13 +91,71 @@ class Catalog:
 
 
 def independence_rank(generators: Sequence[SequenceGenerator], n_terms: int = 64) -> int:
-    """Rank of the n_terms-by-k matrix of leading sequence terms."""
-    import numpy as np
+    """Numerical rank of the k-by-n_terms matrix of leading sequence terms.
 
-    matrix = np.array(
-        [[g.term(n) for n in range(1, n_terms + 1)] for g in generators], dtype=float
-    )
-    return int(np.linalg.matrix_rank(matrix))
+    A singular value counts when it exceeds ``sigma_max * max(k, n_terms)
+    * eps``, the tolerance of ``numpy.linalg.matrix_rank``.  So a generator
+    that differs from another only by rounding is dependent, which an
+    exact rational rank would deny.  The singular values come from a
+    Gram-Schmidt reduction to k-by-k followed by one-sided Jacobi.
+    """
+    rows = [[g.term(n) for n in range(1, n_terms + 1)] for g in generators]
+    if not all(all(map(math.isfinite, row)) for row in rows):
+        raise DomainError("generator terms must be finite reals")
+    peak = max((max(map(abs, row)) for row in rows), default=0.0)
+    if peak == 0.0:
+        return 0
+    # an exact power-of-two scaling, so no squared norm overflows
+    scale = math.ldexp(1.0, -math.frexp(peak)[1])
+    sigmas = _singular_values(_triangular_factor([[scale * t for t in row] for row in rows]))
+    tol = max(sigmas) * max(len(rows), n_terms) * sys.float_info.epsilon
+    return sum(s > tol for s in sigmas)
+
+
+def _dot(a: list[float], b: list[float]) -> float:
+    return sum(map(operator.mul, a, b))
+
+
+def _triangular_factor(rows: list[list[float]]) -> list[list[float]]:
+    """Lower-triangular L with rows = L Q for orthonormal Q, by modified
+    Gram-Schmidt: a k-by-k matrix with the singular values of the rows."""
+    k = len(rows)
+    factor = [[0.0] * k for _ in range(k)]
+    for i in range(k):
+        norm = math.sqrt(_dot(rows[i], rows[i]))
+        factor[i][i] = norm
+        if norm == 0.0:
+            continue
+        q = [t / norm for t in rows[i]]
+        for j in range(i + 1, k):
+            r = factor[j][i] = _dot(q, rows[j])
+            rows[j] = [a - r * b for a, b in zip(rows[j], q)]
+    return factor
+
+
+def _singular_values(rows: list[list[float]]) -> list[float]:
+    """One-sided Jacobi: rotate pairs of rows until all rows are orthogonal;
+    the row norms are then the singular values."""
+    eps = sys.float_info.epsilon
+    for _ in range(64):
+        rotated = False
+        for i in range(len(rows)):
+            for j in range(i + 1, len(rows)):
+                a, b = rows[i], rows[j]
+                gamma = _dot(a, b)
+                alpha, beta = _dot(a, a), _dot(b, b)
+                if abs(gamma) <= eps * math.sqrt(alpha * beta):
+                    continue
+                rotated = True
+                zeta = (beta - alpha) / (2.0 * gamma)
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = c * t
+                rows[i] = [c * x - s * y for x, y in zip(a, b)]
+                rows[j] = [s * x + c * y for x, y in zip(a, b)]
+        if not rotated:
+            break
+    return [math.sqrt(_dot(row, row)) for row in rows]
 
 
 DEFAULT_CATALOG = Catalog.standard()

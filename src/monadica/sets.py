@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .core import as_generalized, sigma
+from .core import JSON_NUMBER_TYPES, as_generalized, sigma
 from .errors import (
     DomainError,
     EmptySetError,
@@ -562,7 +562,7 @@ def _dec_endpoint(v) -> float:
         return _INF
     if v == "-inf":
         return -_INF
-    if isinstance(v, (int, float)):
+    if type(v) in JSON_NUMBER_TYPES:
         return float(v)
     raise DomainError(f"bad interval endpoint {v!r}")
 
@@ -590,10 +590,10 @@ def _dec_list(data: Mapping, key: str) -> Sequence:
 
 
 def _dec_reals(data: Mapping, key: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(p) for p in _dec_list(data, key))
-    except (TypeError, ValueError):
-        raise DomainError(f"malformed set encoding: {key!r} must hold numbers") from None
+    items = _dec_list(data, key)
+    if not set(map(type, items)) <= JSON_NUMBER_TYPES:
+        raise DomainError(f"malformed set encoding: {key!r} must hold numbers")
+    return tuple(map(float, items))
 
 
 def _dec_interval(item) -> Interval:

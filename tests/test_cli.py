@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -65,6 +68,51 @@ class TestDiff:
         code, out = run(capsys, "eval", "--at", '{"shadow":3,"d":{}}', "--", "-x^2")
         assert code == 0
         assert strict_json(out) == {"shadow": -9.0, "d": {}}
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("verb", ["eval", "diff"])
+    @pytest.mark.parametrize(
+        "expr, at",
+        [("exp(x)", '{"shadow":1000,"d":{}}'), ("x^400", '{"shadow":10,"d":{}}')],
+    )
+    def test_overflow_is_a_json_error(self, capsys, verb, expr, at):
+        code, out = run(capsys, verb, expr, "--at", at)
+        assert code == 1
+        assert "overflows" in strict_json(out)["error"]
+
+
+class TestStrictNumbers:
+    def test_string_shadow_is_a_domain_error(self, capsys):
+        code, out = run(capsys, "diff", "exp(x)", "--at", '{"shadow":"abc","d":{}}')
+        assert code == 1
+        assert "numbers expected" in strict_json(out)["error"]
+
+    def test_boolean_coefficient_is_a_domain_error(self, capsys):
+        code, out = run(capsys, "eval", "x", "--at", '{"shadow":1,"d":{"h":true}}')
+        assert code == 1
+        assert "numbers expected" in strict_json(out)["error"]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            '{"points":[true, "1.5"]}',
+            '{"points":["1.5"]}',
+            '{"extras":[false]}',
+            '{"intervals":[{"lo":true,"hi":2}]}',
+            '{"intervals":[{"lo":0,"hi":"2"}]}',
+        ],
+    )
+    def test_set_decoders_take_numbers_only(self, capsys, bad):
+        code, out = run(capsys, "sets", "union", bad, "{}")
+        assert code == 1
+        assert "error" in strict_json(out)
+
+    def test_infinite_endpoints_stay_valid(self, capsys):
+        ray = '{"intervals":[{"lo":"-inf","hi":3,"lo_closed":false,"hi_closed":true}]}'
+        code, out = run(capsys, "sets", "sup", ray)
+        assert code == 0
+        assert strict_json(out) == 3.0
 
 
 class TestTaylor:
@@ -207,3 +255,18 @@ def test_usage_errors_exit_nonzero():
     with pytest.raises(SystemExit) as info:
         main(["eval"])  # missing --at
     assert info.value.code != 0
+
+
+def test_importing_the_cli_loads_neither_numpy_nor_verify():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = (
+        "import sys, monadica.cli; "
+        "print(sorted(m for m in ('numpy', 'monadica.verify') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -187,6 +187,10 @@ class TestOrder:
         assert not core.lt(make(10), core.mul(m - 1, x))
         assert core.archimedean_witness(core.ONE, core.ZERO) == 1
 
+    def test_archimedean_witness_beyond_float_range_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="float range"):
+            core.archimedean_witness(make(1e-300), make(1e300))
+
     def test_archimedean_needs_positive_base(self):
         with pytest.raises(DomainError):
             core.archimedean_witness(make(0, {"e:1": 1}), core.ONE)
@@ -226,6 +230,21 @@ class TestWireFormat:
             core.from_json("[1, 2]")
         with pytest.raises(DomainError):
             core.from_json('{"d": {}}')
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            '{"shadow": "abc", "d": {}}',
+            '{"shadow": "1.5", "d": {}}',
+            '{"shadow": true, "d": {}}',
+            '{"shadow": null, "d": {}}',
+            '{"shadow": 1, "d": {"h": "2"}}',
+            '{"shadow": 1, "d": {"h": false}}',
+        ],
+    )
+    def test_strings_booleans_and_null_are_not_numbers(self, bad):
+        with pytest.raises(DomainError, match="numbers expected"):
+            core.from_json(bad)
 
 
 _dyadic = st.integers(-2048, 2048).map(lambda k: k / 256.0)

@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+from monadica.calculus import gen_eval
+from monadica.core import make
 from monadica.errors import DomainError, OutOfDomain
 from monadica.expr import (
     Compose,
@@ -13,6 +15,7 @@ from monadica.expr import (
     Root,
     Sin,
     Var,
+    compile_real,
     differentiate,
     parse,
     pow_int,
@@ -37,6 +40,19 @@ class TestEvaluation:
             Root(X, 2).eval_real(-1.0)
         with pytest.raises(OutOfDomain):
             PowReal(X, 0.5).eval_real(-2.0)
+
+    @pytest.mark.parametrize(
+        "text, at", [("exp(x)", 1000.0), ("x^400", 10.0), ("1 + pow(400.5, x)", 10.0)]
+    )
+    def test_overflow_is_out_of_domain_on_every_path(self, text, at):
+        e = parse(text)
+
+        def extended(xi):
+            return gen_eval(e, make(xi, {"h": 1}))
+
+        for evaluate in (e.eval_real, compile_real(e), extended):
+            with pytest.raises(OutOfDomain, match="overflows at"):
+                evaluate(at)
 
     def test_compose(self):
         e = Compose(Sin(X), pow_int(X, 2))

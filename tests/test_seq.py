@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from monadica import core, seq
@@ -45,6 +47,76 @@ class TestGenerators:
     def test_default_catalog_is_independent(self):
         gens = list(seq.DEFAULT_CATALOG.generators())
         assert seq.independence_rank(gens) == len(gens)
+
+
+# the default catalog and more, still independent on 64 terms (with
+# impulses up to 16, say, g:0.1 would not be: its later terms are below
+# the tolerance)
+POOL = (
+    list(seq.DEFAULT_CATALOG.generators())
+    + [seq.impulse(k) for k in range(9, 13)]
+    + [seq.geometric(r) for r in (0.3, 0.9, 0.99)]
+)
+
+
+def combination(gens, coeffs, bump=0.0, at=1):
+    """sum(c * g) plus `bump` at index `at`: dependent when bump is 0."""
+
+    def t(n):
+        return sum(c * g.term(n) for c, g in zip(coeffs, gens)) + (bump if n == at else 0.0)
+
+    return seq.SequenceGenerator("combo", t)
+
+
+class TestIndependenceRank:
+    def test_random_subsets_have_full_rank(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            gens = rng.sample(POOL, rng.randint(1, len(POOL)))
+            assert seq.independence_rank(gens) == len(gens)
+
+    def test_exact_twin_is_rejected(self):
+        twin = seq.SequenceGenerator("twin", lambda n: 2.0 if n == 1 else 0.0)
+        assert seq.independence_rank([seq.impulse(1), twin]) == 1
+
+    def test_rounding_twin_is_rejected(self):
+        # differs from the harmonic sequence by one ulp at n = 1 only; an
+        # exact rank would call it independent
+        twin = seq.SequenceGenerator("twin", lambda n: 1.0 + 2**-52 if n == 1 else 1.0 / n)
+        assert seq.independence_rank([seq.harmonic(), twin]) == 1
+        with pytest.raises(DomainError):
+            seq.Catalog([seq.harmonic(), twin])
+
+    def test_rank_does_not_depend_on_scale(self):
+        for scale in (1e-300, 1e300):
+            gens = [
+                seq.SequenceGenerator(g.id, lambda n, g=g: scale * g.term(n))
+                for g in seq.DEFAULT_CATALOG.generators()
+            ]
+            assert seq.independence_rank(gens) == len(gens)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_term_is_a_domain_error(self, bad):
+        gen = seq.SequenceGenerator("bad", lambda n: bad if n == 7 else 0.0)
+        with pytest.raises(DomainError):
+            seq.independence_rank([seq.harmonic(), gen])
+        with pytest.raises(DomainError):
+            seq.Catalog([gen])
+
+    def test_verdicts_match_numpy_matrix_rank(self):
+        np = pytest.importorskip("numpy")
+        rng = random.Random(9)
+        for bump in (0.0, 1e-16, 1e-10):
+            for _ in range(60):
+                gens = rng.sample(POOL, rng.randint(1, 10))
+                coeffs = [rng.uniform(-2.0, 2.0) for _ in gens]
+                # no impulse in POOL reaches index 13, so a bump there leaves the span
+                gens.append(combination(gens, coeffs, bump, rng.randint(13, 64)))
+                matrix = np.array([[g.term(n) for n in range(1, 65)] for g in gens])
+                want = int(np.linalg.matrix_rank(matrix))
+                # 1e-16 is far below the tolerance, 1e-10 far above it
+                assert want == len(gens) - (bump < 1e-12)
+                assert seq.independence_rank(gens) == want
 
 
 class TestConvergenceWitness:
