@@ -68,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--terms", type=int, default=16)
 
     p = sub.add_parser("sets", help="set algebra on monads of real sets")
-    p.add_argument("op", choices=sorted(_SET_OPS))
+    p.add_argument("op", choices=sorted(sets.JSON_OPS))
     p.add_argument("args", nargs="*", metavar="JSON")
     p.add_argument("--pretty", action="store_true")
 
@@ -84,88 +84,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_args(op: str, args: list[str], count: int) -> None:
-    if len(args) != count:
-        raise MonadicaError(f"sets {op} expects {count} JSON argument(s)")
-
-
 def _cmd_sets(ns) -> int:
-    op = ns.op
-    args = ns.args
-    unary = {
-        "interior": sets.interior,
-        "exterior": sets.exterior,
-        "boundary": sets.boundary,
-        "closure": sets.closure,
-    }
-    binary = {
-        "union": sets.union,
-        "intersect": sets.intersect,
-        "difference": sets.difference,
-    }
-    predicates = {
-        "is_open": sets.is_open,
-        "is_closed": sets.is_closed,
-        "is_compact": sets.is_compact,
-        "is_connected": sets.is_connected,
-    }
-    if op in binary:
-        _require_args(op, args, 2)
-        out = binary[op](sets.set_from_json(args[0]), sets.set_from_json(args[1]))
-        _print_json(sets.set_to_dict(out), ns.pretty)
-    elif op in unary:
-        _require_args(op, args, 1)
-        _print_json(sets.set_to_dict(unary[op](sets.set_from_json(args[0]))), ns.pretty)
-    elif op in predicates:
-        _require_args(op, args, 1)
-        _print_json(predicates[op](sets.set_from_json(args[0])), ns.pretty)
-    elif op == "monad":
-        _require_args(op, args, 1)
-        out = sets.monad(sets.realset_from_dict(json.loads(args[0])))
-        _print_json(sets.set_to_dict(out), ns.pretty)
-    elif op == "shadow":
-        _require_args(op, args, 1)
-        out = sets.shadow(sets.set_from_json(args[0]))
-        _print_json(sets.realset_to_dict(out), ns.pretty)
-    elif op == "length":
-        _require_args(op, args, 1)
-        _print_json(sets.length(sets.set_from_json(args[0])), ns.pretty)
-    elif op in ("sup", "inf"):
-        _require_args(op, args, 1)
-        fn = sets.sup_r if op == "sup" else sets.inf_r
-        _print_json(fn(sets.set_from_json(args[0])), ns.pretty)
-    elif op in ("max", "min"):
-        _require_args(op, args, 1)
-        fn = sets.max_r if op == "max" else sets.min_r
-        _print_json(fn(sets.set_from_json(args[0])), ns.pretty)
-    elif op == "member":
-        _require_args(op, args, 2)
-        value = core.from_json(args[0])
-        _print_json(sets.member(value, sets.set_from_json(args[1])), ns.pretty)
+    fn, arity = sets.JSON_OPS[ns.op]
+    if len(ns.args) != arity:
+        raise MonadicaError(f"sets {ns.op} expects {arity} JSON argument(s)")
+    _print_json(fn(*ns.args), ns.pretty)
     return 0
-
-
-_SET_OPS = {
-    "union",
-    "intersect",
-    "difference",
-    "monad",
-    "shadow",
-    "interior",
-    "exterior",
-    "boundary",
-    "closure",
-    "is_open",
-    "is_closed",
-    "is_compact",
-    "is_connected",
-    "length",
-    "sup",
-    "inf",
-    "max",
-    "min",
-    "member",
-}
 
 
 class _SuiteNames:

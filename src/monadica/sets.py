@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .core import JSON_NUMBER_TYPES, as_generalized, sigma
+from .core import JSON_NUMBER_TYPES, as_generalized, from_json, sigma
 from .errors import (
     DomainError,
     EmptySetError,
@@ -63,11 +64,18 @@ def _check_endpoint(v: float, what: str) -> float:
     return 0.0 if v == 0.0 else v
 
 
+def _in_sorted(xs: Sequence[float], p: float) -> bool:
+    k = bisect_left(xs, p)
+    return k < len(xs) and xs[k] == p
+
+
 def _normalize(
     intervals: Iterable[Interval], points: Iterable[float]
 ) -> tuple[tuple[Interval, ...], tuple[float, ...]]:
+    # Points enter the sort as degenerate closed intervals [p, p], so one
+    # merge pass closes the open endpoints they sit on and bridges (a, p)
+    # and (p, b); the degenerate survivors are the stray points.
     ints: list[list] = []
-    pts: set[float] = set()
     for iv in intervals:
         lo = _check_endpoint(iv.lo, "interval lo")
         hi = _check_endpoint(iv.hi, "interval hi")
@@ -78,54 +86,32 @@ def _normalize(
         if lo == hi:
             if not math.isfinite(lo):
                 raise DomainError("interval endpoints may not both be infinite")
-            if lc and hc:
-                pts.add(lo)
-            continue  # degenerate open/half-open interval is empty
+            if not (lc and hc):
+                continue  # degenerate open/half-open interval is empty
         ints.append([lo, hi, lc, hc])
     for p in points:
         p = float(p)
         if not math.isfinite(p):
             raise DomainError("set points must be finite reals")
-        pts.add(0.0 if p == 0.0 else p)
+        p = 0.0 if p == 0.0 else p
+        ints.append([p, p, True, True])
 
-    for _ in range(8):  # fixpoint: closing an endpoint can enable a merge
-        changed = False
-        ints.sort(key=lambda t: (t[0], not t[2]))
-        merged: list[list] = []
-        for t in ints:
-            if merged:
-                m = merged[-1]
-                if t[0] < m[1] or (t[0] == m[1] and (m[3] or t[2])):
-                    if t[0] == m[0]:
-                        m[2] = m[2] or t[2]
-                    if t[1] > m[1]:
-                        m[1], m[3] = t[1], t[3]
-                    elif t[1] == m[1]:
-                        m[3] = m[3] or t[3]
-                    continue
-            merged.append(t)
-        ints = merged
-        leftover: set[float] = set()
-        for p in pts:
-            placed = False
-            for t in ints:
-                if t[0] < p < t[1] or (p == t[0] and t[2]) or (p == t[1] and t[3]):
-                    placed = True
-                    break
-                if p == t[0] and not t[2]:
-                    t[2] = placed = changed = True
-                    break
-                if p == t[1] and not t[3]:
-                    t[3] = placed = changed = True
-                    break
-            if not placed:
-                leftover.add(p)
-        pts = leftover
-        if not changed:
-            break
+    # closed lows sort first, so the first entry at a low sets its closedness
+    ints.sort(key=lambda t: (t[0], not t[2]))
+    merged: list[list] = []
+    for t in ints:
+        if merged:
+            m = merged[-1]
+            if t[0] < m[1] or (t[0] == m[1] and (m[3] or t[2])):
+                if t[1] > m[1]:
+                    m[1], m[3] = t[1], t[3]
+                elif t[1] == m[1]:
+                    m[3] = m[3] or t[3]
+                continue
+        merged.append(t)
     return (
-        tuple(Interval(t[0], t[1], t[2], t[3]) for t in ints),
-        tuple(sorted(pts)),
+        tuple(Interval(*t) for t in merged if t[0] != t[1]),
+        tuple(t[0] for t in merged if t[0] == t[1]),
     )
 
 
@@ -140,6 +126,8 @@ class RealSet:
         ints, pts = _normalize(self.intervals, self.points)
         object.__setattr__(self, "intervals", ints)
         object.__setattr__(self, "points", pts)
+        # not a field: equality stays field equality on the normalized form
+        object.__setattr__(self, "_lows", [iv.lo for iv in ints])
 
     # -- constructors -----------------------------------------------------
 
@@ -177,7 +165,8 @@ class RealSet:
 
     def contains(self, p: float) -> bool:
         p = float(p)
-        return any(iv.contains(p) for iv in self.intervals) or p in self.points
+        i = bisect_right(self._lows, p) - 1
+        return (i >= 0 and self.intervals[i].contains(p)) or _in_sorted(self.points, p)
 
     @property
     def bounded_below(self) -> bool:
@@ -200,23 +189,31 @@ class RealSet:
         return RealSet(self.intervals + other.intervals, self.points + other.points)
 
     def intersect(self, other: "RealSet") -> "RealSet":
+        # Both interval lists are sorted and disjoint: sweep them together,
+        # retiring the side that ends first.
+        xs, ys = self.intervals, other.intervals
         ints = []
-        for a in self.intervals:
-            for b in other.intervals:
-                if a.lo > b.lo:
-                    lo, lc = a.lo, a.lo_closed
-                elif b.lo > a.lo:
-                    lo, lc = b.lo, b.lo_closed
-                else:
-                    lo, lc = a.lo, a.lo_closed and b.lo_closed
-                if a.hi < b.hi:
-                    hi, hc = a.hi, a.hi_closed
-                elif b.hi < a.hi:
-                    hi, hc = b.hi, b.hi_closed
-                else:
-                    hi, hc = a.hi, a.hi_closed and b.hi_closed
-                if lo < hi or (lo == hi and lc and hc):
-                    ints.append(Interval(lo, hi, lc, hc))
+        i = j = 0
+        while i < len(xs) and j < len(ys):
+            a, b = xs[i], ys[j]
+            if a.lo > b.lo:
+                lo, lc = a.lo, a.lo_closed
+            elif b.lo > a.lo:
+                lo, lc = b.lo, b.lo_closed
+            else:
+                lo, lc = a.lo, a.lo_closed and b.lo_closed
+            if a.hi < b.hi:
+                hi, hc = a.hi, a.hi_closed
+                i += 1
+            elif b.hi < a.hi:
+                hi, hc = b.hi, b.hi_closed
+                j += 1
+            else:
+                hi, hc = a.hi, a.hi_closed and b.hi_closed
+                i += 1
+                j += 1
+            if lo < hi or (lo == hi and lc and hc):
+                ints.append(Interval(lo, hi, lc, hc))
         pts = [p for p in self.points if other.contains(p)]
         pts += [p for p in other.points if self.contains(p)]
         return RealSet(tuple(ints), tuple(pts))
@@ -358,7 +355,7 @@ def member(x, g: GeneralizedSet) -> bool:
     x = as_generalized(x)
     if g.base.contains(x.shadow):
         return True
-    return x.is_real and x.shadow in g.extras
+    return x.is_real and _in_sorted(g.extras, x.shadow)
 
 
 def union(g1: GeneralizedSet, g2: GeneralizedSet) -> GeneralizedSet:
@@ -367,7 +364,7 @@ def union(g1: GeneralizedSet, g2: GeneralizedSet) -> GeneralizedSet:
 
 def intersect(g1: GeneralizedSet, g2: GeneralizedSet) -> GeneralizedSet:
     base = g1.base.intersect(g2.base)
-    extras = [p for p in g1.extras if g2.base.contains(p) or p in g2.extras]
+    extras = [p for p in g1.extras if g2.base.contains(p) or _in_sorted(g2.extras, p)]
     extras += [p for p in g2.extras if g1.base.contains(p)]
     return GeneralizedSet(base, tuple(extras))
 
@@ -382,7 +379,7 @@ def difference(g1: GeneralizedSet, g2: GeneralizedSet) -> GeneralizedSet:
                 f"difference would puncture the monad at {p!r}"
             )
     extras = [
-        p for p in g1.extras if not g2.base.contains(p) and p not in g2.extras
+        p for p in g1.extras if not g2.base.contains(p) and not _in_sorted(g2.extras, p)
     ]
     return GeneralizedSet(base, tuple(extras))
 
@@ -602,7 +599,9 @@ def _dec_interval(item) -> Interval:
         lo_closed, hi_closed = item.get("lo_closed", True), item.get("hi_closed", True)
     except (KeyError, TypeError, AttributeError):
         raise DomainError(f"malformed interval encoding: {item!r}") from None
-    return Interval(_dec_endpoint(lo), _dec_endpoint(hi), bool(lo_closed), bool(hi_closed))
+    if type(lo_closed) is not bool or type(hi_closed) is not bool:
+        raise DomainError(f"malformed interval encoding: closedness must be true or false: {item!r}")
+    return Interval(_dec_endpoint(lo), _dec_endpoint(hi), lo_closed, hi_closed)
 
 
 def realset_from_dict(data: Mapping) -> RealSet:
@@ -627,9 +626,44 @@ def set_to_json(g: GeneralizedSet) -> str:
     return json.dumps(set_to_dict(g))
 
 
-def set_from_json(text: str) -> GeneralizedSet:
+def _loads(text: str):
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DomainError(f"invalid JSON: {exc}") from exc
-    return set_from_dict(data)
+
+
+def set_from_json(text: str) -> GeneralizedSet:
+    return set_from_dict(_loads(text))
+
+
+# -- the operations of ``monadica sets``, on JSON text ------------------------------
+
+
+def _set_op(fn):
+    return lambda *texts: set_to_dict(fn(*map(set_from_json, texts)))
+
+
+def _query(fn):
+    return lambda text: fn(set_from_json(text))
+
+
+#: op name -> (function from the JSON arguments to a JSON-ready result, arity)
+JSON_OPS = {
+    "union": (_set_op(union), 2),
+    "intersect": (_set_op(intersect), 2),
+    "difference": (_set_op(difference), 2),
+    "monad": (lambda text: set_to_dict(monad(realset_from_dict(_loads(text)))), 1),
+    "shadow": (lambda text: realset_to_dict(shadow(set_from_json(text))), 1),
+    **{name: (_set_op(fn), 1) for name, fn in _TOPO_OPS.items()},
+    "is_open": (_query(is_open), 1),
+    "is_closed": (_query(is_closed), 1),
+    "is_compact": (_query(is_compact), 1),
+    "is_connected": (_query(is_connected), 1),
+    "length": (_query(length), 1),
+    "sup": (_query(sup_r), 1),
+    "inf": (_query(inf_r), 1),
+    "max": (_query(max_r), 1),
+    "min": (_query(min_r), 1),
+    "member": (lambda value, text: member(from_json(value), set_from_json(text)), 2),
+}

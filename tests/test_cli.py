@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from monadica import core
+from monadica import core, sets
 from monadica.cli import main
 
 
@@ -208,6 +208,18 @@ class TestSets:
         assert code == 1
         assert "malformed" in strict_json(out)["error"]
 
+    @pytest.mark.parametrize("closed", ['"false"', "0", "1", "null"])
+    def test_closedness_must_be_a_json_boolean(self, capsys, closed):
+        bad = '{"intervals":[{"lo":0,"hi":1,"lo_closed":%s}]}' % closed
+        code, out = run(capsys, "sets", "union", bad, "{}")
+        assert code == 1
+        assert "closedness" in strict_json(out)["error"]
+
+    def test_monad_of_invalid_json_is_a_domain_error(self, capsys):
+        code, out = run(capsys, "sets", "monad", "{")
+        assert code == 1
+        assert "invalid JSON" in strict_json(out)["error"]
+
     def test_monad_takes_a_real_set(self, capsys):
         code, out = run(
             capsys, "sets", "monad", '{"intervals":[],"points":[2.5]}'
@@ -218,6 +230,44 @@ class TestSets:
     def test_pretty_output_is_indented(self, capsys):
         code, out = run(capsys, "sets", "shadow", self.CLOSED_01, "--pretty")
         assert code == 0 and out.startswith("{\n")
+
+
+# Set documents and the exact output of one command per `sets` op.
+_A = '{"intervals":[{"lo":0,"hi":1,"lo_closed":true,"hi_closed":false},{"lo":2,"hi":"+inf","lo_closed":false,"hi_closed":false}],"points":[1.5,-0.0],"extras":[]}'
+_B = '{"intervals":[{"lo":0.5,"hi":3}],"points":[-1],"extras":[-2]}'
+_C = '{"intervals":[{"lo":0,"hi":1,"lo_closed":false,"hi_closed":false}],"extras":[3]}'
+_R = '{"intervals":[{"lo":0,"hi":1,"lo_closed":false,"hi_closed":false},{"lo":1,"hi":2,"lo_closed":false}],"points":[1]}'
+_SET_OP_OUTPUTS = {
+    "union": ((_A, _B), '{"intervals": [{"lo": 0.0, "hi": "+inf", "lo_closed": true, "hi_closed": false}], "points": [-1.0], "extras": [-2.0]}'),
+    "intersect": ((_A, _B), '{"intervals": [{"lo": 0.5, "hi": 1.0, "lo_closed": true, "hi_closed": false}, {"lo": 2.0, "hi": 3.0, "lo_closed": false, "hi_closed": true}], "points": [1.5], "extras": []}'),
+    "difference": ((_A, _B), '{"intervals": [{"lo": 0.0, "hi": 0.5, "lo_closed": true, "hi_closed": false}, {"lo": 3.0, "hi": "+inf", "lo_closed": false, "hi_closed": false}], "points": [], "extras": []}'),
+    "monad": ((_R,), '{"intervals": [{"lo": 0.0, "hi": 2.0, "lo_closed": false, "hi_closed": true}], "points": [], "extras": []}'),
+    "shadow": ((_B,), '{"intervals": [{"lo": 0.5, "hi": 3.0, "lo_closed": true, "hi_closed": true}], "points": [-2.0, -1.0]}'),
+    "interior": ((_A,), '{"intervals": [{"lo": 0.0, "hi": 1.0, "lo_closed": false, "hi_closed": false}, {"lo": 2.0, "hi": "+inf", "lo_closed": false, "hi_closed": false}], "points": [], "extras": []}'),
+    "exterior": ((_A,), '{"intervals": [{"lo": "-inf", "hi": 0.0, "lo_closed": false, "hi_closed": false}, {"lo": 1.0, "hi": 1.5, "lo_closed": false, "hi_closed": false}, {"lo": 1.5, "hi": 2.0, "lo_closed": false, "hi_closed": false}], "points": [], "extras": []}'),
+    "boundary": ((_A,), '{"intervals": [], "points": [0.0, 1.0, 1.5, 2.0], "extras": []}'),
+    "closure": ((_A,), '{"intervals": [{"lo": 0.0, "hi": 1.0, "lo_closed": true, "hi_closed": true}, {"lo": 2.0, "hi": "+inf", "lo_closed": true, "hi_closed": false}], "points": [1.5], "extras": []}'),
+    "is_open": ((_A,), "false"),
+    "is_closed": ((_A,), "false"),
+    "is_compact": ((_A,), "false"),
+    "is_connected": ((_R,), "true"),
+    "length": (('{"intervals":[{"lo":1,"hi":4,"lo_closed":false}]}',), "3.0"),
+    "sup": ((_C,), "3.0"),
+    "inf": ((_C,), "0.0"),
+    "max": ((_C,), "3.0"),
+    "min": ((_C,), "null"),
+    "member": (('{"shadow":1.5,"d":{"e:1":1}}', _A), "true"),
+}
+
+
+def test_every_set_op_has_a_recorded_output():
+    assert set(_SET_OP_OUTPUTS) == set(sets.JSON_OPS)
+
+
+@pytest.mark.parametrize("op", sorted(_SET_OP_OUTPUTS))
+def test_set_op_output(capsys, op):
+    args, expected = _SET_OP_OUTPUTS[op]
+    assert run(capsys, "sets", op, *args) == (0, expected + "\n")
 
 
 class TestVerify:

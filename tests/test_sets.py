@@ -1,4 +1,6 @@
 import math
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -66,6 +68,12 @@ class TestNormalization:
     def test_infinite_endpoints_forced_open(self):
         got = RealSet((Interval(-INF, 0, True, True),))
         assert got.intervals[0].lo_closed is False
+
+    def test_points_bridge_a_long_chain_of_open_intervals(self):
+        chain = tuple(Interval(k, k + 1, False, False) for k in range(50))
+        bridges = tuple(range(1, 50))
+        assert RealSet(chain, bridges) == RealSet.open(0, 50)
+        assert RealSet(chain[::-1], bridges[::-1]) == RealSet.open(0, 50)
 
 
 class TestBooleanAlgebra:
@@ -301,3 +309,93 @@ def test_interior_and_closure_sandwich_the_set(a):
             assert closed.contains(p)
     assert interior.interior() == interior
     assert closed.closure() == closed
+
+
+# -- differential test of the sorted sweeps against raw membership ----------------
+
+_GRID = [float(k) for k in range(31)]
+_raw_intervals = st.lists(
+    st.builds(
+        lambda lo, width, lc, hc, ray: {
+            "left": (-INF, lo, lc, hc), "right": (lo, INF, lc, hc)
+        }.get(ray, (lo, lo + width, lc, hc)),
+        st.sampled_from(_GRID),
+        st.sampled_from([0.0, 0.0, 1.0, 1.0, 2.0, 3.0]),
+        st.booleans(),
+        st.booleans(),
+        st.sampled_from(["left", "right"] + [None] * 10),
+    ),
+    max_size=40,
+)
+_raw_points = st.lists(st.sampled_from(_GRID), max_size=10)
+# every endpoint and every midpoint, plus one point beyond each end
+_SWEEP_SAMPLES = [k / 2 for k in range(-2, 2 * len(_GRID) + 1)]
+
+
+def _raw_member(ivs, pts, x):
+    return x in pts or any(
+        lo <= x <= hi and (x != lo or lc) and (x != hi or hc) for lo, hi, lc, hc in ivs
+    )
+
+
+def _assert_normalized(s):
+    ivs = s.intervals
+    for iv in ivs:
+        assert iv.lo < iv.hi
+        assert math.isfinite(iv.lo) or not iv.lo_closed
+        assert math.isfinite(iv.hi) or not iv.hi_closed
+    for a, b in zip(ivs, ivs[1:]):
+        assert a.hi < b.lo or (a.hi == b.lo and not a.hi_closed and not b.lo_closed)
+    assert list(s.points) == sorted(set(s.points))
+    for p in s.points:
+        assert not any(iv.lo <= p <= iv.hi for iv in ivs)
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(_raw_intervals, _raw_points, _raw_intervals, _raw_points)
+def test_sweeps_agree_with_raw_membership(ivs_a, pts_a, ivs_b, pts_b):
+    a = RealSet(tuple(Interval(*t) for t in ivs_a), tuple(pts_a))
+    b = RealSet(tuple(Interval(*t) for t in ivs_b), tuple(pts_b))
+
+    def in_a(x):
+        return _raw_member(ivs_a, pts_a, x)
+
+    def in_b(x):
+        return _raw_member(ivs_b, pts_b, x)
+
+    def near_a(x):  # x with its two neighbouring cells, where x is a grid point
+        return (in_a(x - 0.5), in_a(x), in_a(x + 0.5)) if x == int(x) else (in_a(x),) * 3
+
+    results = {
+        "contains": (a, in_a),
+        "union": (a.union(b), lambda x: in_a(x) or in_b(x)),
+        "intersect": (a.intersect(b), lambda x: in_a(x) and in_b(x)),
+        "difference": (a.difference(b), lambda x: in_a(x) and not in_b(x)),
+        "complement": (a.complement(), lambda x: not in_a(x)),
+        "interior": (a.interior(), lambda x: all(near_a(x))),
+        "closure": (a.closure(), lambda x: any(near_a(x))),
+        "boundary": (a.boundary(), lambda x: any(near_a(x)) and not all(near_a(x))),
+    }
+    for name, (got, want) in results.items():
+        _assert_normalized(got)
+        for x in _SWEEP_SAMPLES:
+            assert got.contains(x) == want(x), (name, x)
+
+
+def _seeded_set(seed, n=4000, m=1000):
+    rng = random.Random(seed)
+    ivs = []
+    for _ in range(n):
+        lo = rng.randrange(40 * n) / 4
+        ivs.append(Interval(lo, lo + rng.randrange(1, 8) / 4, rng.random() < 0.5, rng.random() < 0.5))
+    return RealSet(tuple(ivs), tuple(rng.randrange(40 * n) / 4 for _ in range(m)))
+
+
+def test_intersect_and_difference_stay_near_linear():
+    # At this size a quadratic intersect takes seconds and a sweep tens of ms.
+    a, b = _seeded_set(1), _seeded_set(2)
+    start = time.process_time()
+    a.intersect(b)
+    a.difference(b)
+    elapsed = time.process_time() - start
+    assert elapsed < 0.5, f"{elapsed:.2f}s for intersect + difference at n = 4000"
