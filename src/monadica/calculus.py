@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator
 
 from . import core
 from .core import GeneralizedReal, as_generalized
@@ -56,6 +56,9 @@ from .sets import GeneralizedSet, Interval, RealSet
 
 _INF = math.inf
 _PROBE_WINDOW = 32.0
+_ROOT_CELLS = 1024  # grid cells scanned for a sign change before bisecting
+_ZERO_CELLS = 512  # grid cells scanned for zeros of the derivative in images
+_BOUND_CELLS = 2048  # grid cells sampled for the Taylor remainder bound
 
 
 # -- structural evaluation over generalized values -----------------------------
@@ -132,24 +135,74 @@ def _gen_eval(e: Expr, x: GeneralizedReal) -> GeneralizedReal:
     raise TypeError(f"cannot evaluate node {type(e).__name__}")
 
 
-# -- natural extensions ----------------------------------------------------------
+# -- sampling grids and roots --------------------------------------------------------
 
 
-def _finite_window(lo: float, hi: float) -> tuple[float, float]:
-    """Clip an open interval to a finite probe window anchored at whatever
-    finite endpoints it has."""
+def _finite_window(lo: float, hi: float, reach: float) -> tuple[float, float]:
+    """Clip an open interval to a finite window: (-reach, reach) when both
+    ends are infinite, else 2 * reach wide from the finite end."""
     if math.isinf(lo) and math.isinf(hi):
-        return -_PROBE_WINDOW, _PROBE_WINDOW
+        return -reach, reach
     if math.isinf(lo):
-        return hi - 2.0 * _PROBE_WINDOW, hi
+        return hi - 2.0 * reach, hi
     if math.isinf(hi):
-        return lo, lo + 2.0 * _PROBE_WINDOW
+        return lo, lo + 2.0 * reach
     return lo, hi
 
 
-def _probe_points(lo: float, hi: float, n: int) -> list[float]:
-    lo, hi = _finite_window(lo, hi)
-    return [lo + (hi - lo) * (i + 0.5) / n for i in range(n)]
+def _grid(lo: float, hi: float, n: int, cells: bool = False) -> list[float]:
+    """The n + 1 nodes of n equal cells on [lo, hi]; with cells, the n cell
+    midpoints instead."""
+    if cells:
+        return [lo + (hi - lo) * (i + 0.5) / n for i in range(n)]
+    return [lo + (hi - lo) * i / n for i in range(n + 1)]
+
+
+def _bisect(g, a: float, b: float, ga: float, tol: float = 0.0) -> float:
+    """A root of g in [a, b], given ga = g(a) and a sign change over [a, b].
+    Stops when |g(mid)| <= tol or the bracket is narrower than
+    1e-15 * max(1, |mid|), which takes about 50 halvings of a unit bracket."""
+    while True:
+        mid = (a + b) / 2.0
+        gm = g(mid)
+        if abs(gm) <= tol or b - a < 1e-15 * max(1.0, abs(mid)):
+            return mid
+        if (ga < 0.0) == (gm < 0.0):
+            a, ga = mid, gm
+        else:
+            b = mid
+
+
+def _crossings(g, xs: list[float], vals: list[float], tol: float) -> Iterator[float]:
+    """Lazily, one bisected root of g per grid cell whose end values
+    (vals = g(xs)) exceed tol in size and differ in sign."""
+    for a, b, ga, gb in zip(xs, xs[1:], vals, vals[1:]):
+        if ga * gb < 0.0 and abs(ga) > tol and abs(gb) > tol:
+            yield _bisect(g, a, b, ga, tol)
+
+
+def _touch_zeros(
+    f: NaturalExtension, xs: list[float], vals: list[float], tol: float
+) -> Iterator[float]:
+    """Lazily, zeros of f' where f' need not change sign (vals = f'(xs)).
+    At each grid minimum of |f'|, a sign change of f'' over the two
+    neighbours is bisected, and the point is kept when |f'| <= tol there.
+    Heuristic: only points where |f'| dips at a grid node are examined."""
+    lam, curl = f.real_fn(1), f.real_fn(2)
+    mags = [abs(v) for v in vals]
+    last = len(xs) - 1
+    for i, m in enumerate(mags):
+        if (i > 0 and mags[i - 1] < m) or (i < last and mags[i + 1] <= m):
+            continue
+        a, b = xs[max(i - 1, 0)], xs[min(i + 1, last)]
+        ca = curl(a)
+        if ca * curl(b) < 0.0:
+            z = _bisect(curl, a, b, ca)
+            if abs(lam(z)) <= tol:
+                yield z
+
+
+# -- natural extensions ----------------------------------------------------------
 
 
 def _domain_bounds(domain: RealSet) -> tuple[float, float]:
@@ -190,7 +243,7 @@ class NaturalExtension:
                 )
         ext = cls(expr, interval, expr.deriv())
         value, slope = ext.real_fn(0), ext.real_fn(1)
-        for xi in _probe_points(lo, hi, probes):
+        for xi in _grid(*_finite_window(lo, hi, _PROBE_WINDOW), probes, cells=True):
             try:
                 value(xi)
                 slope(xi)
@@ -295,8 +348,10 @@ def compose_ext(outer: NaturalExtension, inner: NaturalExtension) -> NaturalExte
 
 @dataclass(frozen=True)
 class TaylorExpansion:
-    """Partial sum, a certified remainder bound, and (when a numeric root
-    search succeeds) a remainder witness theta in ]0,1[."""
+    """Partial sum, a sampled remainder bound (the largest |f^(n+1)| over
+    2049 points of the segment, refined by a ternary search, so not an
+    enclosure), and (when a numeric root search succeeds) a remainder
+    witness theta in ]0,1[."""
 
     partial_sum: float
     remainder_bound: float
@@ -310,17 +365,15 @@ class TaylorExpansion:
         }
 
 
-def _max_abs_on_segment(
-    fn: Callable[[float], float], lo: float, hi: float, samples: int = 2049
-) -> float:
+def _max_abs_on_segment(fn: Callable[[float], float], lo: float, hi: float) -> float:
     if lo > hi:
         lo, hi = hi, lo
-    xs = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
+    xs = _grid(lo, hi, _BOUND_CELLS)
     vals = [abs(fn(t)) for t in xs]
-    best = max(range(samples), key=lambda i: vals[i])
+    best = max(range(len(xs)), key=lambda i: vals[i])
     # ternary refinement around the sampled argmax
     a = xs[max(0, best - 1)]
-    b = xs[min(samples - 1, best + 1)]
+    b = xs[min(_BOUND_CELLS, best + 1)]
     for _ in range(60):
         m1 = a + (b - a) / 3.0
         m2 = b - (b - a) / 3.0
@@ -360,32 +413,20 @@ def taylor_expand(f: NaturalExtension, center: float, order: int, x) -> TaylorEx
     return TaylorExpansion(partial, bound, theta)
 
 
-def _find_unit_root(g, abs_tol: float, cells: int = 1024) -> float | None:
+# the unit grid with its ends moved inside, built once: building it per call
+# costs about as much as evaluating a compiled tree at every node
+_THETAS = [1e-9, *_grid(0.0, 1.0, _ROOT_CELLS)[1:-1], 1.0 - 1e-9]
+
+
+def _find_unit_root(g, abs_tol: float) -> float | None:
     """A root of g in the open unit interval: grid scan plus bisection."""
     if abs(g(0.5)) <= abs_tol:
         return 0.5
-    thetas = [i / cells for i in range(1, cells)]
-    thetas[0:0] = [1e-9]
-    thetas.append(1.0 - 1e-9)
-    vals = [g(t) for t in thetas]
-    for t, v in zip(thetas, vals):
+    vals = [g(t) for t in _THETAS]
+    for t, v in zip(_THETAS, vals):
         if abs(v) <= abs_tol:
             return t
-    for i in range(len(thetas) - 1):
-        if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0.0:
-            a, b = thetas[i], thetas[i + 1]
-            fa = vals[i]
-            for _ in range(200):
-                mid = (a + b) / 2.0
-                fm = g(mid)
-                if abs(fm) <= abs_tol or (b - a) < 1e-15:
-                    return mid
-                if (fa < 0.0) == (fm < 0.0):
-                    a, fa = mid, fm
-                else:
-                    b = mid
-            return (a + b) / 2.0
-    return None
+    return next(_crossings(g, _THETAS, vals, abs_tol), None)
 
 
 # -- mean value point --------------------------------------------------------------
@@ -406,32 +447,15 @@ def mean_value_point(f: NaturalExtension, a, b) -> float:
     def h(t: float) -> float:
         return lam(t) - slope
 
-    cells = 1024
-    ts = [sa + (sb - sa) * i / cells for i in range(1, cells)]
+    ts = _grid(sa, sb, _ROOT_CELLS)[1:-1]
     vals = [h(t) for t in ts]
     tol = 1e-13 * max(1.0, abs(slope))
     best = min(range(len(ts)), key=lambda i: abs(vals[i]))
     if abs(vals[best]) <= tol:
         return ts[best]
-    lo_idx = None
-    for i in range(len(ts) - 1):
-        if vals[i] * vals[i + 1] < 0.0:
-            lo_idx = i
-            break
-    if lo_idx is None:
-        return ts[best]  # grid minimum; the crossing was narrower than the grid
-    lo, hi = ts[lo_idx], ts[lo_idx + 1]
-    flo = vals[lo_idx]
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        fm = h(mid)
-        if abs(fm) <= tol or (hi - lo) < 1e-15 * max(1.0, abs(mid)):
-            return mid
-        if (flo < 0.0) == (fm < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
+    # without a sign change, the grid minimum: the crossing was narrower
+    # than the grid
+    return next(_crossings(h, ts, vals, tol), ts[best])
 
 
 # -- inversion ----------------------------------------------------------------------
@@ -445,7 +469,7 @@ class InverseExpr(Expr):
 
     def _window(self) -> tuple[float, float]:
         lo, hi = _domain_bounds(self.fn.domain)
-        wlo, whi = _finite_window(lo, hi)
+        wlo, whi = _finite_window(lo, hi, _PROBE_WINDOW)
         inset = (whi - wlo) * 1e-12
         return wlo + inset, whi - inset
 
@@ -453,18 +477,9 @@ class InverseExpr(Expr):
         phi = self.fn.real_fn(0)
         lo, hi = self._window()
         va, vb = phi(lo), phi(hi)
-        increasing = vb >= va
         if not (min(va, vb) <= y <= max(va, vb)):
             raise OutOfDomain(f"{y!r} is outside the inverted range")
-        for _ in range(200):
-            mid = (lo + hi) / 2.0
-            if mid == lo or mid == hi:
-                break
-            if (phi(mid) <= y) == increasing:
-                lo = mid
-            else:
-                hi = mid
-        root = (lo + hi) / 2.0
+        root = lo if va == y else _bisect(lambda t: phi(t) - y, lo, hi, va - y)
         dphi = self.fn.real_fn(1)
         for _ in range(3):  # Newton polish
             d = dphi(root)
@@ -486,35 +501,24 @@ def inverse_extension(f: NaturalExtension, samples: int = 1024) -> NaturalExtens
 
     The derivative of the result is the reciprocal of the original
     derivative taken at the inverse image.  Validity is checked by dense
-    sampling: first monotonicity (injectivity), then the derivative sign.
+    sampling: first monotonicity (injectivity), then the derivative's sign
+    and its zeros without a sign change (see ``_touch_zeros``).
     """
     lo, hi = _domain_bounds(f.domain)
-    xs = _probe_points(lo, hi, samples)
+    xs = _grid(*_finite_window(lo, hi, _PROBE_WINDOW), samples, cells=True)
     phi, lam = f.real_fn(0), f.real_fn(1)
     values = [phi(t) for t in xs]
     diffs = [b - a for a, b in zip(values, values[1:])]
     if any(d == 0.0 for d in diffs) or (min(diffs) < 0.0 < max(diffs)):
         raise NotInjective("function is not strictly monotone on its domain")
     derivs = [lam(t) for t in xs]
-    if any(d == 0.0 for d in derivs) or (min(derivs) < 0.0 < max(derivs)):
-        raise VanishingDerivative("derivative has a zero on the domain")
-    # a zero without a sign change hides at critical points of the derivative
-    curl = f.real_fn(2)
-    curls = [curl(t) for t in xs]
     zero_tol = 1e-12 * max(1.0, max(abs(d) for d in derivs))
-    for i in range(len(xs) - 1):
-        if curls[i] * curls[i + 1] < 0.0:
-            a, b = xs[i], xs[i + 1]
-            fa = curls[i]
-            for _ in range(100):
-                mid = (a + b) / 2.0
-                fm = curl(mid)
-                if (fa < 0.0) == (fm < 0.0):
-                    a, fa = mid, fm
-                else:
-                    b = mid
-            if abs(lam((a + b) / 2.0)) <= zero_tol:
-                raise VanishingDerivative("derivative has a zero on the domain")
+    if (
+        any(d == 0.0 for d in derivs)
+        or min(derivs) < 0.0 < max(derivs)
+        or next(_touch_zeros(f, xs, derivs, zero_tol), None) is not None
+    ):
+        raise VanishingDerivative("derivative has a zero on the domain")
     inv_expr = InverseExpr(f)
     ylo, yhi = sorted((values[0], values[-1]))
     return NaturalExtension(
@@ -525,30 +529,18 @@ def inverse_extension(f: NaturalExtension, samples: int = 1024) -> NaturalExtens
 # -- images of sets -----------------------------------------------------------------
 
 
-def _deriv_zeros(f: NaturalExtension, a: float, b: float, samples: int = 513):
-    """Zeros of the derivative on [a, b]; returns (zeros, is_constant)."""
+def _deriv_zeros(f: NaturalExtension, a: float, b: float):
+    """Zeros of the derivative on [a, b], with or without a sign change;
+    returns (zeros, is_constant)."""
     lam = f.real_fn(1)
-    xs = [a + (b - a) * i / (samples - 1) for i in range(samples)]
+    xs = _grid(a, b, _ZERO_CELLS)
     vals = [lam(t) for t in xs]
     tol = 1e-12 * max(1.0, max(abs(v) for v in vals))
     if all(abs(v) <= tol for v in vals):
         return [], True
-    zeros: list[float] = []
-    for t, v in zip(xs, vals):
-        if abs(v) <= tol:
-            zeros.append(t)
-    for i in range(samples - 1):
-        if abs(vals[i]) > tol and abs(vals[i + 1]) > tol and vals[i] * vals[i + 1] < 0:
-            lo2, hi2 = xs[i], xs[i + 1]
-            flo = vals[i]
-            for _ in range(100):
-                mid = (lo2 + hi2) / 2.0
-                fm = lam(mid)
-                if (flo < 0.0) == (fm < 0.0):
-                    lo2, flo = mid, fm
-                else:
-                    hi2 = mid
-            zeros.append((lo2 + hi2) / 2.0)
+    zeros = [t for t, v in zip(xs, vals) if abs(v) <= tol]
+    zeros += _crossings(lam, xs, vals, tol)
+    zeros += _touch_zeros(f, xs, vals, tol)
     zeros.sort()
     deduped: list[float] = []
     gap = (b - a) * 1e-9
@@ -767,20 +759,6 @@ def pw_derivative_at(p: PiecewiseExtension, xi0: float) -> float | None:
     return p.deriv_at(xi0)
 
 
-def _gap_window(
-    breakpoints: Sequence[float], index: int, reach: float = 4.0
-) -> tuple[float, float]:
-    lo = -_INF if index == 0 else breakpoints[index - 1]
-    hi = _INF if index == len(breakpoints) else breakpoints[index]
-    if math.isinf(lo) and math.isinf(hi):
-        return -reach, reach
-    if math.isinf(lo):
-        return hi - reach, hi
-    if math.isinf(hi):
-        return lo, lo + reach
-    return lo, hi
-
-
 def ode_verify(
     solution: PiecewiseExtension, rhs: PiecewiseExtension, samples: int = 25
 ) -> list[RegionReport]:
@@ -802,13 +780,13 @@ def ode_verify(
             region = f"t > {bps[-1]!r}"
         else:
             region = f"{bps[i - 1]!r} < t < {bps[i]!r}"
-        lo, hi = _gap_window(bps, i)
+        lo = -_INF if i == 0 else bps[i - 1]
+        hi = _INF if i == len(bps) else bps[i]
         de = e.deriv()
         worst = 0.0
         status = "pass"
         detail = ""
-        for j in range(samples):
-            t = lo + (hi - lo) * (j + 0.5) / samples
+        for t in _grid(*_finite_window(lo, hi, 2.0), samples, cells=True):
             try:
                 got = de.eval_real(t)
                 want = rhs.gap_exprs[i].eval_real(t)

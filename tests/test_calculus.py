@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -251,6 +252,71 @@ class TestImages:
     def test_unbounded_bases_rejected(self):
         with pytest.raises(DomainError):
             image_set(exp_f, sets.hat_interval("ray_ge", 0))
+
+
+class TestTouchingZeros:
+    """Zeros of the derivative without a sign change, between grid points."""
+
+    def test_cube_image_collapses_the_double_zero_off_the_grid(self):
+        cube = NaturalExtension.on_interval(pow_int(X, 3))
+        got = image_set(cube, monad(RealSet.closed(-1, 1.1)))
+        left, right = got.base.intervals
+        assert left.lo == -1.0 and right.hi == pytest.approx(1.331)
+        assert abs(left.hi) <= 1e-12 and abs(right.lo) <= 1e-12
+        assert len(got.extras) == 1 and abs(got.extras[0]) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_shifted_cubes(self, seed):
+        rng = random.Random(seed)
+        r, c = rng.uniform(-3.0, 3.0), rng.uniform(-5.0, 5.0)
+        e = pow_int(X - Const(r), 3) + Const(c)
+        lo, hi = r - 1.0, r + 1.1
+        nodes = calculus._grid(lo, hi, calculus._ZERO_CELLS)
+        assert min(abs(t - r) for t in nodes) > 1e-4  # r is off the grid
+        got = image_set(NaturalExtension.on_interval(e), monad(RealSet.closed(lo, hi)))
+        assert any(abs(y - c) <= 1e-12 for y in got.extras)
+        with pytest.raises(VanishingDerivative):
+            inverse_extension(NaturalExtension.on_interval(e, lo, hi))
+
+    def test_a_zero_at_a_grid_node_is_found_once(self):
+        # f' = 4 (x - 1e-9)^3 is within tolerance at the node 0 and changes
+        # sign there; bisecting that cell too would stop about 1e-4 away
+        quartic = NaturalExtension.on_interval(pow_int(X - Const(1e-9), 4))
+        assert calculus._deriv_zeros(quartic, -1.0, 1.0) == ([0.0], False)
+
+
+class TestRootKernel:
+    @pytest.mark.parametrize(
+        "a, b, root",
+        [(-1 / 1024, 1 / 1024, 1e-300), (1e-9, 1.0, 2e-9)],
+    )
+    def test_bisection_stops_on_relative_width(self, a, b, root):
+        calls = []
+
+        def g(t):
+            calls.append(t)
+            return t - root
+
+        got = calculus._bisect(g, a, b, g(a))
+        assert abs(got - root) <= 1e-15
+        # halving to float exhaustion would take 80 to 1 000 calls here
+        assert len(calls) <= 64
+
+    def test_crossings_bisect_only_the_cells_asked_for(self):
+        calls = []
+
+        def g(t):
+            calls.append(t)
+            return math.cos(t)
+
+        xs = calculus._grid(0.0, 10.0, 10)
+        vals = [g(t) for t in xs]
+        calls.clear()
+        first = next(calculus._crossings(g, xs, vals, 0.0))
+        assert first == pytest.approx(math.pi / 2, abs=1e-14)
+        assert len(calls) <= 64
+        roots = list(calculus._crossings(g, xs, vals, 0.0))
+        assert roots == pytest.approx([math.pi / 2, 3 * math.pi / 2, 5 * math.pi / 2])
 
 
 def test_composition_matches_pointwise_product_rule():
