@@ -27,6 +27,7 @@ from .errors import (
     MonadicaError,
     NotDifferentiable,
     NotInjective,
+    NotInvertible,
     OutOfDomain,
     ProvisoViolated,
     RegionMismatch,
@@ -69,70 +70,96 @@ def _scale_dpart(x: GeneralizedReal, factor: float) -> dict[str, float]:
 
 
 def gen_eval(e: Expr, x) -> GeneralizedReal:
-    """Evaluate a tree over the generalized reals, hatted node by node.  A
-    float operation that overflows raises OutOfDomain."""
+    """Evaluate a tree over the generalized reals.
+
+    Products of infinitesimals vanish, so the result is f(s) + f'(s) * dx
+    for x = s + dx.  One walk carries the float pair (value, slope) through
+    the tree and builds a single value at the end; the value is the float
+    ``e.eval_real(s)`` computes.  A zero denominator raises NotInvertible,
+    a point outside a node's domain or a float operation that overflows
+    raises OutOfDomain, and a non-finite result raises NonFiniteInput."""
     x = as_generalized(x)
     try:
-        return _gen_eval(e, x)
-    except OverflowError as exc:
+        value, slope = _walk(e, x.shadow, 1.0)
+    except (OverflowError, ValueError) as exc:  # as in Expr.eval_real
         raise OutOfDomain(f"evaluation overflows at {x}") from exc
+    return core._from_floats(float(value), _scale_dpart(x, slope))
 
 
-def _gen_eval(e: Expr, x: GeneralizedReal) -> GeneralizedReal:
-    if isinstance(e, Const):
-        return GeneralizedReal(e.value)
-    if isinstance(e, Var):
-        return x
-    if isinstance(e, Add):
-        return core.add(_gen_eval(e.lhs, x), _gen_eval(e.rhs, x))
-    if isinstance(e, Sub):
-        return core.sub(_gen_eval(e.lhs, x), _gen_eval(e.rhs, x))
-    if isinstance(e, Mul):
-        return core.mul(_gen_eval(e.lhs, x), _gen_eval(e.rhs, x))
-    if isinstance(e, Div):
-        return core.div(_gen_eval(e.lhs, x), _gen_eval(e.rhs, x))
-    if isinstance(e, Neg):
-        return core.neg(_gen_eval(e.arg, x))
-    if isinstance(e, PowInt):
-        u = _gen_eval(e.base, x)
-        if e.exponent >= 0:
-            return core.pow_nat(u, e.exponent)
-        return core.inv(core.pow_nat(u, -e.exponent))
-    if isinstance(e, PowReal):
-        u = _gen_eval(e.base, x)
-        s = u.shadow
-        if s <= 0.0:
-            raise OutOfDomain(f"real power needs a positive shadow, got {s!r}")
-        a = e.exponent
-        return GeneralizedReal(s**a, _scale_dpart(u, a * s ** (a - 1.0)))
-    if isinstance(e, Root):
-        u = _gen_eval(e.base, x)
-        try:
-            return core.root(u, e.degree)
-        except DomainError as exc:
-            raise OutOfDomain(str(exc)) from exc
-    if isinstance(e, Exp):
-        u = _gen_eval(e.arg, x)
-        v = math.exp(u.shadow)
-        return GeneralizedReal(v, _scale_dpart(u, v))
-    if isinstance(e, Log):
-        u = _gen_eval(e.arg, x)
-        if u.shadow <= 0.0:
-            raise OutOfDomain(f"log needs a positive shadow, got {u.shadow!r}")
-        return GeneralizedReal(math.log(u.shadow), _scale_dpart(u, 1.0 / u.shadow))
-    if isinstance(e, Sin):
-        u = _gen_eval(e.arg, x)
-        return GeneralizedReal(math.sin(u.shadow), _scale_dpart(u, math.cos(u.shadow)))
-    if isinstance(e, Cos):
-        u = _gen_eval(e.arg, x)
-        return GeneralizedReal(math.cos(u.shadow), _scale_dpart(u, -math.sin(u.shadow)))
-    if isinstance(e, Compose):
-        return _gen_eval(e.outer, _gen_eval(e.inner, x))
-    if isinstance(e, InverseExpr):
-        s0 = e.eval_real(x.shadow)
-        slope = 1.0 / e.fn.real_fn(1)(s0)
-        return GeneralizedReal(s0, _scale_dpart(x, slope))
-    raise TypeError(f"cannot evaluate node {type(e).__name__}")
+def _walk(e: Expr, u: float, du: float) -> tuple[float, float]:
+    """(value, slope) of e with the variable bound to the pair (u, du); the
+    lhs of a binary node is walked first."""
+    t = type(e)
+    if t is Var:
+        return u, du
+    if t is Const:
+        return e.value, 0.0
+    if t is Add or t is Sub or t is Mul or t is Div:
+        a, da = _walk(e.lhs, u, du)
+        b, db = _walk(e.rhs, u, du)
+        if t is Add:
+            return a + b, da + db
+        if t is Sub:
+            return a - b, da - db
+        if t is Mul:
+            return a * b, da * b + a * db
+        if b == 0.0:
+            raise NotInvertible("infinitesimals have no multiplicative inverse")
+        q = a / b
+        # (da - q * db) / b, not (da * b - a * db) / b**2: b * b may underflow
+        return q, (da - q * db) / b
+    if t is Neg:
+        a, da = _walk(e.arg, u, du)
+        return -a, -da
+    if t is PowInt:
+        a, da = _walk(e.base, u, du)
+        m = e.exponent
+        if m > 0:
+            return a**m, m * a ** (m - 1) * da
+        if m == 0:
+            return a**m, 0.0
+        if a == 0.0:
+            raise NotInvertible("infinitesimals have no multiplicative inverse")
+        p = a**m
+        return p, m * (p / a) * da
+    if t is Exp:
+        a, da = _walk(e.arg, u, du)
+        v = math.exp(a)
+        return v, v * da
+    if t is Sin:
+        a, da = _walk(e.arg, u, du)
+        return math.sin(a), math.cos(a) * da
+    if t is Cos:
+        a, da = _walk(e.arg, u, du)
+        return math.cos(a), -math.sin(a) * da
+    if t is Log:
+        a, da = _walk(e.arg, u, du)
+        if a <= 0.0:
+            raise OutOfDomain(f"log needs a positive shadow, got {a!r}")
+        return math.log(a), da / a
+    if t is PowReal:
+        a, da = _walk(e.base, u, du)
+        if a <= 0.0:
+            raise OutOfDomain(f"real power needs a positive shadow, got {a!r}")
+        alpha = e.exponent
+        p = a**alpha
+        return p, alpha * (p / a) * da
+    if t is Root:
+        a, da = _walk(e.base, u, du)
+        if a <= 0.0:
+            raise OutOfDomain("root requires a positive value (shadow > 0)")
+        m = e.degree
+        r = math.sqrt(a) if m == 2 else a ** (1.0 / m)
+        return r, r / (m * a) * da
+    if t is Compose:
+        return _walk(e.outer, *_walk(e.inner, u, du))
+    if t is InverseExpr:
+        v = e.eval_real(u)
+        d = e.fn.real_fn(1)(v)
+        if d == 0.0:
+            raise OutOfDomain(f"division by zero at {u!r}")
+        return v, 1.0 / d * du
+    raise TypeError(f"cannot evaluate node {t.__name__}")
 
 
 # -- sampling grids and roots --------------------------------------------------------
@@ -279,7 +306,7 @@ class NaturalExtension:
         self._require(x.shadow)
         value = self.real_fn(0)(x.shadow)
         slope = self.real_fn(1)(x.shadow)
-        return GeneralizedReal(value, _scale_dpart(x, slope))
+        return core._from_floats(float(value), _scale_dpart(x, slope))
 
     def deriv_at(self, x) -> float:
         """The derivative, constant on each monad."""
@@ -317,7 +344,7 @@ class NaturalExtension:
             raise NotDifferentiable(
                 f"derivative of order {m} is not defined at {x.shadow!r}"
             ) from exc
-        return GeneralizedReal(value, _scale_dpart(x, slope))
+        return core._from_floats(float(value), _scale_dpart(x, slope))
 
     def deriv_higher(self, m: int, x) -> float:
         """m-th derivative at the shadow of x (always a real)."""
@@ -521,9 +548,30 @@ def inverse_extension(f: NaturalExtension, samples: int = 1024) -> NaturalExtens
         raise VanishingDerivative("derivative has a zero on the domain")
     inv_expr = InverseExpr(f)
     ylo, yhi = sorted((values[0], values[-1]))
-    return NaturalExtension(
+    g = NaturalExtension(
         inv_expr, RealSet.interval(ylo, yhi, False, False), inv_expr.deriv()
     )
+    # What compiling the two trees would give, without compiling them and
+    # with one inversion per point: eval_at passes the same float to both.
+    # The memo compares by identity, since 0.0 == -0.0.
+    last = (None, 0.0)
+
+    def value(y: float) -> float:
+        nonlocal last
+        key, root = last
+        if key is not y:
+            root = inv_expr.eval_real(y)
+            last = (y, root)
+        return root
+
+    def slope(y: float) -> float:
+        d = lam(value(y))
+        if d == 0.0:
+            raise OutOfDomain(f"division by zero at {y!r}")
+        return 1.0 / d
+
+    g.__dict__["_compiled"] = {0: value, 1: slope}
+    return g
 
 
 # -- images of sets -----------------------------------------------------------------
@@ -672,7 +720,7 @@ class PiecewiseExtension:
         i = self._breakpoint_index(s)
         if i is not None:
             rule = self.monad_rules[i]
-            return GeneralizedReal(rule.value, _scale_dpart(t, rule.slope))
+            return core._from_floats(float(rule.value), _scale_dpart(t, rule.slope))
         return gen_eval(self.gap_exprs[bisect_right(self.breakpoints, s)], t)
 
     def _phi(self, xi: float, center: float, center_value: float) -> float:

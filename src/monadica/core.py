@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -34,7 +35,10 @@ class Ordering(enum.Enum):
 
 
 def _clean(value: float, what: str) -> float:
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:
+        raise DomainError(f"{what} lies beyond the float range") from None
     if not math.isfinite(v):
         raise NonFiniteInput(f"{what} must be a finite real, got {value!r}")
     # no signed-zero distinction
@@ -132,6 +136,22 @@ class GeneralizedReal:
         return lesssim(other, self)
 
 
+def _from_floats(shadow: float, coeffs: dict[str, float]) -> GeneralizedReal:
+    """A value from a float shadow and a dict of float coefficients under
+    str ids, as the library computes them: the checks, messages and
+    canonical form of ``GeneralizedReal(shadow, coeffs)`` without its
+    re-coercion of every number and id.  ``coeffs`` is kept, not copied."""
+    # a finite total proves every term finite; a total that overflows only
+    # sends the value through the full checks
+    if not math.isfinite(shadow + sum(coeffs.values())) or 0.0 in coeffs.values():
+        return GeneralizedReal(shadow, coeffs)
+    x = object.__new__(GeneralizedReal)
+    fields = x.__dict__
+    fields["shadow"] = 0.0 if shadow == 0.0 else shadow
+    fields["dpart"] = coeffs
+    return x
+
+
 ZERO = GeneralizedReal(0.0)
 ONE = GeneralizedReal(1.0)
 
@@ -158,12 +178,12 @@ def add(x, y) -> GeneralizedReal:
     coeffs = dict(x.dpart)
     for gid, c in y.dpart.items():
         coeffs[gid] = coeffs.get(gid, 0.0) + c
-    return GeneralizedReal(x.shadow + y.shadow, coeffs)
+    return _from_floats(x.shadow + y.shadow, coeffs)
 
 
 def neg(x) -> GeneralizedReal:
     x = as_generalized(x)
-    return GeneralizedReal(-x.shadow, {g: -c for g, c in x.dpart.items()})
+    return _from_floats(-x.shadow, {g: -c for g, c in x.dpart.items()})
 
 
 def sub(x, y) -> GeneralizedReal:
@@ -178,7 +198,10 @@ def mul(x, y) -> GeneralizedReal:
         coeffs[gid] = x.shadow * c
     for gid, c in x.dpart.items():
         coeffs[gid] = coeffs.get(gid, 0.0) + y.shadow * c
-    return GeneralizedReal(x.shadow * y.shadow, coeffs)
+    return _from_floats(x.shadow * y.shadow, coeffs)
+
+
+_MIN_NORMAL = sys.float_info.min
 
 
 def inv(x) -> GeneralizedReal:
@@ -187,7 +210,12 @@ def inv(x) -> GeneralizedReal:
     s = x.shadow
     if s == 0.0:
         raise NotInvertible("infinitesimals have no multiplicative inverse")
-    return GeneralizedReal(1.0 / s, {g: -(c / (s * s)) for g, c in x.dpart.items()})
+    ss = s * s
+    if ss >= _MIN_NORMAL:
+        coeffs = {g: -(c / ss) for g, c in x.dpart.items()}
+    else:  # s * s underflows: divide by s twice
+        coeffs = {g: -(c / s / s) for g, c in x.dpart.items()}
+    return _from_floats(1.0 / s, coeffs)
 
 
 def div(y, x) -> GeneralizedReal:
@@ -201,8 +229,12 @@ def pow_nat(x, m: int) -> GeneralizedReal:
     if m == 0:
         return ONE
     x = as_generalized(x)
-    factor = m * x.shadow ** (m - 1)
-    return GeneralizedReal(x.shadow**m, {g: factor * c for g, c in x.dpart.items()})
+    try:
+        p = x.shadow**m
+        factor = m * x.shadow ** (m - 1)
+    except OverflowError:
+        raise NonFiniteInput(f"a power of {x.shadow!r} exceeds the float range") from None
+    return _from_floats(p, {g: factor * c for g, c in x.dpart.items()})
 
 
 def root(x, m: int) -> GeneralizedReal:
@@ -213,12 +245,15 @@ def root(x, m: int) -> GeneralizedReal:
     s = x.shadow
     if s <= 0.0:
         raise DomainError("root requires a positive value (shadow > 0)")
-    r = s ** (1.0 / m)
-    # one Newton step cleans up the 1/m rounding (e.g. 8**(1/3))
-    for _ in range(2):
-        r -= (r**m - s) / (m * r ** (m - 1))
-    denom = m * r ** (m - 1)
-    return GeneralizedReal(r, {g: c / denom for g, c in x.dpart.items()})
+    try:
+        r = s ** (1.0 / m)
+        # one Newton step cleans up the 1/m rounding (e.g. 8**(1/3))
+        for _ in range(2):
+            r -= (r**m - s) / (m * r ** (m - 1))
+        denom = m * r ** (m - 1)
+    except OverflowError:
+        raise NonFiniteInput(f"a root of {s!r} exceeds the float range") from None
+    return _from_floats(r, {g: c / denom for g, c in x.dpart.items()})
 
 
 # -- decomposition and quotient ---------------------------------------------
@@ -334,6 +369,6 @@ def to_json(x) -> str:
 def from_json(text: str) -> GeneralizedReal:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise DomainError(f"invalid JSON: {exc}") from exc
     return from_dict(data)

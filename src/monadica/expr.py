@@ -25,10 +25,12 @@ class Expr:
 
     def eval_real(self, xi: float) -> float:
         """The value at a real point.  A float operation that overflows
-        raises OutOfDomain, like any other point where the tree has no value."""
+        raises OutOfDomain, like any other point where the tree has no value;
+        so does sin or cos of an intermediate that overflowed to infinity
+        (a ValueError in math)."""
         try:
             return self._eval_real(xi)
-        except OverflowError as exc:
+        except (OverflowError, ValueError) as exc:
             raise OutOfDomain(f"evaluation overflows at {xi!r}") from exc
 
     def _eval_real(self, xi: float) -> float:
@@ -529,7 +531,7 @@ class _Compiler:
         overflow = self.bind("evaluation overflows at {!r}")
         source = (
             f"def compiled(x):\n    try:\n{body}        return {result}\n"
-            f"    except OverflowError as exc:\n"
+            f"    except (OverflowError, ValueError) as exc:\n"
             f"        raise OutOfDomain({overflow}.format(x)) from exc\n"
         )
         # the bound names are the function's globals
@@ -539,10 +541,11 @@ class _Compiler:
 
 # -- text syntax -----------------------------------------------------------------
 
+# where no token follows the spaces, "bad" takes the rest of the text
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
     r"|\d+(?:[eE][+-]?\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\*\*|[()+\-*/^,]))"
+    r"|(?P<op>\*\*|[()+\-*/^,]))|(?P<bad>\s*\S[\s\S]*)"
 )
 
 _FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt", "root", "pow")
@@ -554,27 +557,19 @@ class _Parser:
         self.pos = 0
 
     @staticmethod
-    def _tokenize(text: str) -> list[tuple[str, str]]:
-        tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                if text[pos:].strip() == "":
-                    break
-                raise DomainError(f"bad expression syntax near {text[pos:]!r}")
-            pos = m.end()
-            for kind in ("num", "name", "op"):
-                if m.group(kind) is not None:
-                    tokens.append((kind, m.group(kind)))
-                    break
+    def _tokenize(text: str) -> list[tuple[str, str] | None]:
+        """The (kind, text) tokens, ended by a None sentinel."""
+        tokens: list = [(m.lastgroup, m[m.lastindex]) for m in _TOKEN_RE.finditer(text)]
+        if tokens and tokens[-1][0] == "bad":
+            raise DomainError(f"bad expression syntax near {tokens[-1][1]!r}")
+        tokens.append(None)
         return tokens
 
     def peek(self) -> tuple[str, str] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos]
 
     def next(self) -> tuple[str, str]:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok is None:
             raise DomainError("unexpected end of expression")
         self.pos += 1

@@ -554,13 +554,20 @@ def _enc_endpoint(v: float):
     return v
 
 
+def _dec_float(v) -> float:
+    try:
+        return float(v)
+    except OverflowError:
+        raise DomainError("malformed set encoding: a number lies beyond the float range") from None
+
+
 def _dec_endpoint(v) -> float:
     if v == "+inf" or v == "inf":
         return _INF
     if v == "-inf":
         return -_INF
     if type(v) in JSON_NUMBER_TYPES:
-        return float(v)
+        return _dec_float(v)
     raise DomainError(f"bad interval endpoint {v!r}")
 
 
@@ -590,7 +597,7 @@ def _dec_reals(data: Mapping, key: str) -> tuple[float, ...]:
     items = _dec_list(data, key)
     if not set(map(type, items)) <= JSON_NUMBER_TYPES:
         raise DomainError(f"malformed set encoding: {key!r} must hold numbers")
-    return tuple(map(float, items))
+    return tuple(map(_dec_float, items))
 
 
 def _dec_interval(item) -> Interval:
@@ -629,7 +636,7 @@ def set_to_json(g: GeneralizedSet) -> str:
 def _loads(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise DomainError(f"invalid JSON: {exc}") from exc
 
 

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 
 import pytest
 
@@ -20,7 +22,7 @@ from monadica.errors import (
     OutOfDomain,
     VanishingDerivative,
 )
-from monadica.expr import Const, Cos, Exp, Log, PowReal, Sin, Var, pow_int
+from monadica.expr import Const, Cos, Exp, Log, PowReal, Sin, Var, compile_real, parse, pow_int
 from monadica.sets import GeneralizedSet, RealSet, monad
 from monadica.verify import value_close
 
@@ -222,6 +224,59 @@ class TestInversion:
         f = NaturalExtension.on_interval(pow_int(X, 3), -1.0, 1.0)
         with pytest.raises(VanishingDerivative):
             inverse_extension(f)
+
+    def test_one_inversion_and_no_compile_per_evaluation(self, monkeypatch):
+        f = NaturalExtension.on_interval(parse("exp(x) + 0.5 * x^3"), -2.0, 2.0)
+        inv = inverse_extension(f)
+        counts = {"bisect": 0, "compile": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(calculus, "_bisect", counting("bisect", calculus._bisect))
+        monkeypatch.setattr(calculus, "compile_real", counting("compile", compile_real))
+        ys = [-3.0, -0.4, 0.0, 1.0, 2.5, 7.0]
+        got = [inv.eval_at(make(y, {"h": 1.0, "e:1": -2.0})) for y in ys]
+        assert counts == {"bisect": len(ys), "compile": 0}
+        monkeypatch.undo()
+        # bit for bit what the compiled trees of the inverse give
+        value, slope = compile_real(inv.expr), compile_real(inv.deriv)
+        for y, g in zip(ys, got):
+            assert repr(g) == repr(make(value(y), {"h": slope(y), "e:1": -2.0 * slope(y)}))
+
+    def test_concurrent_evaluations_each_get_their_own_root(self):
+        f = NaturalExtension.on_interval(parse("exp(x) + 0.5 * x^3"), -2.0, 2.0)
+        # few values, so threads often evaluate the same float at once
+        ys = [-3.0, 0.5, 4.0]
+        want = {y: inverse_extension(f).eval_at(make(y, {"h": 1.0})) for y in ys}
+        inv = inverse_extension(f)
+        got, errors = [], []
+
+        def work(offset):
+            try:
+                for k in range(300):
+                    y = ys[(k + offset) % len(ys)]
+                    got.append((y, inv.eval_at(make(y, {"h": 1.0}))))
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not errors
+        assert len(got) == 8 * 300
+        assert all(repr(g) == repr(want[y]) for y, g in got)
 
 
 class TestImages:

@@ -74,7 +74,11 @@ class TestOverflow:
     @pytest.mark.parametrize("verb", ["eval", "diff"])
     @pytest.mark.parametrize(
         "expr, at",
-        [("exp(x)", '{"shadow":1000,"d":{}}'), ("x^400", '{"shadow":10,"d":{}}')],
+        [
+            ("exp(x)", '{"shadow":1000,"d":{}}'),
+            ("x^400", '{"shadow":10,"d":{}}'),
+            ("sin(exp(x)*exp(x))", '{"shadow":400,"d":{}}'),
+        ],
     )
     def test_overflow_is_a_json_error(self, capsys, verb, expr, at):
         code, out = run(capsys, verb, expr, "--at", at)
@@ -107,6 +111,31 @@ class TestStrictNumbers:
         code, out = run(capsys, "sets", "union", bad, "{}")
         assert code == 1
         assert "error" in strict_json(out)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "x", "--at", '{"shadow":1%s,"d":{}}' % ("0" * 400)],
+            ["eval", "x", "--at", '{"shadow":1,"d":{"h":-1%s}}' % ("0" * 400)],
+            ["diff", "x^2", "--at", '{"shadow":1%s,"d":{}}' % ("0" * 400)],
+            ["diff", "x^2", "--at", '{"shadow":1%s,"d":{}}' % ("0" * 5000)],
+            ["sets", "union", '{"points":[1%s]}' % ("0" * 400), "{}"],
+            ["sets", "union", '{"extras":[-1%s]}' % ("0" * 400), "{}"],
+            ["sets", "union", '{"intervals":[{"lo":0,"hi":1%s}]}' % ("0" * 400), "{}"],
+            ["sets", "sup", '{"points":[1%s]}' % ("0" * 5000)],
+        ],
+    )
+    def test_integers_beyond_the_float_range_are_domain_errors(self, capsys, argv):
+        code, out = run(capsys, *argv)
+        assert code == 1
+        error = strict_json(out)["error"]
+        assert "beyond the float range" in error or "invalid JSON" in error
+
+    def test_slope_beyond_the_float_range_is_an_error(self, capsys):
+        # the shadow squared underflows; the slope -1/s^2 overflows
+        code, out = run(capsys, "eval", "1/x", "--at", '{"shadow":1e-200,"d":{"h":1}}')
+        assert code == 1
+        assert "finite" in strict_json(out)["error"]
 
     def test_infinite_endpoints_stay_valid(self, capsys):
         ray = '{"intervals":[{"lo":"-inf","hi":3,"lo_closed":false,"hi_closed":true}]}'

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from monadica import core
 from monadica.core import Ordering, make
-from monadica.errors import DomainError, NonFiniteInput, NotInvertible
+from monadica.errors import DomainError, MonadicaError, NonFiniteInput, NotInvertible
 from monadica.verify import value_close
 
 
@@ -290,3 +290,126 @@ def test_shadow_is_an_idempotent_ring_homomorphism(x, y):
 def test_reals_meet_infinitesimals_only_at_zero(x):
     if x.is_real and x.is_infinitesimal:
         assert x == core.ZERO
+
+
+# -- ring results are built canonical -------------------------------------------------
+
+
+def _reference_ring(name, x, y=None, m=None):
+    """What the public constructor builds from the floats each ring op
+    computes."""
+    G = core.GeneralizedReal
+    if name == "add":
+        coeffs = dict(x.dpart)
+        for g, c in y.dpart.items():
+            coeffs[g] = coeffs.get(g, 0.0) + c
+        return G(x.shadow + y.shadow, coeffs)
+    if name == "neg":
+        return G(-x.shadow, {g: -c for g, c in x.dpart.items()})
+    if name == "mul":
+        coeffs = {g: x.shadow * c for g, c in y.dpart.items()}
+        for g, c in x.dpart.items():
+            coeffs[g] = coeffs.get(g, 0.0) + y.shadow * c
+        return G(x.shadow * y.shadow, coeffs)
+    if name == "inv":
+        s = x.shadow
+        if s == 0.0:
+            raise NotInvertible("infinitesimals have no multiplicative inverse")
+        return G(1.0 / s, {g: -(c / (s * s)) for g, c in x.dpart.items()})
+    if name == "pow_nat":
+        if m == 0:
+            return core.ONE
+        try:
+            p, factor = x.shadow**m, m * x.shadow ** (m - 1)
+        except OverflowError:
+            raise NonFiniteInput("overflow") from None
+        return G(p, {g: factor * c for g, c in x.dpart.items()})
+    s = x.shadow
+    if s <= 0.0:
+        raise DomainError("root requires a positive value (shadow > 0)")
+    r = s ** (1.0 / m)
+    for _ in range(2):
+        r -= (r**m - s) / (m * r ** (m - 1))
+    denom = m * r ** (m - 1)
+    return G(r, {g: c / denom for g, c in x.dpart.items()})
+
+
+_GIDS = ["e:1", "e:2", "h", "g:0.5"]
+_edgy = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0, 1e300, -1e300, 1e-300, 2.0**-60])
+_coeff = st.one_of(_edgy, st.floats(-1e6, 1e6))
+_edgy_values = st.builds(make, _coeff, st.dictionaries(st.sampled_from(_GIDS), _coeff, max_size=4))
+
+
+def _both(fn, *args):
+    try:
+        return fn(*args)
+    except MonadicaError as exc:
+        return type(exc)
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(_edgy_values, _edgy_values, st.integers(0, 5), st.integers(2, 5))
+def test_ring_results_equal_what_the_public_constructor_builds(x, y, k, m):
+    cases = [
+        (core.add, (x, y), ("add", x, y)),
+        (core.neg, (x,), ("neg", x)),
+        (core.mul, (x, y), ("mul", x, y)),
+        (core.pow_nat, (x, k), ("pow_nat", x, None, k)),
+        (core.root, (x, m), ("root", x, None, m)),
+    ]
+    if x.shadow * x.shadow >= 2.2250738585072014e-308 or x.shadow == 0.0:
+        cases.append((core.inv, (x,), ("inv", x)))
+    for fn, args, ref in cases:
+        got, want = _both(fn, *args), _both(_reference_ring, *ref)
+        assert got == want and repr(got) == repr(want), (fn.__name__, args)
+        if isinstance(got, core.GeneralizedReal):
+            assert list(got.dpart) == list(want.dpart)
+
+
+_magnitude = st.one_of(st.just(0.0), st.floats(1e-300, 1e300))
+_finite = st.builds(lambda v, negative: -v if negative else v, _magnitude, st.booleans())
+_wide_values = st.builds(make, _finite, st.dictionaries(st.sampled_from(_GIDS), _finite, max_size=3))
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(_wide_values, _wide_values, st.integers(0, 9), st.integers(2, 9))
+def test_ring_ops_on_wide_floats_give_a_finite_value_or_a_typed_error(x, y, k, m):
+    ops = [
+        lambda: core.add(x, y), lambda: core.sub(x, y), lambda: core.neg(x),
+        lambda: core.mul(x, y), lambda: core.inv(x), lambda: core.div(y, x),
+        lambda: core.pow_nat(x, k), lambda: x**k, lambda: core.root(x, m),
+    ]
+    for op in ops:
+        try:
+            r = op()
+        except MonadicaError:
+            continue
+        assert math.isfinite(r.shadow) and all(map(math.isfinite, r.dpart.values()))
+
+
+class TestFloatEdges:
+    def test_inverse_of_a_tiny_shadow_with_a_differential_part(self):
+        # s * s underflows to zero at s = 1e-170; the slope is still finite
+        s = 1.4e-154
+        got = core.inv(make(s, {"h": 1.0}))
+        assert got.shadow == 1.0 / s
+        assert got.coefficient("h") == pytest.approx(-1.0 / s / s, rel=1e-15)
+        with pytest.raises(NonFiniteInput):
+            core.inv(make(1e-200, {"h": 1.0}))
+        with pytest.raises(NonFiniteInput):
+            core.div(make(1.0), make(1e-200, {"h": 1.0}))
+
+    def test_power_beyond_the_float_range(self):
+        with pytest.raises(NonFiniteInput):
+            core.pow_nat(make(1e200), 2)
+        with pytest.raises(NonFiniteInput):
+            make(-1e200, {"h": 1.0}) ** 3
+
+    def test_json_integer_beyond_the_float_range(self):
+        with pytest.raises(DomainError, match="beyond the float range"):
+            core.from_json('{"shadow": 1' + "0" * 400 + ', "d": {}}')
+        with pytest.raises(DomainError, match="beyond the float range"):
+            core.from_json('{"shadow": 1, "d": {"h": -1' + "0" * 400 + "}}")
+        # too long for int() where Python limits integer string conversion
+        with pytest.raises(DomainError, match="invalid JSON|beyond the float range"):
+            core.from_json('{"shadow": 1' + "0" * 5000 + ', "d": {}}')

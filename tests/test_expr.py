@@ -42,7 +42,15 @@ class TestEvaluation:
             PowReal(X, 0.5).eval_real(-2.0)
 
     @pytest.mark.parametrize(
-        "text, at", [("exp(x)", 1000.0), ("x^400", 10.0), ("1 + pow(400.5, x)", 10.0)]
+        "text, at",
+        [
+            ("exp(x)", 1000.0),
+            ("x^400", 10.0),
+            ("1 + pow(400.5, x)", 10.0),
+            # the product overflows to inf silently; sin(inf) is a ValueError
+            ("sin(exp(x) * exp(x))", 400.0),
+            ("cos(x * x)", 1e200),
+        ],
     )
     def test_overflow_is_out_of_domain_on_every_path(self, text, at):
         e = parse(text)
@@ -117,3 +125,36 @@ class TestParser:
         for text in ("x +", "f(x)", "root(x, 2)", "x ^ x", "1 2", "@"):
             with pytest.raises(DomainError):
                 parse(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "unexpected end of expression"),
+            ("   ", "unexpected end of expression"),
+            ("x +", "unexpected end of expression"),
+            ("(x", "unexpected end of expression"),
+            ("sin(x", "unexpected end of expression"),
+            ("x)", "trailing input at ')'"),
+            ("1 2", "trailing input at '2'"),
+            ("x,", "trailing input at ','"),
+            ("x $ 1", "bad expression syntax near ' $ 1'"),
+            ("2 @ x", "bad expression syntax near ' @ x'"),
+            (".5.", "bad expression syntax near '.'"),
+            ("x \t#", "bad expression syntax near ' \\t#'"),
+            ("sin x", "expected '(', got 'x'"),
+            ("foo(x)", "unknown name 'foo' (the variable is 'x')"),
+            ("root(x, 2)", "first argument of root must be constant"),
+            ("root(1.5, x)", "root degree must be an integer > 1"),
+            ("x^x", "exponents must be constants"),
+            ("pow(x, 2)", "first argument of pow must be constant"),
+            ("1e999 * x", "numeric literal 1e999 overflows to infinity"),
+            ("exp()", "unexpected token ')'"),
+        ],
+    )
+    def test_error_messages(self, text, message):
+        with pytest.raises(DomainError) as info:
+            parse(text)
+        assert str(info.value) == message
+
+    def test_trailing_whitespace_is_ignored(self):
+        assert parse(" x * 2 \t\n") == parse("x*2")
