@@ -53,7 +53,7 @@ from .expr import (
     compile_real,
     iter_nodes,
 )
-from .sets import GeneralizedSet, Interval, RealSet
+from .sets import GeneralizedSet, RealSet
 
 _INF = math.inf
 _PROBE_WINDOW = 32.0
@@ -606,7 +606,7 @@ def image_set(f: NaturalExtension, g: GeneralizedSet) -> GeneralizedSet:
     to interval bases split at the derivative's zeros.  Bases must be
     bounded and lie (with endpoints) inside the function's domain.
     """
-    ints: list[Interval] = []
+    ints: list[tuple] = []  # raw (lo, hi, lo_closed, hi_closed), as RealSet takes them
     pts: list[float] = []
     extras: list[float] = []
     phi, lam = f.real_fn(0), f.real_fn(1)
@@ -630,9 +630,9 @@ def image_set(f: NaturalExtension, g: GeneralizedSet) -> GeneralizedSet:
             side_a_closed = s == a and iv.lo_closed and not is_flat(a)
             side_b_closed = t == b and iv.hi_closed and not is_flat(b)
             if ya <= yb:
-                ints.append(Interval(ya, yb, side_a_closed, side_b_closed))
+                ints.append((ya, yb, side_a_closed, side_b_closed))
             else:
-                ints.append(Interval(yb, ya, side_b_closed, side_a_closed))
+                ints.append((yb, ya, side_b_closed, side_a_closed))
         for z in zeros:
             if iv.contains(z):
                 extras.append(phi(z))
@@ -645,7 +645,7 @@ def image_set(f: NaturalExtension, g: GeneralizedSet) -> GeneralizedSet:
     for p in g.extras:
         f._require(p)
         extras.append(phi(p))
-    return GeneralizedSet(RealSet(tuple(ints), tuple(pts)), tuple(extras))
+    return GeneralizedSet(RealSet(ints, pts), tuple(extras))
 
 
 # -- piecewise functions with explicit monad rules -----------------------------------

@@ -19,7 +19,7 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .core import JSON_NUMBER_TYPES, as_generalized, from_json, sigma
 from .errors import (
@@ -34,9 +34,12 @@ from .errors import (
 _INF = math.inf
 
 
-@dataclass(frozen=True)
-class Interval:
-    """One real interval; infinite endpoints are always open."""
+class Interval(NamedTuple):
+    """One real interval; infinite endpoints are always open.
+
+    A named tuple, so it compares equal to the plain 4-tuple
+    ``(lo, hi, lo_closed, hi_closed)``, the raw form ``RealSet`` accepts.
+    """
 
     lo: float
     hi: float
@@ -44,11 +47,12 @@ class Interval:
     hi_closed: bool = True
 
     def contains(self, p: float) -> bool:
-        if not self.lo <= p <= self.hi:
+        lo, hi, lo_closed, hi_closed = self
+        if not lo <= p <= hi:
             return False
-        if p == self.lo and not self.lo_closed:
+        if p == lo and not lo_closed:
             return False
-        if p == self.hi and not self.hi_closed:
+        if p == hi and not hi_closed:
             return False
         return True
 
@@ -57,11 +61,15 @@ class Interval:
         return math.isfinite(self.lo) and math.isfinite(self.hi)
 
 
-def _check_endpoint(v: float, what: str) -> float:
-    v = float(v)
-    if math.isnan(v):
-        raise DomainError(f"{what} may not be NaN")
-    return 0.0 if v == 0.0 else v
+_BEYOND_FLOAT = "a number lies beyond the float range"
+
+
+def _real(v) -> float:
+    """``float(v)``, where an int beyond the float range is a ``DomainError``."""
+    try:
+        return float(v)
+    except OverflowError:
+        raise DomainError(_BEYOND_FLOAT) from None
 
 
 def _in_sorted(xs: Sequence[float], p: float) -> bool:
@@ -69,55 +77,77 @@ def _in_sorted(xs: Sequence[float], p: float) -> bool:
     return k < len(xs) and xs[k] == p
 
 
+# Sorts after every entry of _normalize and merges with none, so it flushes
+# the last one.
+_END = (_INF, True, _INF, False)
+
+
 def _normalize(
-    intervals: Iterable[Interval], points: Iterable[float]
+    intervals: Iterable[tuple], points: Iterable[float]
 ) -> tuple[tuple[Interval, ...], tuple[float, ...]]:
+    """Validate raw ``(lo, hi, lo_closed, hi_closed)`` tuples (an ``Interval``
+    is one) and points; return the sorted, merged intervals and points."""
     # Points enter the sort as degenerate closed intervals [p, p], so one
     # merge pass closes the open endpoints they sit on and bridges (a, p)
-    # and (p, b); the degenerate survivors are the stray points.
-    ints: list[list] = []
-    for iv in intervals:
-        lo = _check_endpoint(iv.lo, "interval lo")
-        hi = _check_endpoint(iv.hi, "interval hi")
-        lc = bool(iv.lo_closed) and math.isfinite(lo)
-        hc = bool(iv.hi_closed) and math.isfinite(hi)
-        if lo > hi:
-            raise DomainError(f"interval endpoints out of order: {lo} > {hi}")
-        if lo == hi:
-            if not math.isfinite(lo):
-                raise DomainError("interval endpoints may not both be infinite")
-            if not (lc and hc):
-                continue  # degenerate open/half-open interval is empty
-        ints.append([lo, hi, lc, hc])
-    for p in points:
-        p = float(p)
-        if not math.isfinite(p):
-            raise DomainError("set points must be finite reals")
-        p = 0.0 if p == 0.0 else p
-        ints.append([p, p, True, True])
+    # and (p, b); the degenerate survivors are the stray points.  Entries
+    # are (lo, lo_open, hi, hi_closed): plain tuple order puts closed lows
+    # first, so the first entry at a low sets its closedness, and the merge
+    # does not depend on the order of entries that share (lo, lo_open).
+    ints = []
+    append = ints.append
+    try:
+        for lo, hi, lc, hc in intervals:
+            lo = float(lo) + 0.0
+            if lo != lo:
+                raise DomainError("interval lo may not be NaN")
+            hi = float(hi) + 0.0
+            if hi != hi:
+                raise DomainError("interval hi may not be NaN")
+            lc = bool(lc) and -_INF < lo < _INF
+            hc = bool(hc) and -_INF < hi < _INF
+            if lo >= hi:
+                if lo > hi:
+                    raise DomainError(f"interval endpoints out of order: {lo} > {hi}")
+                if not -_INF < lo < _INF:
+                    raise DomainError("interval endpoints may not both be infinite")
+                if not (lc and hc):
+                    continue  # degenerate open/half-open interval is empty
+            append((lo, not lc, hi, hc))
+        for p in points:
+            p = float(p) + 0.0
+            if not -_INF < p < _INF:
+                raise DomainError("set points must be finite reals")
+            append((p, False, p, True))
+    except OverflowError:
+        raise DomainError(_BEYOND_FLOAT) from None
 
-    # closed lows sort first, so the first entry at a low sets its closedness
-    ints.sort(key=lambda t: (t[0], not t[2]))
-    merged: list[list] = []
-    for t in ints:
-        if merged:
-            m = merged[-1]
-            if t[0] < m[1] or (t[0] == m[1] and (m[3] or t[2])):
-                if t[1] > m[1]:
-                    m[1], m[3] = t[1], t[3]
-                elif t[1] == m[1]:
-                    m[3] = m[3] or t[3]
-                continue
-        merged.append(t)
-    return (
-        tuple(Interval(*t) for t in merged if t[0] != t[1]),
-        tuple(t[0] for t in merged if t[0] == t[1]),
-    )
+    ints.sort()
+    ints.append(_END)
+    out_ints: list[Interval] = []
+    out_pts: list[float] = []
+    lo, lo_open, hi, hc = ints[0]
+    for t_lo, t_open, t_hi, t_hc in ints[1:]:
+        if t_lo < hi or (t_lo == hi and (hc or not t_open)):
+            if t_hi > hi:
+                hi, hc = t_hi, t_hc
+            elif t_hi == hi:
+                hc = hc or t_hc
+            continue
+        if lo == hi:
+            out_pts.append(lo)
+        else:
+            out_ints.append(tuple.__new__(Interval, (lo, hi, not lo_open, hc)))
+        lo, lo_open, hi, hc = t_lo, t_open, t_hi, t_hc
+    return tuple(out_ints), tuple(out_pts)
 
 
 @dataclass(frozen=True)
 class RealSet:
-    """Finite union of disjoint intervals plus a finite point set, normalized."""
+    """Finite union of disjoint intervals plus a finite point set, normalized.
+
+    ``intervals`` may be given as plain ``(lo, hi, lo_closed, hi_closed)``
+    tuples; the normalized form holds ``Interval``s.
+    """
 
     intervals: tuple[Interval, ...] = ()
     points: tuple[float, ...] = ()
@@ -137,7 +167,7 @@ class RealSet:
 
     @classmethod
     def reals(cls) -> "RealSet":
-        return cls((Interval(-_INF, _INF, False, False),))
+        return cls(((-_INF, _INF, False, False),))
 
     @classmethod
     def point(cls, p: float) -> "RealSet":
@@ -147,7 +177,7 @@ class RealSet:
     def interval(
         cls, lo: float, hi: float, lo_closed: bool = True, hi_closed: bool = True
     ) -> "RealSet":
-        return cls((Interval(lo, hi, lo_closed, hi_closed),))
+        return cls(((lo, hi, lo_closed, hi_closed),))
 
     @classmethod
     def closed(cls, lo: float, hi: float) -> "RealSet":
@@ -164,7 +194,8 @@ class RealSet:
         return not self.intervals and not self.points
 
     def contains(self, p: float) -> bool:
-        p = float(p)
+        if type(p) is not float:
+            p = _real(p)
         i = bisect_right(self._lows, p) - 1
         return (i >= 0 and self.intervals[i].contains(p)) or _in_sorted(self.points, p)
 
@@ -195,42 +226,43 @@ class RealSet:
         ints = []
         i = j = 0
         while i < len(xs) and j < len(ys):
-            a, b = xs[i], ys[j]
-            if a.lo > b.lo:
-                lo, lc = a.lo, a.lo_closed
-            elif b.lo > a.lo:
-                lo, lc = b.lo, b.lo_closed
+            alo, ahi, alc, ahc = xs[i]
+            blo, bhi, blc, bhc = ys[j]
+            if alo > blo:
+                lo, lc = alo, alc
+            elif blo > alo:
+                lo, lc = blo, blc
             else:
-                lo, lc = a.lo, a.lo_closed and b.lo_closed
-            if a.hi < b.hi:
-                hi, hc = a.hi, a.hi_closed
+                lo, lc = alo, alc and blc
+            if ahi < bhi:
+                hi, hc = ahi, ahc
                 i += 1
-            elif b.hi < a.hi:
-                hi, hc = b.hi, b.hi_closed
+            elif bhi < ahi:
+                hi, hc = bhi, bhc
                 j += 1
             else:
-                hi, hc = a.hi, a.hi_closed and b.hi_closed
+                hi, hc = ahi, ahc and bhc
                 i += 1
                 j += 1
             if lo < hi or (lo == hi and lc and hc):
-                ints.append(Interval(lo, hi, lc, hc))
+                ints.append((lo, hi, lc, hc))
         pts = [p for p in self.points if other.contains(p)]
         pts += [p for p in other.points if self.contains(p)]
-        return RealSet(tuple(ints), tuple(pts))
+        return RealSet(ints, pts)
 
     def complement(self) -> "RealSet":
-        comps = [(iv.lo, iv.hi, iv.lo_closed, iv.hi_closed) for iv in self.intervals]
+        comps = list(self.intervals)
         comps += [(p, p, True, True) for p in self.points]
         comps.sort(key=lambda t: t[0])
-        gaps: list[Interval] = []
+        gaps = []
         cur_lo, cur_closed = -_INF, False
         for lo, hi, lc, hc in comps:
             if cur_lo < lo or (cur_lo == lo and cur_closed and not lc):
-                gaps.append(Interval(cur_lo, lo, cur_closed, not lc))
+                gaps.append((cur_lo, lo, cur_closed, not lc))
             cur_lo, cur_closed = hi, not hc
         if cur_lo < _INF:
-            gaps.append(Interval(cur_lo, _INF, cur_closed, False))
-        return RealSet(tuple(gaps))
+            gaps.append((cur_lo, _INF, cur_closed, False))
+        return RealSet(gaps)
 
     def difference(self, other: "RealSet") -> "RealSet":
         return self.intersect(other.complement())
@@ -238,18 +270,11 @@ class RealSet:
     # -- standard topology ----------------------------------------------------
 
     def interior(self) -> "RealSet":
-        return RealSet(
-            tuple(Interval(iv.lo, iv.hi, False, False) for iv in self.intervals)
-        )
+        return RealSet([(lo, hi, False, False) for lo, hi, _, _ in self.intervals])
 
     def closure(self) -> "RealSet":
-        return RealSet(
-            tuple(
-                Interval(iv.lo, iv.hi, math.isfinite(iv.lo), math.isfinite(iv.hi))
-                for iv in self.intervals
-            ),
-            self.points,
-        )
+        # normalizing opens the infinite endpoints again
+        return RealSet([(lo, hi, True, True) for lo, hi, _, _ in self.intervals], self.points)
 
     def boundary(self) -> "RealSet":
         return self.closure().difference(self.interior())
@@ -318,7 +343,7 @@ class GeneralizedSet:
     def __post_init__(self) -> None:
         cleaned = set()
         for p in self.extras:
-            p = float(p)
+            p = _real(p)
             if not math.isfinite(p):
                 raise DomainError("extra points must be finite reals")
             cleaned.add(0.0 if p == 0.0 else p)
@@ -411,17 +436,17 @@ def hat_interval(kind: str, a: float | None = None, b: float | None = None) -> G
     if kind in ("ray_ge", "ray_gt"):
         if a is None:
             raise DomainError(f"{kind} needs its finite endpoint")
-        return monad(RealSet.interval(float(a), _INF, kind == "ray_ge", False))
+        return monad(RealSet.interval(a, _INF, kind == "ray_ge", False))
     if kind in ("ray_le", "ray_lt"):
         endpoint = b if b is not None else a
         if endpoint is None:
             raise DomainError(f"{kind} needs its finite endpoint")
-        return monad(RealSet.interval(-_INF, float(endpoint), False, kind == "ray_le"))
+        return monad(RealSet.interval(-_INF, endpoint, False, kind == "ray_le"))
     if kind not in ("closed", "open", "half_lo", "half_hi"):
         raise DomainError(f"unknown interval kind {kind!r}")
     if a is None or b is None:
         raise DomainError(f"{kind} interval needs both endpoints")
-    a, b = float(a), float(b)
+    a, b = _real(a), _real(b)
     if math.isnan(a) or math.isnan(b):
         raise DomainError("interval endpoints may not be NaN")
     if a > b:
@@ -558,16 +583,18 @@ def _dec_float(v) -> float:
     try:
         return float(v)
     except OverflowError:
-        raise DomainError("malformed set encoding: a number lies beyond the float range") from None
+        raise DomainError(f"malformed set encoding: {_BEYOND_FLOAT}") from None
 
 
 def _dec_endpoint(v) -> float:
+    if type(v) is float:
+        return v
+    if type(v) is int:
+        return _dec_float(v)
     if v == "+inf" or v == "inf":
         return _INF
     if v == "-inf":
         return -_INF
-    if type(v) in JSON_NUMBER_TYPES:
-        return _dec_float(v)
     raise DomainError(f"bad interval endpoint {v!r}")
 
 
@@ -600,7 +627,7 @@ def _dec_reals(data: Mapping, key: str) -> tuple[float, ...]:
     return tuple(map(_dec_float, items))
 
 
-def _dec_interval(item) -> Interval:
+def _dec_interval(item) -> tuple:
     try:
         lo, hi = item["lo"], item["hi"]
         lo_closed, hi_closed = item.get("lo_closed", True), item.get("hi_closed", True)
@@ -608,13 +635,13 @@ def _dec_interval(item) -> Interval:
         raise DomainError(f"malformed interval encoding: {item!r}") from None
     if type(lo_closed) is not bool or type(hi_closed) is not bool:
         raise DomainError(f"malformed interval encoding: closedness must be true or false: {item!r}")
-    return Interval(_dec_endpoint(lo), _dec_endpoint(hi), lo_closed, hi_closed)
+    return (_dec_endpoint(lo), _dec_endpoint(hi), lo_closed, hi_closed)
 
 
 def realset_from_dict(data: Mapping) -> RealSet:
     if not isinstance(data, Mapping):
         raise DomainError(f"malformed set encoding: {data!r}")
-    ints = tuple(_dec_interval(item) for item in _dec_list(data, "intervals"))
+    ints = [_dec_interval(item) for item in _dec_list(data, "intervals")]
     return RealSet(ints, _dec_reals(data, "points"))
 
 

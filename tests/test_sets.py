@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -399,3 +400,185 @@ def test_intersect_and_difference_stay_near_linear():
     a.difference(b)
     elapsed = time.process_time() - start
     assert elapsed < 0.5, f"{elapsed:.2f}s for intersect + difference at n = 4000"
+
+
+# -- typed errors at the set boundary ------------------------------------------------
+
+_HUGE = 10**400  # an int beyond the float range
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: RealSet.interval(0, _HUGE),
+        lambda: RealSet.point(_HUGE),
+        lambda: hat_interval("closed", 0, _HUGE),
+        lambda: hat_interval("ray_ge", _HUGE),
+        lambda: RealSet.closed(0, 1).contains(_HUGE),
+        lambda: GeneralizedSet(RealSet(), (_HUGE,)),
+    ],
+    ids=["interval", "point", "hat_closed", "hat_ray_ge", "contains", "extras"],
+)
+def test_ints_beyond_the_float_range_are_domain_errors(build):
+    with pytest.raises(DomainError, match="beyond the float range"):
+        build()
+
+
+# -- normalization over raw 4-tuples against the dataclass version it replaced -------
+
+
+@dataclass(frozen=True)
+class _OldInterval:
+    lo: float
+    hi: float
+    lo_closed: bool = True
+    hi_closed: bool = True
+
+
+def _old_check_endpoint(v, what):
+    v = float(v)
+    if math.isnan(v):
+        raise DomainError(f"{what} may not be NaN")
+    return 0.0 if v == 0.0 else v
+
+
+def _old_normalize(intervals, points):
+    """The normalization before intervals became named tuples (the oracle)."""
+    ints = []
+    for iv in intervals:
+        lo = _old_check_endpoint(iv.lo, "interval lo")
+        hi = _old_check_endpoint(iv.hi, "interval hi")
+        lc = bool(iv.lo_closed) and math.isfinite(lo)
+        hc = bool(iv.hi_closed) and math.isfinite(hi)
+        if lo > hi:
+            raise DomainError(f"interval endpoints out of order: {lo} > {hi}")
+        if lo == hi:
+            if not math.isfinite(lo):
+                raise DomainError("interval endpoints may not both be infinite")
+            if not (lc and hc):
+                continue
+        ints.append([lo, hi, lc, hc])
+    for p in points:
+        p = float(p)
+        if not math.isfinite(p):
+            raise DomainError("set points must be finite reals")
+        p = 0.0 if p == 0.0 else p
+        ints.append([p, p, True, True])
+    ints.sort(key=lambda t: (t[0], not t[2]))
+    merged = []
+    for t in ints:
+        if merged:
+            m = merged[-1]
+            if t[0] < m[1] or (t[0] == m[1] and (m[3] or t[2])):
+                if t[1] > m[1]:
+                    m[1], m[3] = t[1], t[3]
+                elif t[1] == m[1]:
+                    m[3] = m[3] or t[3]
+                continue
+        merged.append(t)
+    return (
+        tuple(_OldInterval(*t) for t in merged if t[0] != t[1]),
+        tuple(t[0] for t in merged if t[0] == t[1]),
+    )
+
+
+def _outcome(fn, *args):
+    """(intervals, points) with every number as its repr, or (type, message)."""
+    try:
+        ints, pts = fn(*args)
+    except OverflowError:
+        # the old code let float() overflow; the new one names it
+        return DomainError, "a number lies beyond the float range"
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (
+        [(repr(iv.lo), repr(iv.hi), iv.lo_closed, iv.hi_closed) for iv in ints],
+        [repr(p) for p in pts],
+    )
+
+
+def _realset_parts(intervals, points):
+    s = RealSet(intervals, points)
+    return s.intervals, s.points
+
+
+# few distinct values, so endpoints and points often coincide
+_edge = st.sampled_from(
+    [0, 1, 2, 0.0, -0.0, 0.5, 1.0, 1.5, 2.0, -1, -1.0, INF, -INF, math.nan, _HUGE]
+)
+_raw_tuples = st.lists(
+    st.tuples(_edge, _edge, st.booleans(), st.booleans()), max_size=8
+)
+_raw_pts = st.lists(_edge, max_size=4)
+
+
+@settings(deadline=None, max_examples=400, derandomize=True)
+@given(_raw_tuples, _raw_pts, st.booleans())
+def test_normalize_agrees_with_the_dataclass_version(raw, pts, as_interval):
+    want = _outcome(_old_normalize, [_OldInterval(*t) for t in raw], pts)
+    given_ints = [Interval(*t) for t in raw] if as_interval else raw
+    assert _outcome(sets._normalize, given_ints, pts) == want
+    assert _outcome(_realset_parts, given_ints, pts) == want
+
+
+_ordered = st.lists(
+    st.tuples(_grid, _grid, st.booleans(), st.booleans()).map(
+        lambda t: (min(t[0], t[1]), max(t[0], t[1]), t[2], t[3])
+    ),
+    max_size=4,
+)
+_gensets = st.builds(
+    lambda ivs, pts, extras: GeneralizedSet(RealSet(ivs, pts), tuple(extras)),
+    _ordered,
+    st.lists(_grid, max_size=2),
+    st.lists(_grid, max_size=2),
+)
+
+
+def _assert_intervals(s):
+    base = s.base if isinstance(s, GeneralizedSet) else s
+    assert all(type(iv) is Interval for iv in base.intervals)
+
+
+@settings(deadline=None, max_examples=80, derandomize=True)
+@given(_gensets, _gensets)
+def test_every_operation_returns_interval_instances(g1, g2):
+    a, b = g1.base, g2.base
+    for s in (a, b, RealSet(a.intervals, a.points)):
+        _assert_intervals(s)
+    for s in (a.union(b), a.intersect(b), a.difference(b), a.complement()):
+        _assert_intervals(s)
+    for s in (a.interior(), a.closure(), a.boundary(), a.exterior(), shadow(g1)):
+        _assert_intervals(s)
+    for g in (sets.union(g1, g2), sets.intersect(g1, g2), monad(a), monad(g1)):
+        _assert_intervals(g)
+    try:
+        _assert_intervals(sets.difference(g1, g2))
+    except NotRepresentable:
+        pass
+    for op in ("interior", "closure", "boundary", "exterior"):
+        _assert_intervals(sets.topo(op, monad(a)))
+    _assert_intervals(sets.set_from_json(sets.set_to_json(g1)))
+    for kind in sets.INTERVAL_KINDS:
+        _assert_intervals(hat_interval(kind, 0.0, 1.0))
+
+
+def test_interval_repr_is_unchanged():
+    assert repr(Interval(0.0, 1.5, True, False)) == (
+        "Interval(lo=0.0, hi=1.5, lo_closed=True, hi_closed=False)"
+    )
+    old = repr(_OldInterval(-INF, 2, False)).replace("_OldInterval", "Interval")
+    assert repr(Interval(-INF, 2, False)) == old
+    assert repr(RealSet.open(0, INF)) == (
+        "RealSet(intervals=(Interval(lo=0.0, hi=inf, lo_closed=False, hi_closed=False),), "
+        "points=())"
+    )
+
+
+def test_equality_and_hashing_compare_the_normalized_form():
+    raw = RealSet([(2, 3, True, True), (-0.0, 1, False, True), (1, 2, False, False)], [2])
+    tidy = RealSet((Interval(0.0, 3.0, False, True),))
+    assert raw == tidy and hash(raw) == hash(tidy)
+    assert Interval(0.0, 3.0, False, True) == (0.0, 3.0, False, True)
+    assert RealSet.open(0, 1) != RealSet.closed(0, 1)
+    assert len({raw, tidy, RealSet.open(0, 3)}) == 2
