@@ -360,10 +360,6 @@ class NaturalExtension:
             ) from exc
 
 
-def derivative_at(f: NaturalExtension, x) -> float:
-    return f.deriv_at(x)
-
-
 def compose_ext(outer: NaturalExtension, inner: NaturalExtension) -> NaturalExtension:
     """Extension of the composite, on the inner domain."""
     lo, hi = _domain_bounds(inner.domain)
@@ -424,11 +420,16 @@ def taylor_expand(f: NaturalExtension, center: float, order: int, x) -> TaylorEx
         raise OutOfDomain("evaluation shadow must differ from the center")
     lams = f.deriv_exprs(order + 1)
     h = x.shadow - center
+    if math.isinf(h):
+        raise OutOfDomain(f"step {x.shadow!r} - {center!r} from the center overflows")
     partial = 0.0
-    for k in range(order + 1):
-        partial += lams[k].eval_real(center) * h**k / math.factorial(k)
-    target = f.real_fn(0)(x.shadow)
-    scale = h ** (order + 1) / math.factorial(order + 1)
+    try:  # evaluations map their own overflows, so this catches h**k's
+        for k in range(order + 1):
+            partial += lams[k].eval_real(center) * h**k / math.factorial(k)
+        target = f.real_fn(0)(x.shadow)
+        scale = h ** (order + 1) / math.factorial(order + 1)
+    except OverflowError:
+        raise OutOfDomain(f"a power of the step {h!r} from the center overflows") from None
     top = f.real_fn(order + 1)
 
     def gap(theta: float) -> float:
@@ -469,7 +470,10 @@ def mean_value_point(f: NaturalExtension, a, b) -> float:
     f._require(sa)
     f._require(sb)
     phi, lam = f.real_fn(0), f.real_fn(1)
-    slope = (phi(sb) - phi(sa)) / (sb - sa)
+    width = sb - sa
+    slope = (phi(sb) - phi(sa)) / width
+    if math.isinf(width) or not math.isfinite(slope):
+        raise OutOfDomain(f"the mean slope over [{sa!r}, {sb!r}] overflows")
 
     def h(t: float) -> float:
         return lam(t) - slope

@@ -7,16 +7,17 @@ stdout), 2 on verification failure or bad usage.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import os
 import shlex
 import sys
 
-from . import calculus, core, sets
-from .calculus import NaturalExtension
+# Only the ring and the errors load for every verb; each verb imports the
+# layers it uses in _dispatch.
+from . import core
 from .errors import DomainError, MonadicaError
-from .expr import differentiate, parse
 
 
 def _default_seed() -> int:
@@ -68,13 +69,17 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--terms", type=int, default=16)
 
     p = sub.add_parser("sets", help="set algebra on monads of real sets")
-    p.add_argument("op", choices=sorted(sets.JSON_OPS))
+    # a metavar, or argparse would list (and so import) the ops at build time
+    p.add_argument(
+        "op", choices=_LazyChoices(".sets", "JSON_OPS"), metavar="op",
+        help="one of: %(choices)s",
+    )
     p.add_argument("args", nargs="*", metavar="JSON")
     p.add_argument("--pretty", action="store_true")
 
     p = sub.add_parser("verify", help="run the verification suites")
     p.add_argument(
-        "--suite", choices=_SuiteNames(), default=None, metavar="SUITE",
+        "--suite", choices=_LazyChoices(".verify", "SUITES"), default=None, metavar="SUITE",
         help="run one suite: %(choices)s",
     )
     p.add_argument("--seed", type=int, default=None)
@@ -85,6 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sets(ns) -> int:
+    from . import sets
+
     fn, arity = sets.JSON_OPS[ns.op]
     if len(ns.args) != arity:
         raise MonadicaError(f"sets {ns.op} expects {arity} JSON argument(s)")
@@ -92,15 +99,17 @@ def _cmd_sets(ns) -> int:
     return 0
 
 
-class _SuiteNames:
-    """The names in ``verify.SUITES``, read when argparse checks or lists
-    them, so that only the verify verb imports the verify module."""
+class _LazyChoices:
+    """The sorted keys of a registry in a submodule, read when argparse
+    checks or lists them, so that only the verb that uses the registry
+    imports its module."""
 
-    @staticmethod
-    def _names() -> list[str]:
-        from . import verify
+    def __init__(self, module: str, registry: str) -> None:
+        self._module, self._registry = module, registry
 
-        return sorted(verify.SUITES)
+    def _names(self) -> list[str]:
+        module = importlib.import_module(self._module, __package__)
+        return sorted(getattr(module, self._registry))
 
     def __contains__(self, name) -> bool:
         return name in self._names()
@@ -131,19 +140,27 @@ def _cmd_verify(ns) -> int:
 
 def _dispatch(ns) -> int:
     if ns.command == "eval":
-        value = calculus.gen_eval(parse(ns.expr), core.from_json(ns.at))
+        from .calculus import gen_eval
+        from .expr import parse
+
+        value = gen_eval(parse(ns.expr), core.from_json(ns.at))
         _print_json(core.to_dict(value), ns.pretty)
         return 0
     if ns.command == "diff":
+        from .expr import differentiate, parse
+
         x = core.from_json(ns.at)
         d = differentiate(parse(ns.expr), ns.order)
         _print_json(d.eval_real(core.sigma(x)))
         return 0
     if ns.command == "taylor":
+        from .calculus import NaturalExtension, taylor_expand
+        from .expr import parse
+
         lo, hi = ns.domain
         f = NaturalExtension.on_interval(parse(ns.expr), lo, hi)
         x = core.from_json(ns.at)
-        result = calculus.taylor_expand(f, ns.center, ns.order, x)
+        result = taylor_expand(f, ns.center, ns.order, x)
         _print_json(result.to_dict(), ns.pretty)
         return 0
     if ns.command == "seq":

@@ -64,6 +64,14 @@ class Interval(NamedTuple):
 _BEYOND_FLOAT = "a number lies beyond the float range"
 
 
+def _require_numbers(*vs) -> None:
+    """Refuse anything but ints and floats, as the JSON decoders do: no
+    strings, booleans or None."""
+    for v in vs:
+        if type(v) not in JSON_NUMBER_TYPES:
+            raise DomainError(f"set endpoints and points must be numbers, not {v!r}")
+
+
 def _real(v) -> float:
     """``float(v)``, where an int beyond the float range is a ``DomainError``."""
     try:
@@ -120,6 +128,11 @@ def _normalize(
             append((p, False, p, True))
     except OverflowError:
         raise DomainError(_BEYOND_FLOAT) from None
+    except (TypeError, ValueError):
+        raise DomainError(
+            "malformed set: intervals are (lo, hi, lo_closed, hi_closed) with numeric "
+            "endpoints, and points are numbers"
+        ) from None
 
     ints.sort()
     ints.append(_END)
@@ -171,12 +184,14 @@ class RealSet:
 
     @classmethod
     def point(cls, p: float) -> "RealSet":
+        _require_numbers(p)
         return cls((), (p,))
 
     @classmethod
     def interval(
         cls, lo: float, hi: float, lo_closed: bool = True, hi_closed: bool = True
     ) -> "RealSet":
+        _require_numbers(lo, hi)
         return cls(((lo, hi, lo_closed, hi_closed),))
 
     @classmethod
@@ -446,6 +461,7 @@ def hat_interval(kind: str, a: float | None = None, b: float | None = None) -> G
         raise DomainError(f"unknown interval kind {kind!r}")
     if a is None or b is None:
         raise DomainError(f"{kind} interval needs both endpoints")
+    _require_numbers(a, b)
     a, b = _real(a), _real(b)
     if math.isnan(a) or math.isnan(b):
         raise DomainError("interval endpoints may not be NaN")

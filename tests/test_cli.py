@@ -85,6 +85,18 @@ class TestOverflow:
         assert code == 1
         assert "overflows" in strict_json(out)["error"]
 
+    @pytest.mark.parametrize(
+        "center, at, expr",
+        [
+            ("-1e308", '{"shadow":0.5,"d":{}}', "0"),  # h**k overflows
+            ("-1e308", '{"shadow":1e308,"d":{}}', "x"),  # h itself overflows
+        ],
+    )
+    def test_taylor_overflow_is_a_json_error(self, capsys, center, at, expr):
+        code, out = run(capsys, "taylor", f"--center={center}", "--order", "2", "--at", at, "--", expr)
+        assert code == 1
+        assert "overflows" in strict_json(out)["error"]
+
 
 class TestStrictNumbers:
     def test_string_shadow_is_a_domain_error(self, capsys):
@@ -336,16 +348,40 @@ def test_usage_errors_exit_nonzero():
     assert info.value.code != 0
 
 
-def test_importing_the_cli_loads_neither_numpy_nor_verify():
+# Per verb: a command line, the library modules it needs, and those it must
+# not load.  No verb loads verify or numpy.
+_VERB_MODULES = {
+    "eval": (["eval", "exp(x)", "--at", '{"shadow":0.5,"d":{"h":1}}'],
+             {"calculus", "expr"}, {"seq"}),
+    "diff": (["diff", "sin(x)", "--at", '{"shadow":0.5,"d":{}}', "--order", "2"],
+             {"expr"}, {"calculus", "sets", "seq"}),
+    "taylor": (["taylor", "--center=0.1", "--order", "2", "--at", '{"shadow":0.5,"d":{}}',
+                "--", "exp(x)"], {"calculus", "expr"}, {"seq"}),
+    "sets": (["sets", "union", '{"points":[1]}', '{"points":[2]}'],
+             {"sets"}, {"calculus", "expr", "seq"}),
+    "seq": (["seq", "print", '{"shadow":1,"d":{"h":1}}', "--terms", "3"],
+            {"seq"}, {"calculus", "expr", "sets"}),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(_VERB_MODULES))
+def test_each_verb_loads_only_the_modules_it_uses(verb):
+    argv, used, unused = _VERB_MODULES[verb]
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     code = (
-        "import sys, monadica.cli; "
-        "print(sorted(m for m in ('numpy', 'monadica.verify') if m in sys.modules))"
+        "import json, sys\n"
+        "from monadica.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+        "sys.exit(code)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert {f"monadica.{m}" for m in used} <= loaded
+    unwanted = {f"monadica.{m}" for m in unused | {"verify"}} | {"numpy"}
+    assert not loaded & unwanted, sorted(loaded & unwanted)

@@ -424,6 +424,28 @@ def test_ints_beyond_the_float_range_are_domain_errors(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: RealSet.point("abc"),
+        lambda: RealSet.point("1.5"),
+        lambda: RealSet.point(True),
+        lambda: RealSet.interval(None, 1),
+        lambda: RealSet.open(0, "2"),
+        lambda: hat_interval("closed", "a", 1),
+        lambda: hat_interval("ray_ge", False),
+        lambda: RealSet(((None, 1, True, True),)),
+        lambda: RealSet((), ("abc",)),
+        lambda: RealSet(((0, 1),)),
+    ],
+    ids=["point_text", "point_numeric_text", "point_bool", "interval_none", "open_text",
+         "hat_closed_text", "hat_ray_bool", "raw_none", "raw_point_text", "raw_short_tuple"],
+)
+def test_set_constructors_take_only_numbers(build):
+    with pytest.raises(DomainError):
+        build()
+
+
 # -- normalization over raw 4-tuples against the dataclass version it replaced -------
 
 
