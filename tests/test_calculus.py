@@ -204,21 +204,21 @@ class TestMeanValue:
 
 
 class TestFloatEdges:
-    line_f = NaturalExtension.on_interval(X)
-
     @pytest.mark.parametrize(
         "call",
         [
-            lambda f: taylor_expand(f, -1e308, 2, make(1e308)),
-            lambda f: taylor_expand(NaturalExtension.on_interval(Const(0.0)), -1e308, 2, make(0.5)),
-            lambda f: mean_value_point(f, make(-1e308), make(1e308)),
-            lambda f: mean_value_point(NaturalExtension.on_interval(Const(1e308) * X), make(-1), make(1)),
+            lambda: taylor_expand(NaturalExtension.on_interval(X), -1e308, 2, make(1e308)),
+            lambda: taylor_expand(NaturalExtension.on_interval(Const(0.0)), -1e308, 2, make(0.5)),
+            lambda: mean_value_point(NaturalExtension.on_interval(X), make(-1e308), make(1e308)),
+            lambda: mean_value_point(
+                NaturalExtension.on_interval(Const(1e308) * X), make(-1), make(1)
+            ),
         ],
         ids=["taylor_step", "taylor_power", "mean_value_width", "mean_value_slope"],
     )
     def test_overflow_is_out_of_domain(self, call):
         with pytest.raises(OutOfDomain, match="overflows"):
-            call(self.line_f)
+            call()
 
 
 class TestInversion:
