@@ -24,13 +24,13 @@ _EXPORTS = {
             "InverseExpr", "LimitProbe", "MonadRule", "NaturalExtension",
             "PiecewiseExtension", "RegionReport", "TaylorExpansion", "compose_ext",
             "gen_eval", "image_set", "inverse_extension", "mean_value_point",
-            "ode_verify", "pw_derivative_at", "pw_eval", "taylor_expand",
+            "ode_verify", "taylor_expand",
         ),
         "core": (
             "ONE", "ZERO", "GeneralizedReal", "Ordering", "add", "archimedean_witness",
             "as_generalized", "cmp3", "density_nonreal_between", "density_real_between",
             "differential", "div", "from_dict", "from_json", "indiscernible", "inv",
-            "lesssim", "lt", "make", "mul", "neg", "pow_nat", "quotient_repr", "root",
+            "lesssim", "lt", "make", "mul", "neg", "pow_nat", "root",
             "sigma", "sub", "to_dict", "to_json",
         ),
         "errors": (

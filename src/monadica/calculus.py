@@ -33,26 +33,7 @@ from .errors import (
     RegionMismatch,
     VanishingDerivative,
 )
-from .expr import (
-    Add,
-    Compose,
-    Const,
-    Cos,
-    Div,
-    Exp,
-    Expr,
-    Log,
-    Mul,
-    Neg,
-    PowInt,
-    PowReal,
-    Root,
-    Sin,
-    Sub,
-    Var,
-    compile_real,
-    iter_nodes,
-)
+from .expr import Arithmetic, Compose, Const, Div, Expr, compile_real, iter_nodes
 from .sets import GeneralizedSet, RealSet
 
 _INF = math.inf
@@ -73,93 +54,92 @@ def gen_eval(e: Expr, x) -> GeneralizedReal:
     """Evaluate a tree over the generalized reals.
 
     Products of infinitesimals vanish, so the result is f(s) + f'(s) * dx
-    for x = s + dx.  One walk carries the float pair (value, slope) through
-    the tree and builds a single value at the end; the value is the float
+    for x = s + dx.  One walk runs the node rules over (value, slope) float
+    pairs and builds a single value at the end; the value is the float
     ``e.eval_real(s)`` computes.  A zero denominator raises NotInvertible,
-    a point outside a node's domain or a float operation that overflows
-    raises OutOfDomain, and a non-finite result raises NonFiniteInput."""
+    a point outside a node's domain or an overflow raises OutOfDomain with
+    ``eval_real``'s message, and a non-finite result raises NonFiniteInput."""
     x = as_generalized(x)
     try:
-        value, slope = _walk(e, x.shadow, 1.0)
+        value, slope = _Pair().walk(e, (x.shadow, 1.0))
     except (OverflowError, ValueError) as exc:  # as in Expr.eval_real
         raise OutOfDomain(f"evaluation overflows at {x}") from exc
     return core._from_floats(float(value), _scale_dpart(x, slope))
 
 
-def _walk(e: Expr, u: float, du: float) -> tuple[float, float]:
-    """(value, slope) of e with the variable bound to the pair (u, du); the
-    lhs of a binary node is walked first."""
-    t = type(e)
-    if t is Var:
-        return u, du
-    if t is Const:
-        return e.value, 0.0
-    if t is Add or t is Sub or t is Mul or t is Div:
-        a, da = _walk(e.lhs, u, du)
-        b, db = _walk(e.rhs, u, du)
-        if t is Add:
-            return a + b, da + db
-        if t is Sub:
-            return a - b, da - db
-        if t is Mul:
-            return a * b, da * b + a * db
-        if b == 0.0:
-            raise NotInvertible("infinitesimals have no multiplicative inverse")
-        q = a / b
-        # (da - q * db) / b, not (da * b - a * db) / b**2: b * b may underflow
-        return q, (da - q * db) / b
-    if t is Neg:
-        a, da = _walk(e.arg, u, du)
-        return -a, -da
-    if t is PowInt:
-        a, da = _walk(e.base, u, du)
-        m = e.exponent
+class _Pair(Arithmetic):
+    """(value, slope) float pairs: a value and its derivative along x, with
+    products of infinitesimals dropped."""
+
+    def const(self, c):
+        return c, 0.0
+
+    def add(self, p, q):
+        return p[0] + q[0], p[1] + q[1]
+
+    def sub(self, p, q):
+        return p[0] - q[0], p[1] - q[1]
+
+    def mul(self, p, q):
+        (a, da), (b, db) = p, q
+        return a * b, da * b + a * db
+
+    def div(self, p, q):
+        (a, da), (b, db) = p, q
+        r = a / b
+        # (da - r * db) / b, not (da * b - a * db) / b**2: b * b may underflow
+        return r, (da - r * db) / b
+
+    def neg(self, p):
+        return -p[0], -p[1]
+
+    def pow_int(self, p, m):
+        a, da = p
         if m > 0:
             return a**m, m * a ** (m - 1) * da
         if m == 0:
             return a**m, 0.0
-        if a == 0.0:
-            raise NotInvertible("infinitesimals have no multiplicative inverse")
-        p = a**m
-        return p, m * (p / a) * da
-    if t is Exp:
-        a, da = _walk(e.arg, u, du)
-        v = math.exp(a)
-        return v, v * da
-    if t is Sin:
-        a, da = _walk(e.arg, u, du)
-        return math.sin(a), math.cos(a) * da
-    if t is Cos:
-        a, da = _walk(e.arg, u, du)
-        return math.cos(a), -math.sin(a) * da
-    if t is Log:
-        a, da = _walk(e.arg, u, du)
-        if a <= 0.0:
-            raise OutOfDomain(f"log needs a positive shadow, got {a!r}")
-        return math.log(a), da / a
-    if t is PowReal:
-        a, da = _walk(e.base, u, du)
-        if a <= 0.0:
-            raise OutOfDomain(f"real power needs a positive shadow, got {a!r}")
-        alpha = e.exponent
-        p = a**alpha
-        return p, alpha * (p / a) * da
-    if t is Root:
-        a, da = _walk(e.base, u, du)
-        if a <= 0.0:
-            raise OutOfDomain("root requires a positive value (shadow > 0)")
-        m = e.degree
+        r = a**m
+        return r, m * (r / a) * da
+
+    def pow_real(self, p, alpha):
+        a, da = p
+        r = a**alpha
+        return r, alpha * (r / a) * da
+
+    def root(self, p, m):
+        a, da = p
         r = math.sqrt(a) if m == 2 else a ** (1.0 / m)
         return r, r / (m * a) * da
-    if t is Compose:
-        return _walk(e.outer, *_walk(e.inner, u, du))
-    if t is InverseExpr:
-        v = e.eval_real(u)
-        d = e.fn.real_fn(1)(v)
-        if d == 0.0:
-            raise OutOfDomain(f"division by zero at {u!r}")
-        return v, 1.0 / d * du
-    raise TypeError(f"cannot evaluate node {t.__name__}")
+
+    def exp(self, p):
+        v = math.exp(p[0])
+        return v, v * p[1]
+
+    def log(self, p):
+        return math.log(p[0]), p[1] / p[0]
+
+    def sin(self, p):
+        return math.sin(p[0]), math.cos(p[0]) * p[1]
+
+    def cos(self, p):
+        return math.cos(p[0]), -math.sin(p[0]) * p[1]
+
+    def nonzero(self, p, message, shown):
+        if p[0] == 0.0:
+            raise NotInvertible("infinitesimals have no multiplicative inverse")
+
+    def positive(self, p, message):
+        if p[0] <= 0.0:
+            raise OutOfDomain(message.format(p[0]))
+
+    def lift(self, fn, p, slope):
+        if slope is None:
+            raise TypeError(f"{fn.__qualname__} has no slope")
+        a, da = p
+        v = fn(a)
+        return v, slope(a, v) * da
+
 
 
 # -- sampling grids and roots --------------------------------------------------------
@@ -504,7 +484,11 @@ class InverseExpr(Expr):
         inset = (whi - wlo) * 1e-12
         return wlo + inset, whi - inset
 
-    def _eval_real(self, y: float) -> float:
+    def rule(self, arith, y):
+        return arith.lift(self.invert, y, self.slope)
+
+    def invert(self, y: float) -> float:
+        """The point where the function takes the value y."""
         phi = self.fn.real_fn(0)
         lo, hi = self._window()
         va, vb = phi(lo), phi(hi)
@@ -519,6 +503,13 @@ class InverseExpr(Expr):
             step = (phi(root) - y) / d
             root -= step
         return root
+
+    def slope(self, y: float, v: float) -> float:
+        """The inverse's derivative at y, given its value v there: 1 / f'(v)."""
+        d = self.fn.real_fn(1)(v)
+        if d == 0.0:
+            raise OutOfDomain(f"division by zero at {y!r}")
+        return 1.0 / d
 
     def deriv(self) -> Expr:
         return Div(Const(1.0), Compose(self.fn.deriv, self))
@@ -568,13 +559,7 @@ def inverse_extension(f: NaturalExtension, samples: int = 1024) -> NaturalExtens
             last = (y, root)
         return root
 
-    def slope(y: float) -> float:
-        d = lam(value(y))
-        if d == 0.0:
-            raise OutOfDomain(f"division by zero at {y!r}")
-        return 1.0 / d
-
-    g.__dict__["_compiled"] = {0: value, 1: slope}
+    g.__dict__["_compiled"] = {0: value, 1: lambda y: inv_expr.slope(y, value(y))}
     return g
 
 
@@ -801,14 +786,6 @@ class PiecewiseExtension:
                 f"classical limit is {probe.value!r}"
             )
         return declared
-
-
-def pw_eval(p: PiecewiseExtension, t) -> GeneralizedReal:
-    return p.eval_at(t)
-
-
-def pw_derivative_at(p: PiecewiseExtension, xi0: float) -> float | None:
-    return p.deriv_at(xi0)
 
 
 def ode_verify(

@@ -269,11 +269,6 @@ def differential(x) -> GeneralizedReal:
     return as_generalized(x).differential()
 
 
-def quotient_repr(x) -> float:
-    """Canonical real representative of the monad of x (a field homomorphism)."""
-    return sigma(x)
-
-
 # -- order -------------------------------------------------------------------
 
 

@@ -1,15 +1,18 @@
 """Expression trees for real functions of one variable.
 
 Nodes cover the elementary functions used throughout the library.  Each
-tree knows how to evaluate itself at a real point and how to produce its
-symbolic derivative (with constant folding so repeated differentiation
-does not blow up).  There is deliberately no simplification beyond that.
+node type has one ``rule`` for its value, domain checks included, which
+floats (``eval_real``), emitted code (``compile_real``) and (value, slope)
+pairs (``calculus.gen_eval``) all run.  Each node also produces its symbolic
+derivative (with constant folding so repeated differentiation does not blow
+up).  There is deliberately no simplification beyond that.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
@@ -29,16 +32,17 @@ class Expr:
         so does sin or cos of an intermediate that overflowed to infinity
         (a ValueError in math)."""
         try:
-            return self._eval_real(xi)
+            return _FLOAT.walk(self, xi)
         except (OverflowError, ValueError) as exc:
             raise OutOfDomain(f"evaluation overflows at {xi!r}") from exc
 
-    def _eval_real(self, xi: float) -> float:
-        """This node's value, as the tree walk computes it; a node type
-        that defines eval_real instead is walked through that."""
+    def rule(self, arith: "Arithmetic", x):
+        """The value under the arithmetic, with the variable bound to x: the
+        operands walked left to right, then checked and combined.  A node
+        type with no rule is evaluated by its own eval_real, with no slope."""
         if type(self).eval_real is Expr.eval_real:
-            raise NotImplementedError
-        return self.eval_real(xi)
+            raise TypeError(f"cannot evaluate node {type(self).__name__}")
+        return arith.lift(self.eval_real, x, None)
 
     def deriv(self) -> "Expr":
         raise NotImplementedError
@@ -91,8 +95,8 @@ def _coerce(value) -> Expr:
 class Const(Expr):
     value: float
 
-    def _eval_real(self, xi):
-        return self.value
+    def rule(self, arith, x):
+        return arith.const(self.value)
 
     def deriv(self):
         return Const(0.0)
@@ -103,8 +107,8 @@ class Const(Expr):
 
 @dataclass(frozen=True)
 class Var(Expr):
-    def _eval_real(self, xi):
-        return xi
+    def rule(self, arith, x):
+        return x
 
     def deriv(self):
         return Const(1.0)
@@ -118,8 +122,8 @@ class Add(Expr):
     lhs: Expr
     rhs: Expr
 
-    def _eval_real(self, xi):
-        return self.lhs._eval_real(xi) + self.rhs._eval_real(xi)
+    def rule(self, arith, x):
+        return arith.add(arith.walk(self.lhs, x), arith.walk(self.rhs, x))
 
     def deriv(self):
         return add(self.lhs.deriv(), self.rhs.deriv())
@@ -133,8 +137,8 @@ class Sub(Expr):
     lhs: Expr
     rhs: Expr
 
-    def _eval_real(self, xi):
-        return self.lhs._eval_real(xi) - self.rhs._eval_real(xi)
+    def rule(self, arith, x):
+        return arith.sub(arith.walk(self.lhs, x), arith.walk(self.rhs, x))
 
     def deriv(self):
         return sub(self.lhs.deriv(), self.rhs.deriv())
@@ -148,8 +152,8 @@ class Mul(Expr):
     lhs: Expr
     rhs: Expr
 
-    def _eval_real(self, xi):
-        return self.lhs._eval_real(xi) * self.rhs._eval_real(xi)
+    def rule(self, arith, x):
+        return arith.mul(arith.walk(self.lhs, x), arith.walk(self.rhs, x))
 
     def deriv(self):
         return add(
@@ -170,11 +174,10 @@ class Div(Expr):
     rhs: Expr
     domain: "RealSet | None" = None
 
-    def _eval_real(self, xi):
-        d = self.rhs._eval_real(xi)
-        if d == 0.0:
-            raise OutOfDomain(f"division by zero at {xi!r}")
-        return self.lhs._eval_real(xi) / d
+    def rule(self, arith, x):
+        a, b = arith.walk(self.lhs, x), arith.walk(self.rhs, x)
+        arith.nonzero(b, "division by zero at {!r}", x)
+        return arith.div(a, b)
 
     def deriv(self):
         num = sub(mul(self.lhs.deriv(), self.rhs), mul(self.lhs, self.rhs.deriv()))
@@ -188,8 +191,8 @@ class Div(Expr):
 class Neg(Expr):
     arg: Expr
 
-    def _eval_real(self, xi):
-        return -self.arg._eval_real(xi)
+    def rule(self, arith, x):
+        return arith.neg(arith.walk(self.arg, x))
 
     def deriv(self):
         return neg(self.arg.deriv())
@@ -203,11 +206,11 @@ class PowInt(Expr):
     base: Expr
     exponent: int
 
-    def _eval_real(self, xi):
-        b = self.base._eval_real(xi)
-        if self.exponent < 0 and b == 0.0:
-            raise OutOfDomain(f"zero base with negative exponent at {xi!r}")
-        return b**self.exponent
+    def rule(self, arith, x):
+        b = arith.walk(self.base, x)
+        if self.exponent < 0:
+            arith.nonzero(b, "zero base with negative exponent at {!r}", x)
+        return arith.pow_int(b, self.exponent)
 
     def deriv(self):
         m = self.exponent
@@ -227,11 +230,10 @@ class PowReal(Expr):
     exponent: float
     domain: "RealSet | None" = None
 
-    def _eval_real(self, xi):
-        b = self.base._eval_real(xi)
-        if b <= 0.0:
-            raise OutOfDomain(f"real power needs a positive base, got {b!r}")
-        return b**self.exponent
+    def rule(self, arith, x):
+        b = arith.walk(self.base, x)
+        arith.positive(b, "real power needs a positive base, got {!r}")
+        return arith.pow_real(b, self.exponent)
 
     def deriv(self):
         a = self.exponent
@@ -250,13 +252,10 @@ class Root(Expr):
     degree: int
     domain: "RealSet | None" = None
 
-    def _eval_real(self, xi):
-        b = self.base._eval_real(xi)
-        if b <= 0.0:
-            raise OutOfDomain(f"root needs a positive argument, got {b!r}")
-        if self.degree == 2:
-            return math.sqrt(b)
-        return b ** (1.0 / self.degree)
+    def rule(self, arith, x):
+        b = arith.walk(self.base, x)
+        arith.positive(b, "root needs a positive argument, got {!r}")
+        return arith.root(b, self.degree)
 
     def deriv(self):
         m = self.degree
@@ -271,8 +270,8 @@ class Root(Expr):
 class Exp(Expr):
     arg: Expr
 
-    def _eval_real(self, xi):
-        return math.exp(self.arg._eval_real(xi))
+    def rule(self, arith, x):
+        return arith.exp(arith.walk(self.arg, x))
 
     def deriv(self):
         return mul(Exp(self.arg), self.arg.deriv())
@@ -288,11 +287,10 @@ class Log(Expr):
     arg: Expr
     domain: "RealSet | None" = None
 
-    def _eval_real(self, xi):
-        a = self.arg._eval_real(xi)
-        if a <= 0.0:
-            raise OutOfDomain(f"log needs a positive argument, got {a!r}")
-        return math.log(a)
+    def rule(self, arith, x):
+        a = arith.walk(self.arg, x)
+        arith.positive(a, "log needs a positive argument, got {!r}")
+        return arith.log(a)
 
     def deriv(self):
         return Div(self.arg.deriv(), self.arg, self.domain)
@@ -305,8 +303,8 @@ class Log(Expr):
 class Sin(Expr):
     arg: Expr
 
-    def _eval_real(self, xi):
-        return math.sin(self.arg._eval_real(xi))
+    def rule(self, arith, x):
+        return arith.sin(arith.walk(self.arg, x))
 
     def deriv(self):
         return mul(Cos(self.arg), self.arg.deriv())
@@ -319,8 +317,8 @@ class Sin(Expr):
 class Cos(Expr):
     arg: Expr
 
-    def _eval_real(self, xi):
-        return math.cos(self.arg._eval_real(xi))
+    def rule(self, arith, x):
+        return arith.cos(arith.walk(self.arg, x))
 
     def deriv(self):
         return mul(neg(Sin(self.arg)), self.arg.deriv())
@@ -336,14 +334,58 @@ class Compose(Expr):
     outer: Expr
     inner: Expr
 
-    def _eval_real(self, xi):
-        return self.outer._eval_real(self.inner._eval_real(xi))
+    def rule(self, arith, x):
+        return arith.walk(self.outer, arith.walk(self.inner, x))
 
     def deriv(self):
         return mul(Compose(self.outer.deriv(), self.inner), self.inner.deriv())
 
     def __str__(self):
         return f"({self.outer})∘({self.inner})"
+
+
+# -- arithmetics -------------------------------------------------------------------
+
+
+class Arithmetic:
+    """One kind of value and the operations rules use on it: const, add,
+    sub, mul, div, neg, pow_int, pow_real, root, exp, log, sin, cos; the
+    checks ``nonzero(a, message, shown)`` and ``positive(a, message)``; and
+    ``lift(fn, a, slope)``: fn(a), with derivative factor slope(a, fn(a)),
+    or None where fn has no slope."""
+
+    def walk(self, e: Expr, x):
+        """The value of e with the variable bound to x."""
+        return e.rule(self, x)
+
+
+class _Float(Arithmetic):
+    """Floats, with Python's own operations."""
+
+    # builtins, so an instance lookup returns them unbound
+    add, sub, mul, div = operator.add, operator.sub, operator.mul, operator.truediv
+    neg, exp, log, sin, cos = operator.neg, math.exp, math.log, math.sin, math.cos
+    pow_int = pow_real = operator.pow
+
+    def const(self, c):
+        return c
+
+    def root(self, a, m):
+        return math.sqrt(a) if m == 2 else a ** (1.0 / m)
+
+    def nonzero(self, a, message, shown):
+        if a == 0.0:
+            raise OutOfDomain(message.format(shown))
+
+    def positive(self, a, message):
+        if a <= 0.0:
+            raise OutOfDomain(message.format(a))
+
+    def lift(self, fn, a, slope):
+        return fn(a)
+
+
+_FLOAT = _Float()
 
 
 # -- folding constructors ------------------------------------------------------
@@ -426,46 +468,53 @@ def differentiate(e: Expr, order: int = 1) -> Expr:
 
 # -- compilation to straight-line code -------------------------------------------------
 
-_BINARY_OPS = {Add: "+", Sub: "-", Mul: "*"}
-_CALLS = {Exp: "exp", Sin: "sin", Cos: "cos"}
-
 
 def compile_real(e: Expr) -> Callable[[float], float]:
     """Compile a tree into one straight-line Python function of one float.
 
-    The function returns exactly what ``e.eval_real`` returns: every node
-    does the same float operation in the same order (a quotient evaluates
-    its denominator first), and every domain check raises the same error
-    with the same message, an overflow included.  Each distinct node object
-    is evaluated once per binding of the variable (``Compose`` rebinds it),
-    so shared subtrees are evaluated once.  Node types the compiler does not
-    know are called through their own ``_eval_real``.  Compiling costs
-    about 20 to 150 tree walks, so ``eval_real`` remains the path for
-    one-shot evaluation.
+    The function returns exactly what ``e.eval_real`` returns: both run the
+    same rules, so every node does the same float operations in the same
+    order (a quotient: numerator, denominator, then the zero check), and
+    every domain check raises the same error with the same message, an
+    overflow included.  Each distinct node object is evaluated once per
+    binding of the variable (``Compose`` rebinds it), so shared subtrees
+    are evaluated once.  Compiling costs about 20 to 150 tree walks, so
+    ``eval_real`` remains the path for one-shot evaluation.
     """
-    return _Compiler().build(e)
+    return _Emit().build(e)
 
 
-class _Compiler:
-    """Emits one assignment per (node, variable binding); see compile_real."""
+def _emits(template: str):
+    """An Emit operation: one assignment of the template on operand names."""
+    return lambda self, *names: self.let(template.format(*names))
+
+
+class _Emit(Arithmetic):
+    """Names of Python variables: each operation emits one assignment, and
+    each check one raising test; see compile_real."""
 
     def __init__(self) -> None:
         self.lines: list[str] = []
-        self.env: dict[str, object] = {
-            "OutOfDomain": OutOfDomain,
-            "exp": math.exp,
-            "log": math.log,
-            "sin": math.sin,
-            "cos": math.cos,
-            "sqrt": math.sqrt,
-        }
+        self.env: dict[str, object] = {"OutOfDomain": OutOfDomain}
+        for f in ("exp", "log", "sin", "cos", "sqrt"):
+            self.env[f] = getattr(math, f)
         self.names: dict[tuple[int, str], str] = {}
+
+    def walk(self, e: Expr, x: str) -> str:
+        """e's value with the variable bound to x, emitted once per binding."""
+        key = (id(e), x)
+        name = self.names.get(key)
+        if name is None:
+            name = self.names[key] = e.rule(self, x)
+        return name
 
     def bind(self, obj) -> str:
         """A name for a Python object (constants are bound, never printed)."""
         name = f"k{len(self.env)}"
         self.env[name] = obj
         return name
+
+    const = bind
 
     def let(self, rhs: str) -> str:
         name = f"v{len(self.lines)}"
@@ -476,57 +525,29 @@ class _Compiler:
         msg = self.bind(message)
         self.lines.append(f"if {failed}: raise OutOfDomain({msg}.format({shown}))")
 
-    def value(self, e: Expr, x: str) -> str:
-        """Name holding the value of e, with the variable bound to name x."""
-        key = (id(e), x)
-        name = self.names.get(key)
-        if name is not None:
-            return name
-        t = type(e)
-        if t is Var:
-            name = x
-        elif t is Const:
-            name = self.bind(e.value)
-        elif t in _BINARY_OPS:
-            lhs = self.value(e.lhs, x)
-            name = self.let(f"{lhs} {_BINARY_OPS[t]} {self.value(e.rhs, x)}")
-        elif t is Div:
-            d = self.value(e.rhs, x)
-            self.check(f"{d} == 0.0", "division by zero at {!r}", x)
-            name = self.let(f"{self.value(e.lhs, x)} / {d}")
-        elif t is Neg:
-            name = self.let(f"-{self.value(e.arg, x)}")
-        elif t is PowInt:
-            b = self.value(e.base, x)
-            if e.exponent < 0:
-                self.check(f"{b} == 0.0", "zero base with negative exponent at {!r}", x)
-            name = self.let(f"{b} ** {self.bind(e.exponent)}")
-        elif t is PowReal:
-            b = self.value(e.base, x)
-            self.check(f"{b} <= 0.0", "real power needs a positive base, got {!r}", b)
-            name = self.let(f"{b} ** {self.bind(e.exponent)}")
-        elif t is Root:
-            b = self.value(e.base, x)
-            self.check(f"{b} <= 0.0", "root needs a positive argument, got {!r}", b)
-            if e.degree == 2:
-                name = self.let(f"sqrt({b})")
-            else:
-                name = self.let(f"{b} ** {self.bind(1.0 / e.degree)}")
-        elif t is Log:
-            a = self.value(e.arg, x)
-            self.check(f"{a} <= 0.0", "log needs a positive argument, got {!r}", a)
-            name = self.let(f"log({a})")
-        elif t in _CALLS:
-            name = self.let(f"{_CALLS[t]}({self.value(e.arg, x)})")
-        elif t is Compose:
-            name = self.value(e.outer, self.value(e.inner, x))
-        else:
-            name = self.let(f"{self.bind(e._eval_real)}({x})")
-        self.names[key] = name
-        return name
+    add, sub, mul = _emits("{} + {}"), _emits("{} - {}"), _emits("{} * {}")
+    div, neg, exp = _emits("{} / {}"), _emits("-{}"), _emits("exp({})")
+    log, sin, cos = _emits("log({})"), _emits("sin({})"), _emits("cos({})")
+
+    def pow_int(self, a, m):
+        return self.let(f"{a} ** {self.bind(m)}")
+
+    pow_real = pow_int
+
+    def root(self, a, m):
+        return self.let(f"sqrt({a})") if m == 2 else self.pow_real(a, 1.0 / m)
+
+    def nonzero(self, a, message, shown):
+        self.check(f"{a} == 0.0", message, shown)
+
+    def positive(self, a, message):
+        self.check(f"{a} <= 0.0", message, a)
+
+    def lift(self, fn, a, slope):
+        return self.let(f"{self.bind(fn)}({a})")
 
     def build(self, e: Expr) -> Callable[[float], float]:
-        result = self.value(e, "x")
+        result = self.walk(e, "x")
         body = "".join(f"        {line}\n" for line in self.lines)
         overflow = self.bind("evaluation overflows at {!r}")
         source = (

@@ -7,7 +7,11 @@ import sys
 import threading
 from fractions import Fraction
 
-from monadica.calculus import InverseExpr, NaturalExtension
+import pytest
+
+from monadica import expr
+from monadica.calculus import InverseExpr, NaturalExtension, gen_eval
+from monadica.core import make
 from monadica.expr import (
     Add,
     Compose,
@@ -82,7 +86,7 @@ def outcome(fn, x):
 
 
 def test_compiled_trees_match_the_tree_walk_bit_for_bit():
-    # an unknown node type: the compiler calls its own eval_real
+    # InverseExpr states its rule in calculus, outside expr
     inverse = InverseExpr(NaturalExtension.on_interval(parse("exp(x) + x"), -2.0, 2.0))
     seen_checks, values = set(), 0
     for seed in range(6):
@@ -122,6 +126,24 @@ def test_shared_nodes_are_evaluated_once_per_binding():
     assert compile_real(e)(0.5) == want
     # x-scope: c once; inner binding of the Compose: c once
     assert (walked, c.calls) == (7, 2)
+
+
+def test_every_node_type_has_its_own_rule():
+    nodes = {
+        cls
+        for cls in vars(expr).values()
+        if isinstance(cls, type) and issubclass(cls, Expr) and cls is not Expr
+    }
+    assert len(nodes) == 15
+    for cls in nodes | {InverseExpr}:
+        assert "rule" in vars(cls), cls.__name__
+    # a node type with no rule: eval_real and compile_real call its own
+    # eval_real, and gen_eval, which needs a slope, refuses it
+    assert "rule" not in vars(Counted)
+    e = Mul(Counted(), X)
+    assert e.eval_real(0.5) == compile_real(e)(0.5) == 0.75
+    with pytest.raises(TypeError, match="Counted.eval_real has no slope"):
+        gen_eval(e, make(0.5, {"h": 1.0}))
 
 
 def test_constants_are_bound_not_printed():

@@ -158,10 +158,10 @@ class TestDecomposition:
         assert make(core.sigma(x), core.differential(x).dpart) == x
 
     def test_quotient_representative(self):
-        assert core.quotient_repr(make(2, {"e:1": 1})) == 2.0
-        assert core.quotient_repr(make(0, {"e:1": 1})) == 0.0
+        assert core.sigma(make(2, {"e:1": 1})) == 2.0
+        assert core.sigma(make(0, {"e:1": 1})) == 0.0
         prod = core.mul(make(2, {"e:1": 1}), make(3, {"e:2": 1}))
-        assert core.quotient_repr(prod) == 6.0
+        assert core.sigma(prod) == 6.0
 
 
 class TestOrder:

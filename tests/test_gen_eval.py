@@ -1,8 +1,10 @@
-"""gen_eval (one float walk) against the per-node walk over generalized
-values that it replaced, kept here as the oracle."""
+"""gen_eval (the node rules over float pairs) against two walks it replaced,
+kept here as oracles: the per-node walk over generalized values, and the
+hand-written walk over (value, slope) float pairs."""
 
 import math
 import random
+import struct
 
 import pytest
 
@@ -15,7 +17,7 @@ from monadica.calculus import (
     gen_eval,
 )
 from monadica.core import GeneralizedReal, make
-from monadica.errors import DomainError, MonadicaError, OutOfDomain
+from monadica.errors import DomainError, MonadicaError, NotInvertible, OutOfDomain
 from monadica.expr import (
     Add,
     Compose,
@@ -110,6 +112,99 @@ def _reference(e, x):
     raise TypeError(f"cannot evaluate node {type(e).__name__}")
 
 
+def float_pair_gen_eval(e, x):
+    """gen_eval as the hand-written (value, slope) walk computed it."""
+    try:
+        value, slope = float_pair_walk(e, x.shadow, 1.0)
+    except (OverflowError, ValueError) as exc:
+        raise OutOfDomain(f"evaluation overflows at {x}") from exc
+    return core._from_floats(float(value), _scale(x, slope))
+
+
+def float_pair_walk(e, u, du):
+    """(value, slope) of e with the variable bound to the pair (u, du); the
+    lhs of a binary node is walked first."""
+    t = type(e)
+    if t is Var:
+        return u, du
+    if t is Const:
+        return e.value, 0.0
+    if t is Add or t is Sub or t is Mul or t is Div:
+        a, da = float_pair_walk(e.lhs, u, du)
+        b, db = float_pair_walk(e.rhs, u, du)
+        if t is Add:
+            return a + b, da + db
+        if t is Sub:
+            return a - b, da - db
+        if t is Mul:
+            return a * b, da * b + a * db
+        if b == 0.0:
+            raise NotInvertible("infinitesimals have no multiplicative inverse")
+        q = a / b
+        return q, (da - q * db) / b
+    if t is Neg:
+        a, da = float_pair_walk(e.arg, u, du)
+        return -a, -da
+    if t is PowInt:
+        a, da = float_pair_walk(e.base, u, du)
+        m = e.exponent
+        if m > 0:
+            return a**m, m * a ** (m - 1) * da
+        if m == 0:
+            return a**m, 0.0
+        if a == 0.0:
+            raise NotInvertible("infinitesimals have no multiplicative inverse")
+        p = a**m
+        return p, m * (p / a) * da
+    if t is Exp:
+        a, da = float_pair_walk(e.arg, u, du)
+        v = math.exp(a)
+        return v, v * da
+    if t is Sin:
+        a, da = float_pair_walk(e.arg, u, du)
+        return math.sin(a), math.cos(a) * da
+    if t is Cos:
+        a, da = float_pair_walk(e.arg, u, du)
+        return math.cos(a), -math.sin(a) * da
+    if t is Log:
+        a, da = float_pair_walk(e.arg, u, du)
+        if a <= 0.0:
+            raise OutOfDomain(f"log needs a positive shadow, got {a!r}")
+        return math.log(a), da / a
+    if t is PowReal:
+        a, da = float_pair_walk(e.base, u, du)
+        if a <= 0.0:
+            raise OutOfDomain(f"real power needs a positive shadow, got {a!r}")
+        alpha = e.exponent
+        p = a**alpha
+        return p, alpha * (p / a) * da
+    if t is Root:
+        a, da = float_pair_walk(e.base, u, du)
+        if a <= 0.0:
+            raise OutOfDomain("root requires a positive value (shadow > 0)")
+        m = e.degree
+        r = math.sqrt(a) if m == 2 else a ** (1.0 / m)
+        return r, r / (m * a) * da
+    if t is Compose:
+        return float_pair_walk(e.outer, *float_pair_walk(e.inner, u, du))
+    if t is InverseExpr:
+        v = e.eval_real(u)
+        d = e.fn.real_fn(1)(v)
+        if d == 0.0:
+            raise OutOfDomain(f"division by zero at {u!r}")
+        return v, 1.0 / d * du
+    raise TypeError(f"cannot evaluate node {t.__name__}")
+
+
+def bits(value):
+    """The float's bytes, or the error's type."""
+    if isinstance(value, Exception):
+        return type(value)
+    if isinstance(value, GeneralizedReal):
+        return bits(value.shadow), {g: bits(c) for g, c in value.dpart.items()}
+    return struct.pack("<d", value)
+
+
 def outcome(fn, *args):
     try:
         return fn(*args)
@@ -159,22 +254,44 @@ def test_gen_eval_matches_the_per_node_walk():
     assert same_shadow_as_reference < both
 
 
+def test_gen_eval_matches_the_float_pair_walk_bit_for_bit():
+    values = 0
+    for e in trees():
+        for s in (*ORDINARY, 0.0, *EXTREME):
+            for x in (make(s, {"h": 1.0}), make(s)):
+                want = outcome(float_pair_gen_eval, e, x)
+                assert bits(outcome(gen_eval, e, x)) == bits(want), (str(e), s)
+            try:
+                value, _ = float_pair_walk(e, s, 1.0)
+            except (MonadicaError, OverflowError, ValueError):
+                continue
+            # where the pair walk has a value, eval_real has the same one
+            values += 1
+            assert bits(e.eval_real(s)) == bits(value), (str(e), s)
+    assert values > 2000
+
+
+ERRORS = [
+    ("1/(x - x)", 1.0, "NotInvertible", "infinitesimals have no multiplicative inverse"),
+    ("x^-2", 0.0, "NotInvertible", "infinitesimals have no multiplicative inverse"),
+    ("log(x - 2)", 1.0, "OutOfDomain", "log needs a positive argument, got -1.0"),
+    ("root(3, x)", -1.0, "OutOfDomain", "root needs a positive argument, got -1.0"),
+    ("(x - 1)^0.5", 0.5, "OutOfDomain", "real power needs a positive base, got -0.5"),
+    ("exp(exp(x))", 800.0, "OutOfDomain", "evaluation overflows at 800.0"),
+    ("sin(x * x)", 1e200, "OutOfDomain", "evaluation overflows at 1e+200"),
+    ("1/x", 1e-200, "NonFiniteInput", "coefficient of 'h' must be a finite real"),
+]
+
+
+# the message is checked but not part of the test id
 @pytest.mark.parametrize(
-    "text, s, error",
-    [
-        ("1/(x - x)", 1.0, "NotInvertible"),
-        ("x^-2", 0.0, "NotInvertible"),
-        ("log(x - 2)", 1.0, "OutOfDomain"),
-        ("root(3, x)", -1.0, "OutOfDomain"),
-        ("(x - 1)^0.5", 0.5, "OutOfDomain"),
-        ("exp(exp(x))", 800.0, "OutOfDomain"),
-        ("sin(x * x)", 1e200, "OutOfDomain"),
-        ("1/x", 1e-200, "NonFiniteInput"),
-    ],
+    "text, s, error, message",
+    [pytest.param(*row, id="-".join(map(str, row[:3]))) for row in ERRORS],
 )
-def test_errors_are_typed(text, s, error):
+def test_errors_are_typed(text, s, error, message):
     got = outcome(gen_eval, parse(text), make(s, {"h": 1.0}))
     assert type(got).__name__ == error
+    assert str(got).startswith(message), str(got)
 
 
 def test_lhs_is_evaluated_before_rhs():

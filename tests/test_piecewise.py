@@ -4,8 +4,6 @@ from monadica.calculus import (
     MonadRule,
     PiecewiseExtension,
     ode_verify,
-    pw_derivative_at,
-    pw_eval,
 )
 from monadica.core import make
 from monadica.errors import DomainError, ProvisoViolated, RegionMismatch
@@ -48,20 +46,20 @@ class TestConstruction:
 class TestEvaluation:
     def test_dispatch_between_gaps_and_monads(self):
         p = vee_solution()
-        assert pw_eval(p, make(-2, {"e:1": 1})) == make(2, {"e:1": -1})
-        assert pw_eval(p, make(3)) == make(3)
-        assert pw_eval(p, make(0, {"e:1": 2})) == make(0, {"e:1": 2})
+        assert p.eval_at(make(-2, {"e:1": 1})) == make(2, {"e:1": -1})
+        assert p.eval_at(make(3)) == make(3)
+        assert p.eval_at(make(0, {"e:1": 2})) == make(0, {"e:1": 2})
 
     def test_monad_rule_is_affine_in_the_differential(self):
         p = step_solution()
-        assert pw_eval(p, make(0, {"h": 3})) == make(1, {"h": 3})
-        assert pw_eval(p, make(-1)) == make(0)
+        assert p.eval_at(make(0, {"h": 3})) == make(1, {"h": 3})
+        assert p.eval_at(make(-1)) == make(0)
 
 
 class TestDerivativeProviso:
     def test_absolute_value_extension_has_derivative_zero(self):
         p = PiecewiseExtension((0.0,), (Neg(X), X), (MonadRule(0.0, 0.0),))
-        assert pw_derivative_at(p, 0.0) == 0.0
+        assert p.deriv_at(0.0) == 0.0
         probe = p.limit_probe(0.0)
         assert not probe.exists
         assert "classical limit absent" in probe.detail
@@ -69,18 +67,18 @@ class TestDerivativeProviso:
     def test_declared_slope_matching_the_classical_limit(self):
         square = pow_int(X, 2)
         p = PiecewiseExtension((3.0,), (square, square), (MonadRule(9.0, 6.0),))
-        assert pw_derivative_at(p, 3.0) == 6.0
+        assert p.deriv_at(3.0) == 6.0
 
     def test_proviso_violation(self):
         square = pow_int(X, 2)
         p = PiecewiseExtension((0.0,), (square, square), (MonadRule(0.0, 1.0),))
         with pytest.raises(ProvisoViolated):
-            pw_derivative_at(p, 0.0)
+            p.deriv_at(0.0)
 
     def test_off_breakpoint_derivative_is_classical(self):
         p = vee_solution()
-        assert pw_derivative_at(p, -2.0) == -1.0
-        assert pw_derivative_at(p, 5.0) == 1.0
+        assert p.deriv_at(-2.0) == -1.0
+        assert p.deriv_at(5.0) == 1.0
 
 
 class TestOdeVerification:
