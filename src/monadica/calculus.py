@@ -33,7 +33,9 @@ from .errors import (
     RegionMismatch,
     VanishingDerivative,
 )
-from .expr import Arithmetic, Compose, Const, Div, Expr, compile_real, iter_nodes
+from .expr import (
+    TOO_DEEP, Arithmetic, Compose, Const, Div, Expr, compile_real, differentiate, iter_nodes,
+)
 from .sets import GeneralizedSet, RealSet
 
 _INF = math.inf
@@ -64,6 +66,8 @@ def gen_eval(e: Expr, x) -> GeneralizedReal:
         value, slope = _Pair().walk(e, (x.shadow, 1.0))
     except (OverflowError, ValueError) as exc:  # as in Expr.eval_real
         raise OutOfDomain(f"evaluation overflows at {x}") from exc
+    except RecursionError as exc:
+        raise DomainError(TOO_DEEP) from exc
     return core._from_floats(float(value), _scale_dpart(x, slope))
 
 
@@ -248,7 +252,7 @@ class NaturalExtension:
                 raise DomainError(
                     f"({lo}, {hi}) exceeds the declared domain of {node}"
                 )
-        ext = cls(expr, interval, expr.deriv())
+        ext = cls(expr, interval, differentiate(expr))
         value, slope = ext.real_fn(0), ext.real_fn(1)
         for xi in _grid(*_finite_window(lo, hi, _PROBE_WINDOW), probes, cells=True):
             try:
@@ -305,7 +309,7 @@ class NaturalExtension:
             # a tree at the wrong order
             grown = list(trees)
             while len(grown) <= upto:
-                grown.append(grown[-1].deriv())
+                grown.append(differentiate(grown[-1]))
             trees = self.__dict__["_trees"] = tuple(grown)
         return list(trees[: max(upto, 0) + 1])
 

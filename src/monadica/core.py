@@ -285,10 +285,6 @@ def lt(x, y) -> bool:
     return sigma(x) < sigma(y)
 
 
-def gt(x, y) -> bool:
-    return sigma(y) < sigma(x)
-
-
 def indiscernible(x, y) -> bool:
     return sigma(x) == sigma(y)
 

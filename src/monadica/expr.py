@@ -23,6 +23,11 @@ if TYPE_CHECKING:
     from .sets import RealSet
 
 
+#: The message of the DomainError each entry point raises in place of a
+#: RecursionError: parse, differentiate, eval_real, compile_real, gen_eval.
+TOO_DEEP = "expression nests too deeply"
+
+
 class Expr:
     """Base class; concrete nodes are frozen dataclasses below."""
 
@@ -35,6 +40,8 @@ class Expr:
             return _FLOAT.walk(self, xi)
         except (OverflowError, ValueError) as exc:
             raise OutOfDomain(f"evaluation overflows at {xi!r}") from exc
+        except RecursionError as exc:
+            raise DomainError(TOO_DEEP) from exc
 
     def rule(self, arith: "Arithmetic", x):
         """The value under the arithmetic, with the variable bound to x: the
@@ -448,12 +455,14 @@ def pow_int(base: Expr, m: int) -> Expr:
 
 
 def iter_nodes(e: Expr):
-    """The node and all its expression descendants."""
-    yield e
-    for f in dataclasses.fields(e):
-        child = getattr(e, f.name)
-        if isinstance(child, Expr):
-            yield from iter_nodes(child)
+    """The node and all its expression descendants, parents first, without
+    recursion."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        children = [getattr(node, f.name) for f in dataclasses.fields(node)]
+        stack.extend(c for c in reversed(children) if isinstance(c, Expr))
 
 
 def differentiate(e: Expr, order: int = 1) -> Expr:
@@ -461,8 +470,11 @@ def differentiate(e: Expr, order: int = 1) -> Expr:
     if order < 0:
         raise DomainError("derivative order must be nonnegative")
     out = e
-    for _ in range(order):
-        out = out.deriv()
+    try:
+        for _ in range(order):
+            out = out.deriv()
+    except RecursionError as exc:
+        raise DomainError(TOO_DEEP) from exc
     return out
 
 
@@ -481,7 +493,10 @@ def compile_real(e: Expr) -> Callable[[float], float]:
     are evaluated once.  Compiling costs about 20 to 150 tree walks, so
     ``eval_real`` remains the path for one-shot evaluation.
     """
-    return _Emit().build(e)
+    try:
+        return _Emit().build(e)
+    except RecursionError as exc:
+        raise DomainError(TOO_DEEP) from exc
 
 
 def _emits(template: str):
@@ -562,132 +577,115 @@ class _Emit(Arithmetic):
 
 # -- text syntax -----------------------------------------------------------------
 
-# where no token follows the spaces, "bad" takes the rest of the text
+# The group is one token.  The last branch, which gives "", takes the rest of
+# the text from the first character that starts no token, with the spaces
+# before it.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
-    r"|\d+(?:[eE][+-]?\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\*\*|[()+\-*/^,]))|(?P<bad>\s*\S[\s\S]*)"
+    r"\s*(\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?"
+    r"|[A-Za-z_][A-Za-z_0-9]*|\*\*|[()+\-*/^,])|\s*\S[\s\S]*"
 )
 
-_FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt", "root", "pow")
+# binding power and folding constructor of each left-associative operator
+_INFIX = {"+": (1, add), "-": (1, sub), "*": (2, mul), "/": (2, Div)}
+# root and pow take a constant first argument
+_CALLS = {
+    "exp": Exp, "log": Log, "sin": Sin, "cos": Cos, "sqrt": lambda a: Root(a, 2),
+    "root": lambda m, a: Root(a, int(m)), "pow": lambda alpha, a: PowReal(a, alpha),
+}
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = self._tokenize(text)
-        self.pos = 0
+def _expected(op: str, tok: str | None) -> DomainError:
+    if tok is None:
+        return DomainError("unexpected end of expression")
+    return DomainError(f"expected {op!r}, got {tok!r}")
 
-    @staticmethod
-    def _tokenize(text: str) -> list[tuple[str, str] | None]:
-        """The (kind, text) tokens, ended by a None sentinel."""
-        tokens: list = [(m.lastgroup, m[m.lastindex]) for m in _TOKEN_RE.finditer(text)]
-        if tokens and tokens[-1][0] == "bad":
-            raise DomainError(f"bad expression syntax near {tokens[-1][1]!r}")
-        tokens.append(None)
-        return tokens
 
-    def peek(self) -> tuple[str, str] | None:
-        return self.tokens[self.pos]
+def _climb(toks: list, i: int, floor: int = 1) -> tuple[Expr, int]:
+    """The operand at toks[i] folded with each operator after it that binds
+    at least as tightly as floor, and the index after them."""
+    lhs, i = _prefix(toks, i)
+    op = _INFIX.get(toks[i])
+    while op is not None and op[0] >= floor:
+        rhs, i = _climb(toks, i + 1, op[0] + 1)
+        lhs = op[1](lhs, rhs)
+        op = _INFIX.get(toks[i])
+    return lhs, i
 
-    def next(self) -> tuple[str, str]:
-        tok = self.tokens[self.pos]
-        if tok is None:
-            raise DomainError("unexpected end of expression")
-        self.pos += 1
-        return tok
 
-    def expect(self, op: str) -> None:
-        tok = self.next()
-        if tok != ("op", op):
-            raise DomainError(f"expected {op!r}, got {tok[1]!r}")
-
-    def parse(self) -> Expr:
-        e = self.expr()
-        if self.peek() is not None:
-            raise DomainError(f"trailing input at {self.peek()[1]!r}")
-        return e
-
-    def expr(self) -> Expr:
-        e = self.term()
-        while self.peek() in (("op", "+"), ("op", "-")):
-            op = self.next()[1]
-            rhs = self.term()
-            e = add(e, rhs) if op == "+" else sub(e, rhs)
-        return e
-
-    def term(self) -> Expr:
-        e = self.factor()
-        while self.peek() in (("op", "*"), ("op", "/")):
-            op = self.next()[1]
-            rhs = self.factor()
-            e = mul(e, rhs) if op == "*" else Div(e, rhs)
-        return e
-
-    def factor(self) -> Expr:
-        # unary minus binds looser than the power: -x^2 is -(x^2)
-        if self.peek() == ("op", "-"):
-            self.next()
-            return neg(self.factor())
-        if self.peek() == ("op", "+"):
-            self.next()
-            return self.factor()
-        e = self.primary()
-        if self.peek() in (("op", "^"), ("op", "**")):
-            self.next()
-            exponent = self.factor()  # right-associative
-            c = _const_value(exponent)
+def _prefix(toks: list, i: int) -> tuple[Expr, int]:
+    """The signed atom, call or parenthesized expression at toks[i], raised
+    to the right-associative power after it, and the index after them.
+    Unary minus binds looser than the power: -x^2 is -(x^2)."""
+    tok = toks[i]
+    i += 1
+    if tok == "x":
+        e = Var()
+    elif tok == "(":
+        e, i = _climb(toks, i)
+        if toks[i] != ")":
+            raise _expected(")", toks[i])
+        i += 1
+    elif tok == "-":
+        e, i = _prefix(toks, i)
+        return neg(e), i
+    elif tok == "+":
+        return _prefix(toks, i)
+    elif tok in _CALLS:
+        if toks[i] != "(":
+            raise _expected("(", toks[i])
+        e, i = _climb(toks, i + 1)
+        args = (e,)
+        if tok == "root" or tok == "pow":
+            c = _const_value(e)
             if c is None:
-                raise DomainError("exponents must be constants")
-            if c == int(c):
-                return pow_int(e, int(c))
-            return PowReal(e, c)
-        return e
-
-    def primary(self) -> Expr:
-        kind, text = self.next()
-        if kind == "num":
-            value = float(text)
-            if math.isinf(value):
-                raise DomainError(f"numeric literal {text} overflows to infinity")
-            return Const(value)
-        if kind == "name":
-            if text == "x":
-                return Var()
-            if text == "pi":
-                return Const(math.pi)
-            if text in _FUNCTIONS:
-                self.expect("(")
-                if text in ("root", "pow"):
-                    first = self.expr()
-                    c = _const_value(first)
-                    if c is None:
-                        raise DomainError(f"first argument of {text} must be constant")
-                    self.expect(",")
-                    arg = self.expr()
-                    self.expect(")")
-                    if text == "root":
-                        if c != int(c) or int(c) < 2:
-                            raise DomainError("root degree must be an integer > 1")
-                        return Root(arg, int(c))
-                    return PowReal(arg, c)
-                arg = self.expr()
-                self.expect(")")
-                return {
-                    "exp": Exp,
-                    "log": Log,
-                    "sin": Sin,
-                    "cos": Cos,
-                    "sqrt": lambda a: Root(a, 2),
-                }[text](arg)
-            raise DomainError(f"unknown name {text!r} (the variable is 'x')")
-        if text == "(":
-            e = self.expr()
-            self.expect(")")
-            return e
-        raise DomainError(f"unexpected token {text!r}")
+                raise DomainError(f"first argument of {tok} must be constant")
+            if toks[i] != ",":
+                raise _expected(",", toks[i])
+            e, i = _climb(toks, i + 1)
+            args = (c, e)
+        if toks[i] != ")":
+            raise _expected(")", toks[i])
+        i += 1
+        if tok == "root" and not (math.isfinite(c) and c == int(c) and c >= 2):
+            raise DomainError("root degree must be an integer > 1")
+        if tok == "pow" and not math.isfinite(c):
+            raise DomainError("first argument of pow must be finite")
+        e = _CALLS[tok](*args)
+    elif tok == "pi":
+        e = Const(math.pi)
+    elif tok is None:
+        raise DomainError("unexpected end of expression")
+    elif tok[0].isdecimal() or tok[0] == ".":
+        e = Const(float(tok))
+        if math.isinf(e.value):
+            raise DomainError(f"numeric literal {tok} overflows to infinity")
+    elif tok[0].isalpha() or tok[0] == "_":
+        raise DomainError(f"unknown name {tok!r} (the variable is 'x')")
+    else:
+        raise DomainError(f"unexpected token {tok!r}")
+    if toks[i] == "^" or toks[i] == "**":
+        exponent, i = _prefix(toks, i + 1)
+        c = _const_value(exponent)
+        if c is None:
+            raise DomainError("exponents must be constants")
+        if not math.isfinite(c):
+            raise DomainError("exponents must be finite")
+        e = pow_int(e, int(c)) if c == int(c) else PowReal(e, c)
+    return e, i
 
 
 def parse(text: str) -> Expr:
     """Parse infix syntax: x, numbers, pi, + - * / ^, exp/log/sin/cos/sqrt,
     root(m, e), pow(alpha, e)."""
-    return _Parser(text).parse()
+    toks: list = _TOKEN_RE.findall(text)
+    if toks and not toks[-1]:
+        *_, bad = _TOKEN_RE.finditer(text)
+        raise DomainError(f"bad expression syntax near {bad[0]!r}")
+    toks.append(None)
+    try:
+        e, i = _climb(toks, 0)
+    except RecursionError as exc:
+        raise DomainError(TOO_DEEP) from exc
+    if toks[i] is not None:
+        raise DomainError(f"trailing input at {toks[i]!r}")
+    return e

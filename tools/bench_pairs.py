@@ -8,6 +8,7 @@ a time, each for ``SECONDS`` seconds.  Pair i runs the parent first when i is
 even and the change first when it is odd.  For every end-to-end metric of
 ``BENCHMARK.json`` the output holds the per-run values of both sides in seed
 order, their medians and quartiles, and the change's wins (pairs where it is better; ties count for neither).
+Each workload also records every run's ``correct`` flag and failed-op count.
 """
 
 from __future__ import annotations
@@ -112,6 +113,7 @@ def main(argv=None) -> int:
                 "pairs": len(old),
             }
         doc["workloads"][workload] = {
+            "correct": {side: [r["correct"] for r in rs] for side, rs in runs.items()},
             "failed_ops": {side: [r["failed"] for r in rs] for side, rs in runs.items()},
             "metrics": metrics,
         }
