@@ -23,8 +23,8 @@ _EXPORTS = {
         "calculus": (
             "InverseExpr", "LimitProbe", "MonadRule", "NaturalExtension",
             "PiecewiseExtension", "RegionReport", "TaylorExpansion", "compose_ext",
-            "gen_eval", "image_set", "inverse_extension", "mean_value_point",
-            "ode_verify", "taylor_expand",
+            "image_set", "inverse_extension", "mean_value_point", "ode_verify",
+            "taylor_expand",
         ),
         "core": (
             "ONE", "ZERO", "GeneralizedReal", "Ordering", "add", "archimedean_witness",
@@ -41,8 +41,8 @@ _EXPORTS = {
         ),
         "expr": (
             "Add", "Compose", "Const", "Cos", "Div", "Exp", "Expr", "Log", "Mul", "Neg",
-            "PowInt", "PowReal", "Root", "Sin", "Sub", "Var", "differentiate", "parse",
-            "pow_int",
+            "PowInt", "PowReal", "Root", "Sin", "Sub", "Var", "differentiate", "gen_eval",
+            "parse", "pow_int",
         ),
         "seq": (
             "Catalog", "DEFAULT_CATALOG", "SequenceGenerator", "convergence_witness",

@@ -7,7 +7,7 @@ extension evaluates as
     value(shadow) + derivative(shadow) * dx,
 
 which is the unique everywhere-differentiable extension.  Structural
-evaluation of a whole tree over generalized values (``gen_eval``) agrees
+evaluation of a whole tree over generalized values (``expr.gen_eval``) agrees
 with the natural extension of the composite; Taylor expansion, the mean
 value identity, function inversion, set images, and piecewise functions
 with explicit monad rules are built on top.
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from . import core
 from .core import GeneralizedReal, as_generalized
@@ -27,123 +27,24 @@ from .errors import (
     MonadicaError,
     NotDifferentiable,
     NotInjective,
-    NotInvertible,
     OutOfDomain,
     ProvisoViolated,
     RegionMismatch,
     VanishingDerivative,
 )
-from .expr import (
-    TOO_DEEP, Arithmetic, Compose, Const, Div, Expr, compile_real, differentiate, iter_nodes,
-)
-from .sets import GeneralizedSet, RealSet
+from .expr import Compose, Const, Div, Expr, compile_real, differentiate, gen_eval, iter_nodes
+
+if TYPE_CHECKING:
+    from .sets import GeneralizedSet
 
 _INF = math.inf
 _PROBE_WINDOW = 32.0
+_PROBES = 129  # cells probed for validity by NaturalExtension.on_interval
+_INVERSE_SAMPLES = 1024  # cells sampled for monotonicity by inverse_extension
+_ODE_SAMPLES = 25  # points checked per gap by ode_verify
 _ROOT_CELLS = 1024  # grid cells scanned for a sign change before bisecting
 _ZERO_CELLS = 512  # grid cells scanned for zeros of the derivative in images
 _BOUND_CELLS = 2048  # grid cells sampled for the Taylor remainder bound
-
-
-# -- structural evaluation over generalized values -----------------------------
-
-
-def _scale_dpart(x: GeneralizedReal, factor: float) -> dict[str, float]:
-    return {g: factor * c for g, c in x.dpart.items()}
-
-
-def gen_eval(e: Expr, x) -> GeneralizedReal:
-    """Evaluate a tree over the generalized reals.
-
-    Products of infinitesimals vanish, so the result is f(s) + f'(s) * dx
-    for x = s + dx.  One walk runs the node rules over (value, slope) float
-    pairs and builds a single value at the end; the value is the float
-    ``e.eval_real(s)`` computes.  A zero denominator raises NotInvertible,
-    a point outside a node's domain or an overflow raises OutOfDomain with
-    ``eval_real``'s message, and a non-finite result raises NonFiniteInput."""
-    x = as_generalized(x)
-    try:
-        value, slope = _Pair().walk(e, (x.shadow, 1.0))
-    except (OverflowError, ValueError) as exc:  # as in Expr.eval_real
-        raise OutOfDomain(f"evaluation overflows at {x}") from exc
-    except RecursionError as exc:
-        raise DomainError(TOO_DEEP) from exc
-    return core._from_floats(float(value), _scale_dpart(x, slope))
-
-
-class _Pair(Arithmetic):
-    """(value, slope) float pairs: a value and its derivative along x, with
-    products of infinitesimals dropped."""
-
-    def const(self, c):
-        return c, 0.0
-
-    def add(self, p, q):
-        return p[0] + q[0], p[1] + q[1]
-
-    def sub(self, p, q):
-        return p[0] - q[0], p[1] - q[1]
-
-    def mul(self, p, q):
-        (a, da), (b, db) = p, q
-        return a * b, da * b + a * db
-
-    def div(self, p, q):
-        (a, da), (b, db) = p, q
-        r = a / b
-        # (da - r * db) / b, not (da * b - a * db) / b**2: b * b may underflow
-        return r, (da - r * db) / b
-
-    def neg(self, p):
-        return -p[0], -p[1]
-
-    def pow_int(self, p, m):
-        a, da = p
-        if m > 0:
-            return a**m, m * a ** (m - 1) * da
-        if m == 0:
-            return a**m, 0.0
-        r = a**m
-        return r, m * (r / a) * da
-
-    def pow_real(self, p, alpha):
-        a, da = p
-        r = a**alpha
-        return r, alpha * (r / a) * da
-
-    def root(self, p, m):
-        a, da = p
-        r = math.sqrt(a) if m == 2 else a ** (1.0 / m)
-        return r, r / (m * a) * da
-
-    def exp(self, p):
-        v = math.exp(p[0])
-        return v, v * p[1]
-
-    def log(self, p):
-        return math.log(p[0]), p[1] / p[0]
-
-    def sin(self, p):
-        return math.sin(p[0]), math.cos(p[0]) * p[1]
-
-    def cos(self, p):
-        return math.cos(p[0]), -math.sin(p[0]) * p[1]
-
-    def nonzero(self, p, message, shown):
-        if p[0] == 0.0:
-            raise NotInvertible("infinitesimals have no multiplicative inverse")
-
-    def positive(self, p, message):
-        if p[0] <= 0.0:
-            raise OutOfDomain(message.format(p[0]))
-
-    def lift(self, fn, p, slope):
-        if slope is None:
-            raise TypeError(f"{fn.__qualname__} has no slope")
-        a, da = p
-        v = fn(a)
-        return v, slope(a, v) * da
-
 
 
 # -- sampling grids and roots --------------------------------------------------------
@@ -216,16 +117,10 @@ def _touch_zeros(
 # -- natural extensions ----------------------------------------------------------
 
 
-def _domain_bounds(domain: RealSet) -> tuple[float, float]:
-    if len(domain.intervals) != 1 or domain.points:
-        raise DomainError("expected a single open interval domain")
-    iv = domain.intervals[0]
-    return iv.lo, iv.hi
-
-
 @dataclass(frozen=True)
 class NaturalExtension:
-    """A real function, its validity interval, and its symbolic derivative.
+    """A real function on the open interval ]lo, hi[ where it and its
+    symbolic derivative are valid.
 
     Sampling loops evaluate the trees through ``real_fn``, which compiles
     each derivative tree once (see ``expr.compile_real``) and returns
@@ -233,28 +128,27 @@ class NaturalExtension:
     """
 
     expr: Expr
-    domain: RealSet
-    deriv: Expr
+    lo: float
+    hi: float
 
     @classmethod
-    def on_interval(
-        cls, expr: Expr, lo: float = -_INF, hi: float = _INF, probes: int = 129
-    ) -> "NaturalExtension":
+    def on_interval(cls, expr: Expr, lo: float = -_INF, hi: float = _INF) -> "NaturalExtension":
         """Build the extension on the open interval (lo, hi), checking by
         sampling that the function and its derivative are valid there."""
         lo, hi = float(lo), float(hi)
         if math.isnan(lo) or math.isnan(hi) or not lo < hi:
             raise DomainError(f"invalid open interval ({lo}, {hi})")
-        interval = RealSet.interval(lo, hi, False, False)
         for node in iter_nodes(expr):
             declared = getattr(node, "domain", None)
-            if declared is not None and not interval.difference(declared).is_empty:
-                raise DomainError(
-                    f"({lo}, {hi}) exceeds the declared domain of {node}"
-                )
-        ext = cls(expr, interval, differentiate(expr))
+            if declared is not None:
+                from .sets import RealSet
+
+                if not RealSet.open(lo, hi).difference(declared).is_empty:
+                    raise DomainError(f"({lo}, {hi}) exceeds the declared domain of {node}")
+        ext = cls(expr, lo + 0.0, hi + 0.0)  # no signed zero
+        ext.deriv_exprs(1)  # a tree with no derivative fails before compiling
         value, slope = ext.real_fn(0), ext.real_fn(1)
-        for xi in _grid(*_finite_window(lo, hi, _PROBE_WINDOW), probes, cells=True):
+        for xi in _grid(*_finite_window(lo, hi, _PROBE_WINDOW), _PROBES, cells=True):
             try:
                 value(xi)
                 slope(xi)
@@ -263,6 +157,11 @@ class NaturalExtension:
                     f"function is not valid on ({lo}, {hi}): {exc}"
                 ) from exc
         return ext
+
+    @property
+    def deriv(self) -> Expr:
+        """The symbolic derivative."""
+        return self.deriv_exprs(1)[1]
 
     def real_fn(self, k: int) -> Callable[[float], float]:
         """The k-th derivative (k = 0 is the function) as a compiled
@@ -275,11 +174,11 @@ class NaturalExtension:
         return fn
 
     def _require(self, s: float) -> None:
-        if not self.domain.contains(s):
+        if not self.lo < s < self.hi:
             raise OutOfDomain(f"shadow {s!r} lies outside the domain")
 
     def _require_closure(self, a: float, b: float) -> None:
-        if not (self.domain.contains(a) and self.domain.contains(b)):
+        if not (self.lo < a < self.hi and self.lo < b < self.hi):
             raise OutOfDomain(
                 f"the closed interval [{a!r}, {b!r}] must lie inside the domain"
             )
@@ -288,9 +187,7 @@ class NaturalExtension:
         """value(shadow) + derivative(shadow) * dx."""
         x = as_generalized(x)
         self._require(x.shadow)
-        value = self.real_fn(0)(x.shadow)
-        slope = self.real_fn(1)(x.shadow)
-        return core._from_floats(float(value), _scale_dpart(x, slope))
+        return core._tangent(x, self.real_fn(0)(x.shadow), self.real_fn(1)(x.shadow))
 
     def deriv_at(self, x) -> float:
         """The derivative, constant on each monad."""
@@ -303,7 +200,7 @@ class NaturalExtension:
 
         Each tree is differentiated once and kept: repeated calls return
         the same objects."""
-        trees = self.__dict__.get("_trees", (self.expr, self.deriv))
+        trees = self.__dict__.get("_trees", (self.expr,))
         if len(trees) <= upto:
             # grown apart and stored whole, so concurrent callers never see
             # a tree at the wrong order
@@ -328,7 +225,7 @@ class NaturalExtension:
             raise NotDifferentiable(
                 f"derivative of order {m} is not defined at {x.shadow!r}"
             ) from exc
-        return core._from_floats(float(value), _scale_dpart(x, slope))
+        return core._tangent(x, value, slope)
 
     def deriv_higher(self, m: int, x) -> float:
         """m-th derivative at the shadow of x (always a real)."""
@@ -346,8 +243,7 @@ class NaturalExtension:
 
 def compose_ext(outer: NaturalExtension, inner: NaturalExtension) -> NaturalExtension:
     """Extension of the composite, on the inner domain."""
-    lo, hi = _domain_bounds(inner.domain)
-    return NaturalExtension.on_interval(Compose(outer.expr, inner.expr), lo, hi)
+    return NaturalExtension.on_interval(Compose(outer.expr, inner.expr), inner.lo, inner.hi)
 
 
 # -- Taylor expansion --------------------------------------------------------------
@@ -483,8 +379,7 @@ class InverseExpr(Expr):
     fn: NaturalExtension
 
     def _window(self) -> tuple[float, float]:
-        lo, hi = _domain_bounds(self.fn.domain)
-        wlo, whi = _finite_window(lo, hi, _PROBE_WINDOW)
+        wlo, whi = _finite_window(self.fn.lo, self.fn.hi, _PROBE_WINDOW)
         inset = (whi - wlo) * 1e-12
         return wlo + inset, whi - inset
 
@@ -522,7 +417,7 @@ class InverseExpr(Expr):
         return f"inverse({self.fn.expr})"
 
 
-def inverse_extension(f: NaturalExtension, samples: int = 1024) -> NaturalExtension:
+def inverse_extension(f: NaturalExtension) -> NaturalExtension:
     """Invert a continuous injective extension with nonvanishing derivative.
 
     The derivative of the result is the reciprocal of the original
@@ -530,8 +425,7 @@ def inverse_extension(f: NaturalExtension, samples: int = 1024) -> NaturalExtens
     sampling: first monotonicity (injectivity), then the derivative's sign
     and its zeros without a sign change (see ``_touch_zeros``).
     """
-    lo, hi = _domain_bounds(f.domain)
-    xs = _grid(*_finite_window(lo, hi, _PROBE_WINDOW), samples, cells=True)
+    xs = _grid(*_finite_window(f.lo, f.hi, _PROBE_WINDOW), _INVERSE_SAMPLES, cells=True)
     phi, lam = f.real_fn(0), f.real_fn(1)
     values = [phi(t) for t in xs]
     diffs = [b - a for a, b in zip(values, values[1:])]
@@ -545,11 +439,14 @@ def inverse_extension(f: NaturalExtension, samples: int = 1024) -> NaturalExtens
         or next(_touch_zeros(f, xs, derivs, zero_tol), None) is not None
     ):
         raise VanishingDerivative("derivative has a zero on the domain")
+    ylo, yhi = sorted((values[0] + 0.0, values[-1] + 0.0))  # no signed zero
+    # the range's ends pass the checks of an open RealSet interval
+    if ylo != ylo or yhi != yhi:
+        raise DomainError(f"interval {'lo' if ylo != ylo else 'hi'} may not be NaN")
+    if ylo == yhi and math.isinf(ylo):
+        raise DomainError("interval endpoints may not both be infinite")
     inv_expr = InverseExpr(f)
-    ylo, yhi = sorted((values[0], values[-1]))
-    g = NaturalExtension(
-        inv_expr, RealSet.interval(ylo, yhi, False, False), inv_expr.deriv()
-    )
+    g = NaturalExtension(inv_expr, ylo, yhi)
     # What compiling the two trees would give, without compiling them and
     # with one inversion per point: eval_at passes the same float to both.
     # The memo compares by identity, since 0.0 == -0.0.
@@ -599,6 +496,8 @@ def image_set(f: NaturalExtension, g: GeneralizedSet) -> GeneralizedSet:
     to interval bases split at the derivative's zeros.  Bases must be
     bounded and lie (with endpoints) inside the function's domain.
     """
+    from .sets import GeneralizedSet, RealSet
+
     ints: list[tuple] = []  # raw (lo, hi, lo_closed, hi_closed), as RealSet takes them
     pts: list[float] = []
     extras: list[float] = []
@@ -701,41 +600,34 @@ class PiecewiseExtension:
         object.__setattr__(self, "gap_exprs", tuple(self.gap_exprs))
         object.__setattr__(self, "monad_rules", tuple(self.monad_rules))
 
-    def _breakpoint_index(self, s: float) -> int | None:
-        for i, b in enumerate(self.breakpoints):
-            if s == b:
-                return i
-        return None
+    def _region(self, s: float) -> tuple[int, bool]:
+        """(i, True) when s is breakpoint i, else (i, False) for gap i."""
+        i = bisect_right(self.breakpoints, s)
+        if i and self.breakpoints[i - 1] == s:
+            return i - 1, True
+        return i, False
+
+    def _value(self, s: float) -> float:
+        """The underlying real function at s."""
+        i, on_breakpoint = self._region(s)
+        if on_breakpoint:
+            return self.monad_rules[i].value
+        return self.gap_exprs[i].eval_real(s)
 
     def eval_at(self, t) -> GeneralizedReal:
         t = as_generalized(t)
-        s = t.shadow
-        i = self._breakpoint_index(s)
-        if i is not None:
+        i, on_breakpoint = self._region(t.shadow)
+        if on_breakpoint:
             rule = self.monad_rules[i]
-            return core._from_floats(float(rule.value), _scale_dpart(t, rule.slope))
-        return gen_eval(self.gap_exprs[bisect_right(self.breakpoints, s)], t)
-
-    def _phi(self, xi: float, center: float, center_value: float) -> float:
-        """The underlying real function near center (center itself maps to
-        the declared value)."""
-        if xi == center:
-            return center_value
-        i = self._breakpoint_index(xi)
-        if i is not None:
-            return self.monad_rules[i].value
-        return self.gap_exprs[bisect_right(self.breakpoints, xi)].eval_real(xi)
+            return core._tangent(t, rule.value, rule.slope)
+        return gen_eval(self.gap_exprs[i], t)
 
     def limit_probe(self, xi0: float) -> LimitProbe:
         """Difference quotients at steps 2**-k, k = 4..20, per side; a side
         converges when its last three estimates are Cauchy within 1e-5 and
         the limit exists when both sides agree within 1e-4.  Heuristic."""
         xi0 = float(xi0)
-        i = self._breakpoint_index(xi0)
-        if i is not None:
-            c = self.monad_rules[i].value
-        else:
-            c = self.gap_exprs[bisect_right(self.breakpoints, xi0)].eval_real(xi0)
+        c = self._value(xi0)
         nearest = min(
             (abs(b - xi0) for b in self.breakpoints if b != xi0), default=_INF
         )
@@ -746,8 +638,10 @@ class PiecewiseExtension:
                 h = sign * 2.0**-k
                 if abs(h) >= nearest:
                     continue
+                # a step lost in rounding lands on xi0, which maps to c
+                t = xi0 + h
                 try:
-                    qs.append((self._phi(xi0 + h, xi0, c) - c) / h)
+                    qs.append(((c if t == xi0 else self._value(t)) - c) / h)
                 except MonadicaError:
                     return None, False
             if len(qs) < 3:
@@ -773,9 +667,9 @@ class PiecewiseExtension:
         of the gap expression; None when that is not evaluable.
         """
         xi0 = float(xi0)
-        i = self._breakpoint_index(xi0)
-        if i is None:
-            e = self.gap_exprs[bisect_right(self.breakpoints, xi0)]
+        i, on_breakpoint = self._region(xi0)
+        if not on_breakpoint:
+            e = self.gap_exprs[i]
             try:
                 return e.deriv().eval_real(xi0)
             except MonadicaError:
@@ -792,9 +686,7 @@ class PiecewiseExtension:
         return declared
 
 
-def ode_verify(
-    solution: PiecewiseExtension, rhs: PiecewiseExtension, samples: int = 25
-) -> list[RegionReport]:
+def ode_verify(solution: PiecewiseExtension, rhs: PiecewiseExtension) -> list[RegionReport]:
     """Check a piecewise solution against a piecewise right-hand side,
     region by region: symbolic gap derivatives on sampled real points,
     declared monad slopes (with the proviso probe) on breakpoint monads."""
@@ -819,7 +711,7 @@ def ode_verify(
         worst = 0.0
         status = "pass"
         detail = ""
-        for t in _grid(*_finite_window(lo, hi, 2.0), samples, cells=True):
+        for t in _grid(*_finite_window(lo, hi, 2.0), _ODE_SAMPLES, cells=True):
             try:
                 got = de.eval_real(t)
                 want = rhs.gap_exprs[i].eval_real(t)
@@ -833,7 +725,7 @@ def ode_verify(
                 detail = f"derivative {got!r} != rhs {want!r} at t={t!r}"
                 break
         if status == "pass":
-            detail = f"max relative deviation {worst:.3e} on {samples} samples"
+            detail = f"max relative deviation {worst:.3e} on {_ODE_SAMPLES} samples"
         reports.append(RegionReport(region, status, detail))
     for i, b in enumerate(bps):
         region = f"monad({b!r})"

@@ -140,8 +140,7 @@ def _cmd_verify(ns) -> int:
 
 def _dispatch(ns) -> int:
     if ns.command == "eval":
-        from .calculus import gen_eval
-        from .expr import parse
+        from .expr import gen_eval, parse
 
         value = gen_eval(parse(ns.expr), core.from_json(ns.at))
         _print_json(core.to_dict(value), ns.pretty)

@@ -152,6 +152,12 @@ def _from_floats(shadow: float, coeffs: dict[str, float]) -> GeneralizedReal:
     return x
 
 
+def _tangent(x: GeneralizedReal, value: float, slope: float) -> GeneralizedReal:
+    """value + slope * dx for x = shadow + dx: a first-order result, built
+    from a float value and slope at the shadow of x."""
+    return _from_floats(float(value), {g: slope * c for g, c in x.dpart.items()})
+
+
 ZERO = GeneralizedReal(0.0)
 ONE = GeneralizedReal(1.0)
 

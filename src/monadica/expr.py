@@ -3,7 +3,7 @@
 Nodes cover the elementary functions used throughout the library.  Each
 node type has one ``rule`` for its value, domain checks included, which
 floats (``eval_real``), emitted code (``compile_real``) and (value, slope)
-pairs (``calculus.gen_eval``) all run.  Each node also produces its symbolic
+pairs (``gen_eval``) all run.  Each node also produces its symbolic
 derivative (with constant folding so repeated differentiation does not blow
 up).  There is deliberately no simplification beyond that.
 """
@@ -17,7 +17,8 @@ import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from .errors import DomainError, OutOfDomain
+from . import core
+from .errors import DomainError, NotInvertible, OutOfDomain
 
 if TYPE_CHECKING:
     from .sets import RealSet
@@ -393,6 +394,99 @@ class _Float(Arithmetic):
 
 
 _FLOAT = _Float()
+
+
+def gen_eval(e: Expr, x) -> core.GeneralizedReal:
+    """Evaluate a tree over the generalized reals.
+
+    Products of infinitesimals vanish, so the result is f(s) + f'(s) * dx
+    for x = s + dx.  One walk runs the node rules over (value, slope) float
+    pairs and builds a single value at the end; the value is the float
+    ``e.eval_real(s)`` computes.  A zero denominator raises NotInvertible,
+    a point outside a node's domain or an overflow raises OutOfDomain with
+    ``eval_real``'s message, and a non-finite result raises NonFiniteInput."""
+    x = core.as_generalized(x)
+    try:
+        value, slope = _Pair().walk(e, (x.shadow, 1.0))
+    except (OverflowError, ValueError) as exc:  # as in Expr.eval_real
+        raise OutOfDomain(f"evaluation overflows at {x}") from exc
+    except RecursionError as exc:
+        raise DomainError(TOO_DEEP) from exc
+    return core._tangent(x, value, slope)
+
+
+class _Pair(Arithmetic):
+    """(value, slope) float pairs: a value and its derivative along x, with
+    products of infinitesimals dropped."""
+
+    def const(self, c):
+        return c, 0.0
+
+    def add(self, p, q):
+        return p[0] + q[0], p[1] + q[1]
+
+    def sub(self, p, q):
+        return p[0] - q[0], p[1] - q[1]
+
+    def mul(self, p, q):
+        (a, da), (b, db) = p, q
+        return a * b, da * b + a * db
+
+    def div(self, p, q):
+        (a, da), (b, db) = p, q
+        r = a / b
+        # (da - r * db) / b, not (da * b - a * db) / b**2: b * b may underflow
+        return r, (da - r * db) / b
+
+    def neg(self, p):
+        return -p[0], -p[1]
+
+    def pow_int(self, p, m):
+        a, da = p
+        if m > 0:
+            return a**m, m * a ** (m - 1) * da
+        if m == 0:
+            return a**m, 0.0
+        r = a**m
+        return r, m * (r / a) * da
+
+    def pow_real(self, p, alpha):
+        a, da = p
+        r = a**alpha
+        return r, alpha * (r / a) * da
+
+    def root(self, p, m):
+        a, da = p
+        r = math.sqrt(a) if m == 2 else a ** (1.0 / m)
+        return r, r / (m * a) * da
+
+    def exp(self, p):
+        v = math.exp(p[0])
+        return v, v * p[1]
+
+    def log(self, p):
+        return math.log(p[0]), p[1] / p[0]
+
+    def sin(self, p):
+        return math.sin(p[0]), math.cos(p[0]) * p[1]
+
+    def cos(self, p):
+        return math.cos(p[0]), -math.sin(p[0]) * p[1]
+
+    def nonzero(self, p, message, shown):
+        if p[0] == 0.0:
+            raise NotInvertible("infinitesimals have no multiplicative inverse")
+
+    def positive(self, p, message):
+        if p[0] <= 0.0:
+            raise OutOfDomain(message.format(p[0]))
+
+    def lift(self, fn, p, slope):
+        if slope is None:
+            raise TypeError(f"{fn.__qualname__} has no slope")
+        a, da = p
+        v = fn(a)
+        return v, slope(a, v) * da
 
 
 # -- folding constructors ------------------------------------------------------

@@ -17,7 +17,6 @@ from .calculus import (
     MonadRule,
     NaturalExtension,
     PiecewiseExtension,
-    gen_eval,
     image_set,
     inverse_extension,
     mean_value_point,
@@ -25,7 +24,7 @@ from .calculus import (
 )
 from .core import GeneralizedReal, make
 from .errors import MonadicaError, ProvisoViolated
-from .expr import Const, Cos, Exp, Expr, Log, Neg, PowReal, Root, Sin, Var, pow_int
+from .expr import Const, Cos, Exp, Expr, Log, Neg, PowReal, Root, Sin, Var, gen_eval, pow_int
 from .sets import GeneralizedSet, Interval, RealSet, hat_interval, monad, shadow
 
 _INF = math.inf
@@ -849,8 +848,7 @@ def check_taylor(seed: int = 0) -> list[CheckResult]:
     bound_fails = []
     for _ in range(100):
         f = _taylor_family(rng)
-        lo, hi = calculus._domain_bounds(f.domain)
-        wlo, whi = max(lo, -3.0), min(hi, 3.0)
+        wlo, whi = max(f.lo, -3.0), min(f.hi, 3.0)
         if wlo >= whi:
             wlo, whi = 0.1, 3.0
         center = rng.uniform(wlo + 0.05, whi - 0.05)

@@ -400,3 +400,57 @@ def test_composition_matches_pointwise_product_rule():
     got = comp.deriv_at(x)
     want = outer.deriv_at(make(math.sin(0.8))) * inner.deriv_at(x)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+# -- the domain check against the open RealSet it replaced ---------------------------
+
+_RANGES = [(-1.5, 2.0), (0.0, 1.0), (-0.0, 3.0), (-math.inf, 0.0), (1.0, math.inf),
+           (-math.inf, math.inf)]
+
+
+def rejection(call) -> str | None:
+    """None when call returns, else the OutOfDomain message it raises."""
+    try:
+        call()
+    except OutOfDomain as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("lo, hi", _RANGES)
+def test_domain_checks_accept_exactly_the_open_interval(lo, hi):
+    f = NaturalExtension.on_interval(X, lo, hi)
+    inside = RealSet.open(lo, hi).contains
+    interior = 0.25 * max(lo, -4.0) + 0.75 * min(hi, 4.0)
+    points = [lo, hi, interior, -0.0, 0.0, math.inf, -math.inf, math.nan, 0, 1, -2, 3]
+    for p in points:
+        # eval_at and deriv_at see only finite shadows: the ring refuses the rest
+        if math.isfinite(p):
+            message = f"shadow {float(p) + 0.0!r} lies outside the domain"
+            want = None if inside(p) else message
+            assert rejection(lambda: f.eval_at(p)) == want, p
+            assert rejection(lambda: f.deriv_at(make(p, {"h": 1.0}))) == want, p
+        # the center is checked as given, -0.0 included
+        x = interior if p != interior else (interior + min(hi, 4.0)) / 2.0
+        want = None if inside(p) else f"shadow {float(p)!r} lies outside the domain"
+        assert rejection(lambda: taylor_expand(f, p, 1, x)) == want, p
+        if math.isfinite(p) and p != interior:
+            a, b = sorted((float(p) + 0.0, interior))
+            closed = GeneralizedSet(RealSet.closed(a, b))
+            want = None if inside(a) and inside(b) else (
+                f"the closed interval [{a!r}, {b!r}] must lie inside the domain")
+            assert rejection(lambda: image_set(f, closed)) == want, p
+            point = GeneralizedSet(RealSet.point(p))
+            want = None if inside(p) else f"shadow {float(p) + 0.0!r} lies outside the domain"
+            assert rejection(lambda: image_set(f, point)) == want, p
+
+
+@pytest.mark.parametrize("text, message", [
+    # the range's lower end is inf - inf: both ends of the sample grid overflow
+    ("x + (x*x*1.76e305 - x*x*1.76e305)", "interval lo may not be NaN"),
+    ("x + (exp(x)*2.4e294 - exp(x)*2.4e294)", "interval hi may not be NaN"),
+    ("(x + 100)*1e308", "interval endpoints may not both be infinite"),
+])
+def test_an_inverse_range_that_is_no_open_interval_is_a_domain_error(text, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        inverse_extension(NaturalExtension.on_interval(parse(text)))

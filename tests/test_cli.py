@@ -352,11 +352,11 @@ def test_usage_errors_exit_nonzero():
 # not load.  No verb loads verify or numpy.
 _VERB_MODULES = {
     "eval": (["eval", "exp(x)", "--at", '{"shadow":0.5,"d":{"h":1}}'],
-             {"calculus", "expr"}, {"seq"}),
+             {"expr"}, {"calculus", "sets", "seq"}),
     "diff": (["diff", "sin(x)", "--at", '{"shadow":0.5,"d":{}}', "--order", "2"],
              {"expr"}, {"calculus", "sets", "seq"}),
     "taylor": (["taylor", "--center=0.1", "--order", "2", "--at", '{"shadow":0.5,"d":{}}',
-                "--", "exp(x)"], {"calculus", "expr"}, {"seq"}),
+                "--", "exp(x)"], {"calculus", "expr"}, {"sets", "seq"}),
     "sets": (["sets", "union", '{"points":[1]}', '{"points":[2]}'],
              {"sets"}, {"calculus", "expr", "seq"}),
     "seq": (["seq", "print", '{"shadow":1,"d":{"h":1}}', "--terms", "3"],

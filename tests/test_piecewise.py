@@ -1,3 +1,6 @@
+import math
+from bisect import bisect_right
+
 import pytest
 
 from monadica.calculus import (
@@ -54,6 +57,40 @@ class TestEvaluation:
         p = step_solution()
         assert p.eval_at(make(0, {"h": 3})) == make(1, {"h": 3})
         assert p.eval_at(make(-1)) == make(0)
+
+
+def linear_scan_region(breakpoints, s):
+    """The region lookup as a linear scan for a breakpoint, then a
+    bisect_right for the gap: (index, on a breakpoint)."""
+    for i, b in enumerate(breakpoints):
+        if s == b:
+            return i, True
+    return bisect_right(breakpoints, s), False
+
+
+@pytest.mark.parametrize("bps", [(), (0.0,), (-0.0, 1.0), (-1.5, 0.0, 2.0, 7.25)])
+def test_one_bisection_finds_the_region_the_linear_scan_finds(bps):
+    # gap i is (i + 1) * x, monad i has value 100 + i and slope -i
+    p = PiecewiseExtension(
+        bps,
+        tuple(X * float(i + 1) for i in range(len(bps) + 1)),
+        tuple(MonadRule(100.0 + i, -float(i)) for i in range(len(bps))),
+    )
+    finite = [-0.0, 0.0, -1e300, 1e300]
+    for b in bps:
+        finite += [b, math.nextafter(b, -math.inf), math.nextafter(b, math.inf), b - 0.5, b + 0.5]
+    finite += [(a + b) / 2.0 for a, b in zip(bps, bps[1:])]
+    for s in finite + [math.inf, -math.inf, math.nan]:
+        assert p._region(s) == linear_scan_region(bps, s), s
+    for s in finite:
+        i, on_breakpoint = linear_scan_region(bps, s)
+        if on_breakpoint:
+            assert p.eval_at(make(s, {"h": 1.0})) == make(100.0 + i, {"h": -float(i)})
+            assert p.deriv_at(s) == -float(i)
+        else:
+            assert p.eval_at(make(s, {"h": 1.0})) == make(s * (i + 1), {"h": float(i + 1)})
+            assert p.deriv_at(s) == float(i + 1)
+        assert p._value(s) == (100.0 + i if on_breakpoint else s * (i + 1))
 
 
 class TestDerivativeProviso:

@@ -4,8 +4,10 @@
         --workload set-algebra --seeds 901 902 903 --out BENCH_10.json
 
 Each checkout runs its own ``perfbench/run.py`` on its own ``src/``, one run at
-a time, each for ``SECONDS`` seconds.  Pair i runs the parent first when i is
-even and the change first when it is odd.  For every end-to-end metric of
+a time, each for ``SECONDS`` seconds.  Before every run the checkout's own
+``__pycache__`` directories are deleted, so neither side reads bytecode that
+the other lacks; the standard library keeps its bytecode.  Pair i runs the
+parent first when i is even and the change first when it is odd.  For every end-to-end metric of
 ``BENCHMARK.json`` the output holds the per-run values of both sides in seed
 order, their medians and quartiles, and the change's wins (pairs where it is better; ties count for neither).
 Each workload also records every run's ``correct`` flag and failed-op count.
@@ -18,6 +20,7 @@ import hashlib
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -50,6 +53,11 @@ def run_once(root: Path, workload: str, seed: int, ops: int | None) -> dict:
            "--seed", str(seed), "--seconds", str(SECONDS)]
     if ops is not None:
         cmd += ["--ops", str(ops)]
+    # An empty PYTHONPYCACHEPREFIX would hide the standard library's bytecode
+    # too, and under PYTHONDONTWRITEBYTECODE=1 every child would compile it.
+    for part in ("src", "perfbench"):
+        for cache in list((root / part).rglob("__pycache__")):
+            shutil.rmtree(cache)
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"bench_pairs: {' '.join(cmd)} failed in {root}:\n{proc.stderr}")
