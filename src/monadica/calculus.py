@@ -32,7 +32,7 @@ from .errors import (
     RegionMismatch,
     VanishingDerivative,
 )
-from .expr import Compose, Const, Div, Expr, compile_real, differentiate, gen_eval, iter_nodes
+from .expr import Compose, Const, Div, Expr, compile_real, differentiate, gen_eval
 
 if TYPE_CHECKING:
     from .sets import GeneralizedSet
@@ -134,28 +134,24 @@ class NaturalExtension:
     @classmethod
     def on_interval(cls, expr: Expr, lo: float = -_INF, hi: float = _INF) -> "NaturalExtension":
         """Build the extension on the open interval (lo, hi), checking by
-        sampling that the function and its derivative are valid there."""
+        sampling that the function and its derivative are valid there: each
+        probe has a finite value and derivative."""
         lo, hi = float(lo), float(hi)
         if math.isnan(lo) or math.isnan(hi) or not lo < hi:
             raise DomainError(f"invalid open interval ({lo}, {hi})")
-        for node in iter_nodes(expr):
-            declared = getattr(node, "domain", None)
-            if declared is not None:
-                from .sets import RealSet
-
-                if not RealSet.open(lo, hi).difference(declared).is_empty:
-                    raise DomainError(f"({lo}, {hi}) exceeds the declared domain of {node}")
         ext = cls(expr, lo + 0.0, hi + 0.0)  # no signed zero
         ext.deriv_exprs(1)  # a tree with no derivative fails before compiling
         value, slope = ext.real_fn(0), ext.real_fn(1)
+        invalid = f"function is not valid on ({lo}, {hi}): "
         for xi in _grid(*_finite_window(lo, hi, _PROBE_WINDOW), _PROBES, cells=True):
             try:
-                value(xi)
-                slope(xi)
+                v, d = value(xi), slope(xi)
             except MonadicaError as exc:
+                raise DomainError(invalid + str(exc)) from exc
+            if not (math.isfinite(v) and math.isfinite(d)):
                 raise DomainError(
-                    f"function is not valid on ({lo}, {hi}): {exc}"
-                ) from exc
+                    f"{invalid}value {v!r} and derivative {d!r} at {xi!r} are not both finite"
+                )
         return ext
 
     @property
@@ -417,21 +413,31 @@ class InverseExpr(Expr):
         return f"inverse({self.fn.expr})"
 
 
+def _require_finite(what: str, xs: list[float], vals: list[float]) -> None:
+    """Raise DomainError at the first sample whose value is not finite."""
+    for t, v in zip(xs, vals):
+        if not math.isfinite(v):
+            raise DomainError(f"function has {what} {v!r} at {t!r}, which is not finite")
+
+
 def inverse_extension(f: NaturalExtension) -> NaturalExtension:
     """Invert a continuous injective extension with nonvanishing derivative.
 
     The derivative of the result is the reciprocal of the original
     derivative taken at the inverse image.  Validity is checked by dense
-    sampling: first monotonicity (injectivity), then the derivative's sign
-    and its zeros without a sign change (see ``_touch_zeros``).
+    sampling: finite values and monotonicity (injectivity), then finite
+    derivatives, their sign and their zeros without a sign change (see
+    ``_touch_zeros``).
     """
     xs = _grid(*_finite_window(f.lo, f.hi, _PROBE_WINDOW), _INVERSE_SAMPLES, cells=True)
     phi, lam = f.real_fn(0), f.real_fn(1)
     values = [phi(t) for t in xs]
+    _require_finite("value", xs, values)
     diffs = [b - a for a, b in zip(values, values[1:])]
     if any(d == 0.0 for d in diffs) or (min(diffs) < 0.0 < max(diffs)):
         raise NotInjective("function is not strictly monotone on its domain")
     derivs = [lam(t) for t in xs]
+    _require_finite("derivative", xs, derivs)
     zero_tol = 1e-12 * max(1.0, max(abs(d) for d in derivs))
     if (
         any(d == 0.0 for d in derivs)
@@ -440,11 +446,6 @@ def inverse_extension(f: NaturalExtension) -> NaturalExtension:
     ):
         raise VanishingDerivative("derivative has a zero on the domain")
     ylo, yhi = sorted((values[0] + 0.0, values[-1] + 0.0))  # no signed zero
-    # the range's ends pass the checks of an open RealSet interval
-    if ylo != ylo or yhi != yhi:
-        raise DomainError(f"interval {'lo' if ylo != ylo else 'hi'} may not be NaN")
-    if ylo == yhi and math.isinf(ylo):
-        raise DomainError("interval endpoints may not both be infinite")
     inv_expr = InverseExpr(f)
     g = NaturalExtension(inv_expr, ylo, yhi)
     # What compiling the two trees would give, without compiling them and

@@ -1,28 +1,26 @@
 """Expression trees for real functions of one variable.
 
-Nodes cover the elementary functions used throughout the library.  Each
-node type has one ``rule`` for its value, domain checks included, which
-floats (``eval_real``), emitted code (``compile_real``) and (value, slope)
-pairs (``gen_eval``) all run.  Each node also produces its symbolic
-derivative (with constant folding so repeated differentiation does not blow
-up).  There is deliberately no simplification beyond that.
+Nodes cover the elementary functions used throughout the library.  A node
+holds only its operand subtrees and int or float constants; the interval on
+which a function is valid belongs to its natural extension
+(``calculus.NaturalExtension``), not to its nodes.  Each node type has one
+``rule`` for its value, pointwise checks included, which floats
+(``eval_real``), emitted code (``compile_real``) and (value, slope) pairs
+(``gen_eval``) all run.  Each node also produces its symbolic derivative
+(with constant folding so repeated differentiation does not blow up).
+There is deliberately no simplification beyond that.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from . import core
 from .errors import DomainError, NotInvertible, OutOfDomain
-
-if TYPE_CHECKING:
-    from .sets import RealSet
-
 
 #: The message of the DomainError each entry point raises in place of a
 #: RecursionError: parse, differentiate, eval_real, compile_real, gen_eval.
@@ -46,11 +44,8 @@ class Expr:
 
     def rule(self, arith: "Arithmetic", x):
         """The value under the arithmetic, with the variable bound to x: the
-        operands walked left to right, then checked and combined.  A node
-        type with no rule is evaluated by its own eval_real, with no slope."""
-        if type(self).eval_real is Expr.eval_real:
-            raise TypeError(f"cannot evaluate node {type(self).__name__}")
-        return arith.lift(self.eval_real, x, None)
+        operands walked left to right, then checked and combined."""
+        raise NotImplementedError
 
     def deriv(self) -> "Expr":
         raise NotImplementedError
@@ -174,13 +169,10 @@ class Mul(Expr):
 
 @dataclass(frozen=True)
 class Div(Expr):
-    """Quotient; valid where the denominator does not vanish.  A declared
-    validity domain (in terms of the variable) can be attached for
-    structural domain checks."""
+    """Quotient; valid where the denominator does not vanish."""
 
     lhs: Expr
     rhs: Expr
-    domain: "RealSet | None" = None
 
     def rule(self, arith, x):
         a, b = arith.walk(self.lhs, x), arith.walk(self.rhs, x)
@@ -189,7 +181,7 @@ class Div(Expr):
 
     def deriv(self):
         num = sub(mul(self.lhs.deriv(), self.rhs), mul(self.lhs, self.rhs.deriv()))
-        return Div(num, pow_int(self.rhs, 2), self.domain)
+        return Div(num, pow_int(self.rhs, 2))
 
     def __str__(self):
         return f"({self.lhs} / {self.rhs})"
@@ -236,7 +228,6 @@ class PowReal(Expr):
 
     base: Expr
     exponent: float
-    domain: "RealSet | None" = None
 
     def rule(self, arith, x):
         b = arith.walk(self.base, x)
@@ -245,7 +236,7 @@ class PowReal(Expr):
 
     def deriv(self):
         a = self.exponent
-        lowered = PowReal(self.base, a - 1.0, self.domain)
+        lowered = PowReal(self.base, a - 1.0)
         return mul(mul(Const(a), lowered), self.base.deriv())
 
     def __str__(self):
@@ -258,7 +249,6 @@ class Root(Expr):
 
     base: Expr
     degree: int
-    domain: "RealSet | None" = None
 
     def rule(self, arith, x):
         b = arith.walk(self.base, x)
@@ -267,8 +257,8 @@ class Root(Expr):
 
     def deriv(self):
         m = self.degree
-        denom = mul(Const(float(m)), pow_int(Root(self.base, m, self.domain), m - 1))
-        return Div(self.base.deriv(), denom, self.domain)
+        denom = mul(Const(float(m)), pow_int(Root(self.base, m), m - 1))
+        return Div(self.base.deriv(), denom)
 
     def __str__(self):
         return f"root({self.degree}, {self.base})"
@@ -293,7 +283,6 @@ class Log(Expr):
     """Natural logarithm; valid on positive arguments."""
 
     arg: Expr
-    domain: "RealSet | None" = None
 
     def rule(self, arith, x):
         a = arith.walk(self.arg, x)
@@ -301,7 +290,7 @@ class Log(Expr):
         return arith.log(a)
 
     def deriv(self):
-        return Div(self.arg.deriv(), self.arg, self.domain)
+        return Div(self.arg.deriv(), self.arg)
 
     def __str__(self):
         return f"log({self.arg})"
@@ -360,7 +349,7 @@ class Arithmetic:
     sub, mul, div, neg, pow_int, pow_real, root, exp, log, sin, cos; the
     checks ``nonzero(a, message, shown)`` and ``positive(a, message)``; and
     ``lift(fn, a, slope)``: fn(a), with derivative factor slope(a, fn(a)),
-    or None where fn has no slope."""
+    for a node computed by a Python function."""
 
     def walk(self, e: Expr, x):
         """The value of e with the variable bound to x."""
@@ -482,8 +471,6 @@ class _Pair(Arithmetic):
             raise OutOfDomain(message.format(p[0]))
 
     def lift(self, fn, p, slope):
-        if slope is None:
-            raise TypeError(f"{fn.__qualname__} has no slope")
         a, da = p
         v = fn(a)
         return v, slope(a, v) * da
@@ -550,13 +537,12 @@ def pow_int(base: Expr, m: int) -> Expr:
 
 def iter_nodes(e: Expr):
     """The node and all its expression descendants, parents first, without
-    recursion."""
+    recursion.  A node's attributes are its operands and constants."""
     stack = [e]
     while stack:
         node = stack.pop()
         yield node
-        children = [getattr(node, f.name) for f in dataclasses.fields(node)]
-        stack.extend(c for c in reversed(children) if isinstance(c, Expr))
+        stack.extend(c for c in reversed(vars(node).values()) if isinstance(c, Expr))
 
 
 def differentiate(e: Expr, order: int = 1) -> Expr:

@@ -1,5 +1,6 @@
 """compile_real against the tree walk it must reproduce bit for bit."""
 
+import dataclasses
 import math
 import random
 import struct
@@ -107,12 +108,16 @@ def test_compiled_trees_match_the_tree_walk_bit_for_bit():
 
 
 class Counted(Expr):
-    """Counts its evaluations, to observe how often a node is evaluated."""
+    """x + 1, counting its evaluations, to observe how often a node is
+    evaluated."""
 
     def __init__(self):
         self.calls = 0
 
-    def eval_real(self, xi):
+    def rule(self, arith, x):
+        return arith.lift(self.plus_one, x, lambda a, v: 1.0)
+
+    def plus_one(self, xi):
         self.calls += 1
         return xi + 1.0
 
@@ -126,24 +131,40 @@ def test_shared_nodes_are_evaluated_once_per_binding():
     assert compile_real(e)(0.5) == want
     # x-scope: c once; inner binding of the Compose: c once
     assert (walked, c.calls) == (7, 2)
+    # gen_eval runs the same rule, with the slope lift gives it
+    assert gen_eval(Mul(c, X), make(0.5, {"h": 1.0})) == make(0.75, {"h": 2.0})
+
+
+NODES = {
+    cls
+    for cls in vars(expr).values()
+    if isinstance(cls, type) and issubclass(cls, Expr) and cls is not Expr
+}
 
 
 def test_every_node_type_has_its_own_rule():
-    nodes = {
-        cls
-        for cls in vars(expr).values()
-        if isinstance(cls, type) and issubclass(cls, Expr) and cls is not Expr
-    }
-    assert len(nodes) == 15
-    for cls in nodes | {InverseExpr}:
+    assert len(NODES) == 15
+    for cls in NODES | {InverseExpr}:
         assert "rule" in vars(cls), cls.__name__
-    # a node type with no rule: eval_real and compile_real call its own
-    # eval_real, and gen_eval, which needs a slope, refuses it
-    assert "rule" not in vars(Counted)
-    e = Mul(Counted(), X)
-    assert e.eval_real(0.5) == compile_real(e)(0.5) == 0.75
-    with pytest.raises(TypeError, match="Counted.eval_real has no slope"):
-        gen_eval(e, make(0.5, {"h": 1.0}))
+    with pytest.raises(NotImplementedError):
+        Expr().eval_real(0.5)
+
+
+def test_nodes_hold_only_operands_and_constants():
+    # annotations are strings: the modules use postponed evaluation
+    for cls in NODES:
+        types = {f.type for f in dataclasses.fields(cls)}
+        assert types <= {"Expr", "int", "float"}, (cls.__name__, types)
+    assert [(f.name, f.type) for f in dataclasses.fields(InverseExpr)] == [
+        ("fn", "NaturalExtension")
+    ]
+    # and so do the trees that parsing and differentiation build, of every type
+    e = Compose(parse("root(3, x) / (log(x) - pow(0.5, x)) + exp(x)^-2 * cos(-x)"), Sin(X))
+    nodes = [n for tree in (e, e.deriv()) for n in expr.iter_nodes(tree)]
+    assert {type(n) for n in nodes} == NODES
+    for node in nodes:
+        for value in vars(node).values():
+            assert isinstance(value, (Expr, int, float)), (node, value)
 
 
 def test_constants_are_bound_not_printed():

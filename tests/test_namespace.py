@@ -84,6 +84,7 @@ def test_each_verb_loads_exactly_its_modules(verb):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = main({argv!r})\n"
         "assert code == 0, code\n"
+        "assert 'numpy' not in sys.modules\n"
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('monadica.'))))\n"
     )
     loaded = set(json.loads(run_python(code)))
@@ -91,5 +92,12 @@ def test_each_verb_loads_exactly_its_modules(verb):
 
 
 def test_calculus_does_not_load_the_set_algebra():
-    code = "import sys, monadica.calculus\nprint('monadica.sets' in sys.modules)\n"
+    code = (
+        "import math, sys\n"
+        "from monadica.calculus import NaturalExtension\n"
+        "from monadica.expr import parse\n"
+        "for text, lo, hi in [('log(x)', 0, math.inf), ('1/x', 0, 1), ('pow(1.5, x)', 0, math.inf)]:\n"
+        "    NaturalExtension.on_interval(parse(text), lo, hi)\n"
+        "print('monadica.sets' in sys.modules)\n"
+    )
     assert run_python(code).split() == ["False"]
