@@ -368,11 +368,10 @@ def mean_value_point(f: NaturalExtension, a, b) -> float:
 # -- inversion ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class InverseExpr(Expr):
     """Inverse of a strictly monotone extension, evaluated by bisection."""
 
-    fn: NaturalExtension
+    __slots__ = ("fn",)
 
     def _window(self) -> tuple[float, float]:
         wlo, whi = _finite_window(self.fn.lo, self.fn.hi, _PROBE_WINDOW)

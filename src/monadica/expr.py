@@ -1,8 +1,8 @@
 """Expression trees for real functions of one variable.
 
 Nodes cover the elementary functions used throughout the library.  A node
-holds only its operand subtrees and int or float constants; the interval on
-which a function is valid belongs to its natural extension
+holds only its operand subtrees and int or float constants, its ``__slots__``;
+the interval on which a function is valid belongs to its natural extension
 (``calculus.NaturalExtension``), not to its nodes.  Each node type has one
 ``rule`` for its value, pointwise checks included, which floats
 (``eval_real``), emitted code (``compile_real``) and (value, slope) pairs
@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 from typing import Callable
 
 from . import core
@@ -28,7 +27,45 @@ TOO_DEEP = "expression nests too deeply"
 
 
 class Expr:
-    """Base class; concrete nodes are frozen dataclasses below."""
+    """Base class.  A node declares its operands and constants once, as its
+    ``__slots__``; from them it gets a constructor taking them in that order,
+    immutability, equality and hashing by value, a repr, pickling and copying."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # compiled once per class, so a node costs what a hand-written
+        # __init__ costs; the slot setters go around __setattr__ below
+        names = cls.__slots__
+        env = {f"set_{n}": getattr(cls, n).__set__ for n in names}
+        params = "".join(f", {n}" for n in names)
+        body = "".join(f"    set_{n}(self, {n})\n" for n in names) or "    pass\n"
+        exec(f"def __init__(self{params}):\n{body}", env)
+        cls.__init__ = env["__init__"]
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, n) for n in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
 
     def eval_real(self, xi: float) -> float:
         """The value at a real point.  A float operation that overflows
@@ -94,9 +131,8 @@ def _coerce(value) -> Expr:
     raise TypeError(f"cannot interpret {value!r} as an expression")
 
 
-@dataclass(frozen=True)
 class Const(Expr):
-    value: float
+    __slots__ = ("value",)
 
     def rule(self, arith, x):
         return arith.const(self.value)
@@ -108,8 +144,9 @@ class Const(Expr):
         return repr(self.value)
 
 
-@dataclass(frozen=True)
 class Var(Expr):
+    __slots__ = ()
+
     def rule(self, arith, x):
         return x
 
@@ -120,10 +157,8 @@ class Var(Expr):
         return "x"
 
 
-@dataclass(frozen=True)
 class Add(Expr):
-    lhs: Expr
-    rhs: Expr
+    __slots__ = ("lhs", "rhs")
 
     def rule(self, arith, x):
         return arith.add(arith.walk(self.lhs, x), arith.walk(self.rhs, x))
@@ -135,10 +170,8 @@ class Add(Expr):
         return f"({self.lhs} + {self.rhs})"
 
 
-@dataclass(frozen=True)
 class Sub(Expr):
-    lhs: Expr
-    rhs: Expr
+    __slots__ = ("lhs", "rhs")
 
     def rule(self, arith, x):
         return arith.sub(arith.walk(self.lhs, x), arith.walk(self.rhs, x))
@@ -150,10 +183,8 @@ class Sub(Expr):
         return f"({self.lhs} - {self.rhs})"
 
 
-@dataclass(frozen=True)
 class Mul(Expr):
-    lhs: Expr
-    rhs: Expr
+    __slots__ = ("lhs", "rhs")
 
     def rule(self, arith, x):
         return arith.mul(arith.walk(self.lhs, x), arith.walk(self.rhs, x))
@@ -167,12 +198,10 @@ class Mul(Expr):
         return f"({self.lhs} * {self.rhs})"
 
 
-@dataclass(frozen=True)
 class Div(Expr):
     """Quotient; valid where the denominator does not vanish."""
 
-    lhs: Expr
-    rhs: Expr
+    __slots__ = ("lhs", "rhs")
 
     def rule(self, arith, x):
         a, b = arith.walk(self.lhs, x), arith.walk(self.rhs, x)
@@ -187,9 +216,8 @@ class Div(Expr):
         return f"({self.lhs} / {self.rhs})"
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
 
     def rule(self, arith, x):
         return arith.neg(arith.walk(self.arg, x))
@@ -201,10 +229,8 @@ class Neg(Expr):
         return f"(-{self.arg})"
 
 
-@dataclass(frozen=True)
 class PowInt(Expr):
-    base: Expr
-    exponent: int
+    __slots__ = ("base", "exponent")
 
     def rule(self, arith, x):
         b = arith.walk(self.base, x)
@@ -222,12 +248,10 @@ class PowInt(Expr):
         return f"({self.base})^{self.exponent}"
 
 
-@dataclass(frozen=True)
 class PowReal(Expr):
     """base**alpha for a fixed real alpha; valid on positive bases."""
 
-    base: Expr
-    exponent: float
+    __slots__ = ("base", "exponent")
 
     def rule(self, arith, x):
         b = arith.walk(self.base, x)
@@ -243,12 +267,10 @@ class PowReal(Expr):
         return f"({self.base})^{self.exponent!r}"
 
 
-@dataclass(frozen=True)
 class Root(Expr):
     """Positive m-th root (m > 1); valid on positive arguments."""
 
-    base: Expr
-    degree: int
+    __slots__ = ("base", "degree")
 
     def rule(self, arith, x):
         b = arith.walk(self.base, x)
@@ -264,9 +286,8 @@ class Root(Expr):
         return f"root({self.degree}, {self.base})"
 
 
-@dataclass(frozen=True)
 class Exp(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
 
     def rule(self, arith, x):
         return arith.exp(arith.walk(self.arg, x))
@@ -278,11 +299,10 @@ class Exp(Expr):
         return f"exp({self.arg})"
 
 
-@dataclass(frozen=True)
 class Log(Expr):
     """Natural logarithm; valid on positive arguments."""
 
-    arg: Expr
+    __slots__ = ("arg",)
 
     def rule(self, arith, x):
         a = arith.walk(self.arg, x)
@@ -296,9 +316,8 @@ class Log(Expr):
         return f"log({self.arg})"
 
 
-@dataclass(frozen=True)
 class Sin(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
 
     def rule(self, arith, x):
         return arith.sin(arith.walk(self.arg, x))
@@ -310,9 +329,8 @@ class Sin(Expr):
         return f"sin({self.arg})"
 
 
-@dataclass(frozen=True)
 class Cos(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
 
     def rule(self, arith, x):
         return arith.cos(arith.walk(self.arg, x))
@@ -324,12 +342,10 @@ class Cos(Expr):
         return f"cos({self.arg})"
 
 
-@dataclass(frozen=True)
 class Compose(Expr):
     """outer applied to the value of inner."""
 
-    outer: Expr
-    inner: Expr
+    __slots__ = ("outer", "inner")
 
     def rule(self, arith, x):
         return arith.walk(self.outer, arith.walk(self.inner, x))
@@ -537,18 +553,18 @@ def pow_int(base: Expr, m: int) -> Expr:
 
 def iter_nodes(e: Expr):
     """The node and all its expression descendants, parents first, without
-    recursion.  A node's attributes are its operands and constants."""
+    recursion."""
     stack = [e]
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(c for c in reversed(vars(node).values()) if isinstance(c, Expr))
+        stack.extend(c for c in reversed(node._values()) if isinstance(c, Expr))
 
 
 def differentiate(e: Expr, order: int = 1) -> Expr:
     """Symbolic derivative of the given order (order 0 returns e itself)."""
-    if order < 0:
-        raise DomainError("derivative order must be nonnegative")
+    if not isinstance(order, int) or order < 0:
+        raise DomainError("derivative order must be a nonnegative integer")
     out = e
     try:
         for _ in range(order):

@@ -1,7 +1,4 @@
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
@@ -348,40 +345,10 @@ def test_usage_errors_exit_nonzero():
     assert info.value.code != 0
 
 
-# Per verb: a command line, the library modules it needs, and those it must
-# not load.  No verb loads verify or numpy.
-_VERB_MODULES = {
-    "eval": (["eval", "exp(x)", "--at", '{"shadow":0.5,"d":{"h":1}}'],
-             {"expr"}, {"calculus", "sets", "seq"}),
-    "diff": (["diff", "sin(x)", "--at", '{"shadow":0.5,"d":{}}', "--order", "2"],
-             {"expr"}, {"calculus", "sets", "seq"}),
-    "taylor": (["taylor", "--center=0.1", "--order", "2", "--at", '{"shadow":0.5,"d":{}}',
-                "--", "exp(x)"], {"calculus", "expr"}, {"sets", "seq"}),
-    "sets": (["sets", "union", '{"points":[1]}', '{"points":[2]}'],
-             {"sets"}, {"calculus", "expr", "seq"}),
-    "seq": (["seq", "print", '{"shadow":1,"d":{"h":1}}', "--terms", "3"],
-            {"seq"}, {"calculus", "expr", "sets"}),
-}
-
-
-@pytest.mark.parametrize("verb", sorted(_VERB_MODULES))
-def test_each_verb_loads_only_the_modules_it_uses(verb):
-    argv, used, unused = _VERB_MODULES[verb]
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    code = (
-        "import json, sys\n"
-        "from monadica.cli import main\n"
-        f"code = main({argv!r})\n"
-        "print(json.dumps(sorted(sys.modules)))\n"
-        "sys.exit(code)\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
-    assert {f"monadica.{m}" for m in used} <= loaded
-    unwanted = {f"monadica.{m}" for m in unused | {"verify"}} | {"numpy"}
-    assert not loaded & unwanted, sorted(loaded & unwanted)
+# Each verb runs once, in a fresh interpreter (``verb_run`` in conftest.py);
+# test_namespace.py checks the exact set of library modules of the same runs.
+def test_each_verb_loads_only_the_modules_it_uses(verb_run):
+    code, loaded = verb_run
+    assert code == 0, code
+    # No verb loads the self-check suite or numpy.
+    assert not loaded & {"monadica.verify", "numpy"}, sorted(loaded & {"monadica.verify", "numpy"})

@@ -1,7 +1,9 @@
 """compile_real against the tree walk it must reproduce bit for bit."""
 
+import copy
 import dataclasses
 import math
+import pickle
 import random
 import struct
 import sys
@@ -11,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from monadica import expr
-from monadica.calculus import InverseExpr, NaturalExtension, gen_eval
+from monadica.calculus import InverseExpr, NaturalExtension, gen_eval, inverse_extension
 from monadica.core import make
 from monadica.expr import (
     Add,
@@ -108,29 +110,28 @@ def test_compiled_trees_match_the_tree_walk_bit_for_bit():
 
 
 class Counted(Expr):
-    """x + 1, counting its evaluations, to observe how often a node is
-    evaluated."""
+    """x + 1, counting its evaluations in calls[0], to observe how often a
+    node is evaluated.  Nodes are immutable, so the count lives in a list."""
 
-    def __init__(self):
-        self.calls = 0
+    __slots__ = ("calls",)
 
     def rule(self, arith, x):
         return arith.lift(self.plus_one, x, lambda a, v: 1.0)
 
     def plus_one(self, xi):
-        self.calls += 1
+        self.calls[0] += 1
         return xi + 1.0
 
 
 def test_shared_nodes_are_evaluated_once_per_binding():
-    c = Counted()
+    c = Counted([0])
     shared = Mul(c, c)
     e = Add(shared, Compose(Add(shared, c), shared))
     want = e.eval_real(0.5)
-    walked, c.calls = c.calls, 0
+    walked, c.calls[0] = c.calls[0], 0
     assert compile_real(e)(0.5) == want
     # x-scope: c once; inner binding of the Compose: c once
-    assert (walked, c.calls) == (7, 2)
+    assert (walked, c.calls[0]) == (7, 2)
     # gen_eval runs the same rule, with the slope lift gives it
     assert gen_eval(Mul(c, X), make(0.5, {"h": 1.0})) == make(0.75, {"h": 2.0})
 
@@ -150,21 +151,59 @@ def test_every_node_type_has_its_own_rule():
         Expr().eval_real(0.5)
 
 
+# with its derivative, a tree of every node type
+EVERY_TYPE = Compose(parse("root(3, x) / (log(x) - pow(0.5, x)) + exp(x)^-2 * cos(-x)"), Sin(X))
+
+
 def test_nodes_hold_only_operands_and_constants():
-    # annotations are strings: the modules use postponed evaluation
-    for cls in NODES:
-        types = {f.type for f in dataclasses.fields(cls)}
-        assert types <= {"Expr", "int", "float"}, (cls.__name__, types)
-    assert [(f.name, f.type) for f in dataclasses.fields(InverseExpr)] == [
-        ("fn", "NaturalExtension")
-    ]
-    # and so do the trees that parsing and differentiation build, of every type
-    e = Compose(parse("root(3, x) / (log(x) - pow(0.5, x)) + exp(x)^-2 * cos(-x)"), Sin(X))
-    nodes = [n for tree in (e, e.deriv()) for n in expr.iter_nodes(tree)]
+    # a node declares its operands and constants once, as its __slots__
+    for cls in NODES | {InverseExpr}:
+        assert not dataclasses.is_dataclass(cls), cls.__name__
+        assert "__slots__" in vars(cls), cls.__name__
+    assert InverseExpr.__slots__ == ("fn",)
+    # and the trees that parsing and differentiation build, of every type,
+    # hold nothing else
+    nodes = [n for tree in (EVERY_TYPE, EVERY_TYPE.deriv()) for n in expr.iter_nodes(tree)]
     assert {type(n) for n in nodes} == NODES
     for node in nodes:
-        for value in vars(node).values():
+        assert not hasattr(node, "__dict__"), node
+        for name in node.__slots__:
+            value = getattr(node, name)
             assert isinstance(value, (Expr, int, float)), (node, value)
+
+
+@pytest.mark.parametrize(
+    "round_trip",
+    [lambda t: pickle.loads(pickle.dumps(t)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_trees_pickle_and_copy_to_equal_trees(round_trip):
+    for tree in (EVERY_TYPE, EVERY_TYPE.deriv()):
+        got = round_trip(tree)
+        assert type(got) is type(tree)
+        assert got == tree and repr(got) == repr(tree) and hash(got) == hash(tree)
+        assert got.eval_real(0.7) == tree.eval_real(0.7)
+
+
+def test_nodes_are_immutable():
+    for node in expr.iter_nodes(EVERY_TYPE.deriv()):
+        with pytest.raises(AttributeError):
+            node.extra = X
+    for node, name in [(Const(1.0), "value"), (Add(X, X), "lhs"), (Neg(X), "arg"),
+                       (PowInt(X, 2), "exponent"), (Root(X, 3), "degree"),
+                       (EVERY_TYPE, "inner")]:
+        with pytest.raises(AttributeError):
+            setattr(node, name, X)
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+
+
+def test_an_inverse_tree_deep_copies():
+    g = inverse_extension(NaturalExtension.on_interval(parse("exp(x) + x"), -2.0, 2.0))
+    for tree in (g.expr, g.expr.deriv()):
+        got = copy.deepcopy(tree)
+        assert got == tree and repr(got) == repr(tree) and hash(got) == hash(tree)
+        assert got.eval_real(1.5) == tree.eval_real(1.5)
 
 
 def test_constants_are_bound_not_printed():

@@ -99,6 +99,11 @@ class TestDifferentiation:
         d3 = differentiate(pow_int(X, 2), 3)
         assert d3 == Const(0.0)
 
+    @pytest.mark.parametrize("order", [1.5, "2", None, -1])
+    def test_order_must_be_a_nonnegative_integer(self, order):
+        with pytest.raises(DomainError, match="^derivative order must be a nonnegative integer$"):
+            differentiate(parse("sin(x)"), order)
+
 
 class TestParser:
     def test_arithmetic(self):

@@ -3,9 +3,6 @@ its submodule defines, and a bare import loads only the error types."""
 
 import importlib
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
@@ -36,19 +33,7 @@ def test_star_import_binds_every_public_name():
     assert scope["taylor_expand"] is monadica.calculus.taylor_expand
 
 
-def run_python(code: str) -> str:
-    """Run code in a fresh interpreter on this checkout's src/; its stdout."""
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
-def test_bare_import_loads_only_the_errors_then_submodules_on_access():
+def test_bare_import_loads_only_the_errors_then_submodules_on_access(run_python):
     code = (
         "import json, sys\n"
         "import monadica\n"
@@ -63,35 +48,27 @@ def test_bare_import_loads_only_the_errors_then_submodules_on_access():
     assert same
 
 
-# Per CLI verb: a command line and the library modules it loads besides the
-# ones every verb loads (cli, core, errors).
-_VERB_LOADS = {
-    "eval": (["eval", "exp(x) / x", "--at", '{"shadow":0.5,"d":{"h":1}}'], {"expr"}),
-    "diff": (["diff", "sin(x)", "--at", '{"shadow":0.5,"d":{}}', "--order", "2"], {"expr"}),
-    "taylor": (["taylor", "--center=0.1", "--order", "2", "--at", '{"shadow":0.5,"d":{}}',
-                "--domain", "0", "10", "--", "log(x)"], {"expr", "calculus"}),
-    "sets": (["sets", "union", '{"points":[1]}', '{"points":[2]}'], {"sets"}),
-    "seq": (["seq", "print", '{"shadow":1,"d":{"h":1}}', "--terms", "3"], {"seq"}),
+# Per CLI verb (the command lines are ``conftest.VERB_ARGV``): the library
+# modules it loads besides the ones every verb loads (cli, core, errors); so no
+# verb loads verify or a layer it does not use.
+_VERB_LAYERS = {
+    "eval": {"expr"},
+    "diff": {"expr"},
+    "taylor": {"expr", "calculus"},
+    "sets": {"sets"},
+    "seq": {"seq"},
 }
 
 
-@pytest.mark.parametrize("verb", sorted(_VERB_LOADS))
-def test_each_verb_loads_exactly_its_modules(verb):
-    argv, extra = _VERB_LOADS[verb]
-    code = (
-        "import contextlib, io, json, sys\n"
-        "from monadica.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = main({argv!r})\n"
-        "assert code == 0, code\n"
-        "assert 'numpy' not in sys.modules\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('monadica.'))))\n"
-    )
-    loaded = set(json.loads(run_python(code)))
-    assert loaded == {f"monadica.{m}" for m in {"cli", "core", "errors"} | extra}
+def test_each_verb_loads_exactly_its_modules(cli_verb, verb_run):
+    code, loaded = verb_run
+    assert code == 0, code
+    assert "numpy" not in loaded
+    ours = {m for m in loaded if m.startswith("monadica.")}
+    assert ours == {f"monadica.{m}" for m in {"cli", "core", "errors"} | _VERB_LAYERS[cli_verb]}
 
 
-def test_calculus_does_not_load_the_set_algebra():
+def test_calculus_does_not_load_the_set_algebra(run_python):
     code = (
         "import math, sys\n"
         "from monadica.calculus import NaturalExtension\n"

@@ -10,7 +10,9 @@ the other lacks; the standard library keeps its bytecode.  Pair i runs the
 parent first when i is even and the change first when it is odd.  For every end-to-end metric of
 ``BENCHMARK.json`` the output holds the per-run values of both sides in seed
 order, their medians and quartiles, and the change's wins (pairs where it is better; ties count for neither).
-Each workload also records every run's ``correct`` flag and failed-op count.
+Each workload also records every run's ``correct`` flag and failed-op count,
+and ``env`` records ``PYTHONDONTWRITEBYTECODE`` as the runs saw it (null when
+unset).
 """
 
 from __future__ import annotations
@@ -90,6 +92,9 @@ def main(argv=None) -> int:
             "cpus": os.cpu_count(),
         },
         "python": platform.python_version(),
+        # whether every child compiles monadica afresh, which cli-cold and
+        # setup_s include; the children inherit this environment
+        "env": {"PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")},
         "parent": checkout_id(parent),
         "change": checkout_id(change),
         "seeds": args.seeds,
