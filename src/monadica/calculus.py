@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from . import core
@@ -25,6 +24,7 @@ from .core import GeneralizedReal, as_generalized
 from .errors import (
     DomainError,
     MonadicaError,
+    NonFiniteInput,
     NotDifferentiable,
     NotInjective,
     OutOfDomain,
@@ -117,19 +117,23 @@ def _touch_zeros(
 # -- natural extensions ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NaturalExtension:
-    """A real function on the open interval ]lo, hi[ where it and its
-    symbolic derivative are valid.
+class NaturalExtension(core.Record):
+    """A real function ``expr`` on the open interval ]lo, hi[ where it and
+    its symbolic derivative are valid.
 
     Sampling loops evaluate the trees through ``real_fn``, which compiles
     each derivative tree once (see ``expr.compile_real``) and returns
     exactly what the tree walk ``eval_real`` would.
     """
 
-    expr: Expr
-    lo: float
-    hi: float
+    __slots__ = ("expr", "lo", "hi", "_trees", "_compiled")
+
+    def __init__(self, expr: Expr, lo: float, hi: float) -> None:
+        object.__setattr__(self, "expr", expr)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "_trees", (expr,))
+        object.__setattr__(self, "_compiled", {})
 
     @classmethod
     def on_interval(cls, expr: Expr, lo: float = -_INF, hi: float = _INF) -> "NaturalExtension":
@@ -162,8 +166,7 @@ class NaturalExtension:
     def real_fn(self, k: int) -> Callable[[float], float]:
         """The k-th derivative (k = 0 is the function) as a compiled
         function of one float, built on first use."""
-        # caches live in the instance dict, because the dataclass is frozen
-        compiled = self.__dict__.setdefault("_compiled", {})
+        compiled = self._compiled
         fn = compiled.get(k)
         if fn is None:
             fn = compiled[k] = compile_real(self.deriv_exprs(k)[k])
@@ -183,7 +186,7 @@ class NaturalExtension:
         """value(shadow) + derivative(shadow) * dx."""
         x = as_generalized(x)
         self._require(x.shadow)
-        return core._tangent(x, self.real_fn(0)(x.shadow), self.real_fn(1)(x.shadow))
+        return _tangent(x, self.real_fn(0)(x.shadow), self.real_fn(1)(x.shadow))
 
     def deriv_at(self, x) -> float:
         """The derivative, constant on each monad."""
@@ -196,14 +199,15 @@ class NaturalExtension:
 
         Each tree is differentiated once and kept: repeated calls return
         the same objects."""
-        trees = self.__dict__.get("_trees", (self.expr,))
+        trees = self._trees
         if len(trees) <= upto:
             # grown apart and stored whole, so concurrent callers never see
             # a tree at the wrong order
             grown = list(trees)
             while len(grown) <= upto:
                 grown.append(differentiate(grown[-1]))
-            trees = self.__dict__["_trees"] = tuple(grown)
+            trees = tuple(grown)
+            object.__setattr__(self, "_trees", trees)
         return list(trees[: max(upto, 0) + 1])
 
     def eval_higher(self, m: int, x) -> GeneralizedReal:
@@ -221,7 +225,7 @@ class NaturalExtension:
             raise NotDifferentiable(
                 f"derivative of order {m} is not defined at {x.shadow!r}"
             ) from exc
-        return core._tangent(x, value, slope)
+        return _tangent(x, value, slope)
 
     def deriv_higher(self, m: int, x) -> float:
         """m-th derivative at the shadow of x (always a real)."""
@@ -237,6 +241,14 @@ class NaturalExtension:
             ) from exc
 
 
+def _tangent(x: GeneralizedReal, value: float, slope: float) -> GeneralizedReal:
+    """``core._tangent``, naming the shadow of x when the result is not finite."""
+    try:
+        return core._tangent(x, value, slope)
+    except NonFiniteInput as exc:
+        raise NonFiniteInput(f"the extension is not finite at shadow {x.shadow!r}") from exc
+
+
 def compose_ext(outer: NaturalExtension, inner: NaturalExtension) -> NaturalExtension:
     """Extension of the composite, on the inner domain."""
     return NaturalExtension.on_interval(Compose(outer.expr, inner.expr), inner.lo, inner.hi)
@@ -245,16 +257,13 @@ def compose_ext(outer: NaturalExtension, inner: NaturalExtension) -> NaturalExte
 # -- Taylor expansion --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TaylorExpansion:
+class TaylorExpansion(core.Record):
     """Partial sum, a sampled remainder bound (the largest |f^(n+1)| over
     2049 points of the segment, refined by a ternary search, so not an
     enclosure), and (when a numeric root search succeeds) a remainder
-    witness theta in ]0,1[."""
+    witness theta in ]0,1[ or None."""
 
-    partial_sum: float
-    remainder_bound: float
-    theta: float | None
+    __slots__ = ("partial_sum", "remainder_bound", "theta")
 
     def to_dict(self) -> dict:
         return {
@@ -460,7 +469,7 @@ def inverse_extension(f: NaturalExtension) -> NaturalExtension:
             last = (y, root)
         return root
 
-    g.__dict__["_compiled"] = {0: value, 1: lambda y: inv_expr.slope(y, value(y))}
+    g._compiled.update({0: value, 1: lambda y: inv_expr.slope(y, value(y))})
     return g
 
 
@@ -543,30 +552,20 @@ def image_set(f: NaturalExtension, g: GeneralizedSet) -> GeneralizedSet:
 # -- piecewise functions with explicit monad rules -----------------------------------
 
 
-@dataclass(frozen=True)
-class MonadRule:
+class MonadRule(core.Record):
     """Affine value on a breakpoint monad: value + slope * dt."""
 
-    value: float
-    slope: float
+    __slots__ = ("value", "slope")
 
 
-@dataclass(frozen=True)
-class LimitProbe:
+class LimitProbe(core.Record):
     """Numerically probed one-sided difference quotients at a point."""
 
-    exists: bool
-    value: float | None
-    left: float | None
-    right: float | None
-    detail: str
+    __slots__ = ("exists", "value", "left", "right", "detail")
 
 
-@dataclass(frozen=True)
-class RegionReport:
-    region: str
-    status: str
-    detail: str
+class RegionReport(core.Record):
+    __slots__ = ("region", "status", "detail")
 
     @property
     def passed(self) -> bool:
@@ -576,29 +575,26 @@ class RegionReport:
         return {"region": self.region, "status": self.status, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class PiecewiseExtension:
+class PiecewiseExtension(core.Record):
     """Expressions on the open gaps between breakpoints, affine rules on the
     breakpoint monads; regions cover the whole continuum."""
 
-    breakpoints: tuple[float, ...]
-    gap_exprs: tuple[Expr, ...]
-    monad_rules: tuple[MonadRule, ...]
+    __slots__ = ("breakpoints", "gap_exprs", "monad_rules")
 
-    def __post_init__(self) -> None:
-        bps = tuple(float(b) for b in self.breakpoints)
+    def __init__(self, breakpoints, gap_exprs, monad_rules) -> None:
+        bps = tuple(float(b) for b in breakpoints)
         for b in bps:
             if not math.isfinite(b):
                 raise DomainError("breakpoints must be finite reals")
         if any(x >= y for x, y in zip(bps, bps[1:])):
             raise DomainError("breakpoints must be strictly increasing")
-        if len(self.gap_exprs) != len(bps) + 1:
+        if len(gap_exprs) != len(bps) + 1:
             raise DomainError("need one gap expression more than breakpoints")
-        if len(self.monad_rules) != len(bps):
+        if len(monad_rules) != len(bps):
             raise DomainError("need one monad rule per breakpoint")
         object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "gap_exprs", tuple(self.gap_exprs))
-        object.__setattr__(self, "monad_rules", tuple(self.monad_rules))
+        object.__setattr__(self, "gap_exprs", tuple(gap_exprs))
+        object.__setattr__(self, "monad_rules", tuple(monad_rules))
 
     def _region(self, s: float) -> tuple[int, bool]:
         """(i, True) when s is breakpoint i, else (i, False) for gap i."""

@@ -17,7 +17,6 @@ import enum
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import DomainError, NonFiniteInput, NotInvertible
@@ -45,24 +44,70 @@ def _clean(value: float, what: str) -> float:
     return 0.0 if v == 0.0 else v
 
 
-@dataclass(frozen=True)
-class GeneralizedReal:
+class Record:
+    """Base class of the library's immutable values.  A record declares its
+    fields once, as its ``__slots__``, and gets from them a constructor taking
+    them in that order, immutability, equality and hashing by value, a repr,
+    pickling and copying.  Slots named ``_...`` hold derived state, not fields;
+    a record that defines its own ``__init__`` keeps it and sets its slots
+    with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # compiled once per class, so a record costs what a hand-written
+        # __init__ costs; the slot setters go around __setattr__ below
+        cls._fields = names = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+        if "__init__" in vars(cls):
+            return
+        env = {f"set_{n}": getattr(cls, n).__set__ for n in names}
+        params = "".join(f", {n}" for n in names)
+        body = "".join(f"    set_{n}(self, {n})\n" for n in names) or "    pass\n"
+        exec(f"def __init__(self{params}):\n{body}", env)
+        cls.__init__ = env["__init__"]
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, n) for n in self._fields])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class GeneralizedReal(Record):
     """Shadow plus sparse differential part, kept in canonical form.
 
     Canonical form stores no zero coefficients, so a value is real iff
     ``dpart`` is empty and infinitesimal iff ``shadow`` is zero.
     """
 
-    shadow: float = 0.0
-    dpart: Mapping[str, float] = field(default_factory=dict)
+    __slots__ = ("shadow", "dpart")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "shadow", _clean(self.shadow, "shadow"))
+    def __init__(self, shadow: float = 0.0, dpart: Mapping[str, float] = {}) -> None:
+        shadow = _clean(shadow, "shadow")
         coeffs: dict[str, float] = {}
-        for gid, c in self.dpart.items():
+        for gid, c in dpart.items():
             c = _clean(c, f"coefficient of {gid!r}")
             if c != 0.0:
                 coeffs[str(gid)] = c
+        object.__setattr__(self, "shadow", shadow)
         object.__setattr__(self, "dpart", coeffs)
 
     # -- structure ---------------------------------------------------------
@@ -136,6 +181,10 @@ class GeneralizedReal:
         return lesssim(other, self)
 
 
+_set_shadow = GeneralizedReal.shadow.__set__
+_set_dpart = GeneralizedReal.dpart.__set__
+
+
 def _from_floats(shadow: float, coeffs: dict[str, float]) -> GeneralizedReal:
     """A value from a float shadow and a dict of float coefficients under
     str ids, as the library computes them: the checks, messages and
@@ -146,9 +195,8 @@ def _from_floats(shadow: float, coeffs: dict[str, float]) -> GeneralizedReal:
     if not math.isfinite(shadow + sum(coeffs.values())) or 0.0 in coeffs.values():
         return GeneralizedReal(shadow, coeffs)
     x = object.__new__(GeneralizedReal)
-    fields = x.__dict__
-    fields["shadow"] = 0.0 if shadow == 0.0 else shadow
-    fields["dpart"] = coeffs
+    _set_shadow(x, 0.0 if shadow == 0.0 else shadow)
+    _set_dpart(x, coeffs)
     return x
 
 

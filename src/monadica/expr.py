@@ -1,8 +1,9 @@
 """Expression trees for real functions of one variable.
 
 Nodes cover the elementary functions used throughout the library.  A node
-holds only its operand subtrees and int or float constants, its ``__slots__``;
-the interval on which a function is valid belongs to its natural extension
+is an immutable record (``core.Record``) whose fields, its ``__slots__``, are
+only its operand subtrees and int or float constants; the interval on which
+a function is valid belongs to its natural extension
 (``calculus.NaturalExtension``), not to its nodes.  Each node type has one
 ``rule`` for its value, pointwise checks included, which floats
 (``eval_real``), emitted code (``compile_real``) and (value, slope) pairs
@@ -26,46 +27,11 @@ from .errors import DomainError, NotInvertible, OutOfDomain
 TOO_DEEP = "expression nests too deeply"
 
 
-class Expr:
-    """Base class.  A node declares its operands and constants once, as its
-    ``__slots__``; from them it gets a constructor taking them in that order,
-    immutability, equality and hashing by value, a repr, pickling and copying."""
+class Expr(core.Record):
+    """Base class of the nodes.  A node is a ``core.Record`` whose fields are
+    its operands and constants, declared once as its ``__slots__``."""
 
     __slots__ = ()
-
-    def __init_subclass__(cls):
-        # compiled once per class, so a node costs what a hand-written
-        # __init__ costs; the slot setters go around __setattr__ below
-        names = cls.__slots__
-        env = {f"set_{n}": getattr(cls, n).__set__ for n in names}
-        params = "".join(f", {n}" for n in names)
-        body = "".join(f"    set_{n}(self, {n})\n" for n in names) or "    pass\n"
-        exec(f"def __init__(self{params}):\n{body}", env)
-        cls.__init__ = env["__init__"]
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, n) for n in self.__slots__])
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._values()
 
     def eval_real(self, xi: float) -> float:
         """The value at a real point.  A float operation that overflows

@@ -13,19 +13,16 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .core import as_generalized
+from .core import Record, as_generalized
 from .errors import DomainError, NotInvertible, UnknownGenerator
 
 
-@dataclass(frozen=True)
-class SequenceGenerator:
+class SequenceGenerator(Record):
     """A named sequence of reals converging to zero (indices start at 1)."""
 
-    id: str
-    term: Callable[[int], float]
+    __slots__ = ("id", "term")
 
 
 def impulse(k: int) -> SequenceGenerator:

@@ -18,10 +18,9 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .core import JSON_NUMBER_TYPES, as_generalized, from_json, sigma
+from .core import JSON_NUMBER_TYPES, Record, as_generalized, from_json, sigma
 from .errors import (
     DomainError,
     EmptySetError,
@@ -154,22 +153,19 @@ def _normalize(
     return tuple(out_ints), tuple(out_pts)
 
 
-@dataclass(frozen=True)
-class RealSet:
+class RealSet(Record):
     """Finite union of disjoint intervals plus a finite point set, normalized.
 
     ``intervals`` may be given as plain ``(lo, hi, lo_closed, hi_closed)``
     tuples; the normalized form holds ``Interval``s.
     """
 
-    intervals: tuple[Interval, ...] = ()
-    points: tuple[float, ...] = ()
+    __slots__ = ("intervals", "points", "_lows")
 
-    def __post_init__(self) -> None:
-        ints, pts = _normalize(self.intervals, self.points)
+    def __init__(self, intervals: Iterable[tuple] = (), points: Iterable[float] = ()) -> None:
+        ints, pts = _normalize(intervals, points)
         object.__setattr__(self, "intervals", ints)
         object.__setattr__(self, "points", pts)
-        # not a field: equality stays field equality on the normalized form
         object.__setattr__(self, "_lows", [iv.lo for iv in ints])
 
     # -- constructors -----------------------------------------------------
@@ -348,21 +344,20 @@ class RealSet:
         return value if attained else None
 
 
-@dataclass(frozen=True)
-class GeneralizedSet:
+class GeneralizedSet(Record):
     """monad(base) plus finitely many bare real points outside the base."""
 
-    base: RealSet = field(default_factory=RealSet)
-    extras: tuple[float, ...] = ()
+    __slots__ = ("base", "extras")
 
-    def __post_init__(self) -> None:
+    def __init__(self, base: RealSet = RealSet(), extras: Iterable[float] = ()) -> None:
         cleaned = set()
-        for p in self.extras:
+        for p in extras:
             p = _real(p)
             if not math.isfinite(p):
                 raise DomainError("extra points must be finite reals")
             cleaned.add(0.0 if p == 0.0 else p)
-        kept = sorted(p for p in cleaned if not self.base.contains(p))
+        kept = sorted(p for p in cleaned if not base.contains(p))
+        object.__setattr__(self, "base", base)
         object.__setattr__(self, "extras", tuple(kept))
 
     @property

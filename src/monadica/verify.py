@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from . import calculus, core, seq, sets
 from .calculus import (
@@ -30,12 +29,8 @@ from .sets import GeneralizedSet, Interval, RealSet, hat_interval, monad, shadow
 _INF = math.inf
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    suite: str
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(core.Record):
+    __slots__ = ("suite", "name", "passed", "detail")
 
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"

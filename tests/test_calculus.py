@@ -18,6 +18,7 @@ from monadica.calculus import (
 from monadica.core import make
 from monadica.errors import (
     DomainError,
+    NonFiniteInput,
     NotInjective,
     NotInvertible,
     OutOfDomain,
@@ -455,3 +456,15 @@ def test_on_interval_requires_a_finite_value_and_derivative(text, lo, hi, messag
     want = f"function is not valid on ({float(lo)}, {float(hi)}): {message} are not both finite"
     with pytest.raises(DomainError, match=f"^{re.escape(want)}$"):
         NaturalExtension.on_interval(parse(text), lo, hi)
+
+
+@pytest.mark.parametrize("method", ["eval_at", "eval_higher"])
+@pytest.mark.parametrize("x, shadow", [(1000.0, "1000.0"), (make(1.0, {"h": 1e300}), "1.0")])
+def test_an_extension_that_is_not_finite_names_the_input_shadow(method, x, shadow):
+    # the probes, 64 wide, pass; at 1000 the value overflows, and at 1 the
+    # coefficient of h does
+    f = NaturalExtension.on_interval(parse("x*1e306"))
+    call = f.eval_at if method == "eval_at" else lambda x: f.eval_higher(1, x)
+    want = f"the extension is not finite at shadow {shadow}"
+    with pytest.raises(NonFiniteInput, match=f"^{re.escape(want)}$"):
+        call(x)

@@ -64,6 +64,7 @@ def test_each_verb_loads_exactly_its_modules(cli_verb, verb_run):
     code, loaded = verb_run
     assert code == 0, code
     assert "numpy" not in loaded
+    assert "dataclasses" not in loaded
     ours = {m for m in loaded if m.startswith("monadica.")}
     assert ours == {f"monadica.{m}" for m in {"cli", "core", "errors"} | _VERB_LAYERS[cli_verb]}
 
