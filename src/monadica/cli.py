@@ -21,10 +21,14 @@ from .errors import DomainError, MonadicaError
 
 
 def _default_seed() -> int:
-    try:
-        return int(os.environ.get("MONADICA_SEED", "0"))
-    except ValueError:
+    """``MONADICA_SEED``, or 0 when it is unset or empty."""
+    text = os.environ.get("MONADICA_SEED", "")
+    if not text:
         return 0
+    try:
+        return int(text)
+    except ValueError:
+        raise DomainError(f"MONADICA_SEED must be an integer, not {text!r}") from None
 
 
 def _print_json(data, pretty: bool = False) -> None:
@@ -186,7 +190,10 @@ def _repl() -> int:
         if line in ("quit", "exit"):
             break
         try:
-            argv = shlex.split(line)
+            try:
+                argv = shlex.split(line)
+            except ValueError as exc:  # an unbalanced quote or a trailing backslash
+                raise DomainError(f"cannot split the line: {exc}") from None
             if argv and argv[0] == "repl":
                 print(json.dumps({"error": "repl cannot nest"}))
                 continue

@@ -4,12 +4,17 @@ Each suite turns a family of identities into randomized checks with frozen
 tolerances: exact assertions where the arithmetic is exact by construction,
 1e-12 for pure-arithmetic float identities, 1e-9 where values pass through
 transcendental evaluation.  Suites are deterministic given a seed.
+
+A suite is a body ``(s, rng)`` decorated with ``@_suite(name)``, which
+registers it in ``SUITES`` in definition order and turns it into its runner
+``check_<name>(seed=0) -> list[CheckResult]``.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from typing import Callable
 
 from . import calculus, core, seq, sets
 from .calculus import (
@@ -51,6 +56,38 @@ class _Suite:
             self.check(name, False, f"{len(failures)}/{total} failed; first: {failures[0]}")
         else:
             self.check(name, True, f"{total} cases")
+
+    def tally(self, fails: dict[str, list[str]], total: int) -> None:
+        """One check per law, each law's failures out of the same total."""
+        for name, failures in fails.items():
+            self.check_all(name, failures, total)
+
+
+SUITES: dict[str, Callable[[int], list[CheckResult]]] = {}
+
+
+def _suite(name: str):
+    """Register a suite body ``(s, rng)`` under ``name``, in definition order.
+
+    The decorated name is the suite's runner ``(seed=0) -> list[CheckResult]``.
+    A law whose library call raises a ``MonadicaError`` ends its suite with
+    the failed check ``raised``; the other suites still run.
+    """
+
+    def register(body: Callable[[_Suite, random.Random], None]):
+        def run(seed: int = 0) -> list[CheckResult]:
+            s = _Suite(name)
+            try:
+                body(s, random.Random(seed))
+            except MonadicaError as exc:
+                s.check("raised", False, f"{type(exc).__name__}: {exc}")
+            return s.results
+
+        run.__name__ = run.__qualname__ = body.__name__
+        SUITES[name] = run
+        return run
+
+    return register
 
 
 # -- comparison helpers -----------------------------------------------------------
@@ -118,13 +155,19 @@ def rand_realset(rng: random.Random) -> RealSet:
 # -- independent topology oracle ---------------------------------------------------
 
 
-def topo_oracle(s: RealSet, op: str) -> RealSet:
-    """Grid-based reconstruction of a topology operator from membership alone."""
-    grid = sorted(
+def _breakpoints(s: RealSet) -> list[float]:
+    """The sorted finite endpoints and points of s; between two neighbours,
+    and beyond the outermost, membership in s does not change."""
+    return sorted(
         {iv.lo for iv in s.intervals if math.isfinite(iv.lo)}
         | {iv.hi for iv in s.intervals if math.isfinite(iv.hi)}
         | set(s.points)
     )
+
+
+def topo_oracle(s: RealSet, op: str) -> RealSet:
+    """Grid-based reconstruction of a topology operator from membership alone."""
+    grid = _breakpoints(s)
     cells = []
     if grid:
         cells.append((-_INF, grid[0]))
@@ -184,11 +227,7 @@ def topo_oracle(s: RealSet, op: str) -> RealSet:
 
 
 def connected_oracle(s: RealSet) -> bool:
-    grid = sorted(
-        {iv.lo for iv in s.intervals if math.isfinite(iv.lo)}
-        | {iv.hi for iv in s.intervals if math.isfinite(iv.hi)}
-        | set(s.points)
-    )
+    grid = _breakpoints(s)
     flags: list[bool] = []
     if not grid:
         flags = [s.contains(0.0)]
@@ -210,8 +249,8 @@ def connected_oracle(s: RealSet) -> bool:
 # -- criterion 1: primitive identities ------------------------------------------------
 
 
-def check_identities(seed: int = 0) -> list[CheckResult]:
-    s = _Suite("identities")
+@_suite("identities")
+def check_identities(s: _Suite, rng: random.Random) -> None:
     tol = 1e-12
     eps_values = [
         make(0.0, {"e:1": 1.0}),
@@ -244,15 +283,13 @@ def check_identities(seed: int = 0) -> list[CheckResult]:
                 f"power_{alpha!r}_of_one_plus_infinitesimal_{i}",
                 value_close(pow_f.eval_at(one_plus), expected, tol),
             )
-    return s.results
 
 
 # -- criterion 2: ring and order --------------------------------------------------------
 
 
-def check_ring(seed: int = 0) -> list[CheckResult]:
-    s = _Suite("ring")
-    rng = random.Random(seed)
+@_suite("ring")
+def check_ring(s: _Suite, rng: random.Random) -> None:
     tol = 1e-12
     n = 1000
     fails: dict[str, list[str]] = {
@@ -313,8 +350,7 @@ def check_ring(seed: int = 0) -> list[CheckResult]:
             core.add(x, y)
         ) != core.sigma(x) + core.sigma(y):
             fails["shadow_homomorphism"].append(tag)
-    for name, bad in fails.items():
-        s.check_all(name, bad, n)
+    s.tally(fails, n)
 
     nil_fails = []
     for _ in range(n):
@@ -332,15 +368,13 @@ def check_ring(seed: int = 0) -> list[CheckResult]:
         if not value_close(core.mul(x, core.inv(x)), core.ONE, tol):
             inv_fails.append(f"x={x}")
     s.check_all("inverse_round_trip", inv_fails, n)
-    return s.results
 
 
 # -- criterion 3: termwise oracle ----------------------------------------------------
 
 
-def check_oracle(seed: int = 0) -> list[CheckResult]:
-    s = _Suite("oracle")
-    rng = random.Random(seed)
+@_suite("oracle")
+def check_oracle(s: _Suite, rng: random.Random) -> None:
     tol = 1e-12
     n = 500
     terms = 64
@@ -363,17 +397,14 @@ def check_oracle(seed: int = 0) -> list[CheckResult]:
         m = rng.choice((2, 3))
         if not matches(core.pow_nat(x, m), seq.oracle_pow_nat(x, m, terms)):
             fails["pow"].append(f"x={x}, m={m}")
-    for name, bad in fails.items():
-        s.check_all(name, bad, n)
-    return s.results
+    s.tally(fails, n)
 
 
 # -- criterion 4: differential rules ---------------------------------------------------
 
 
-def check_differential(seed: int = 0) -> list[CheckResult]:
-    s = _Suite("differential")
-    rng = random.Random(seed)
+@_suite("differential")
+def check_differential(s: _Suite, rng: random.Random) -> None:
     tol = 1e-12
     n = 500
     fails: dict[str, list[str]] = {
@@ -412,17 +443,14 @@ def check_differential(seed: int = 0) -> list[CheckResult]:
         want = core.mul(1.0 / (m * core.sigma(rt) ** (m - 1)), core.differential(p))
         if not value_close(core.differential(rt), want, tol):
             fails["root"].append(f"{tag}, m={m}")
-    for name, bad in fails.items():
-        s.check_all(name, bad, n)
-    return s.results
+    s.tally(fails, n)
 
 
 # -- criterion 5: monads, shadows, topology ---------------------------------------------
 
 
-def check_sets(seed: int = 0) -> list[CheckResult]:
-    s = _Suite("sets")
-    rng = random.Random(seed)
+@_suite("sets")
+def check_sets(s: _Suite, rng: random.Random) -> None:
     n = 200
     fails: dict[str, list[str]] = {
         k: []
@@ -503,9 +531,7 @@ def check_sets(seed: int = 0) -> list[CheckResult]:
             fails["interval_classification"].append(
                 f"({alpha},{beta}) vs ({alpha2},{beta2})"
             )
-    for name, bad in fails.items():
-        s.check_all(name, bad, n)
-    return s.results
+    s.tally(fails, n)
 
 
 def _interval_classification_ok(a: float, b: float, a2: float, b2: float) -> bool:
@@ -528,12 +554,9 @@ def _interval_classification_ok(a: float, b: float, a2: float, b2: float) -> boo
         if hat_interval("ray_ge", a) == hat_interval("closed", a, b):
             return False
     else:  # a == b: degenerate row
-        if hat_interval("open", a, a) != monad(RealSet.empty()):
-            return False
-        if hat_interval("half_lo", a, a) != monad(RealSet.empty()):
-            return False
-        if hat_interval("half_hi", a, a) != monad(RealSet.empty()):
-            return False
+        for kind in ("open", "half_lo", "half_hi"):
+            if hat_interval(kind, a, a) != monad(RealSet.empty()):
+                return False
         if hat_interval("closed", a, a) != monad(RealSet.point(a)):
             return False
     for kind in ("closed", "open", "half_lo", "half_hi"):
@@ -552,15 +575,13 @@ def _interval_classification_ok(a: float, b: float, a2: float, b2: float) -> boo
 # -- criterion 6: completeness ---------------------------------------------------------
 
 
-def check_completeness(seed: int = 0) -> list[CheckResult]:
-    s = _Suite("completeness")
-    rng = random.Random(seed)
+@_suite("completeness")
+def check_completeness(s: _Suite, rng: random.Random) -> None:
     n = 200
     fails: dict[str, list[str]] = {
         k: [] for k in ("real_supremum", "real_infimum", "attained_extrema", "upper_bounds")
     }
-    done = 0
-    while done < n:
+    for _ in range(n):
         comps = []  # (lo, hi, attained_lo, attained_hi) contributions
         ints = []
         pts = []
@@ -574,9 +595,6 @@ def check_completeness(seed: int = 0) -> list[CheckResult]:
                 lc, hc = rng.random() < 0.5, rng.random() < 0.5
                 ints.append(Interval(a, b, lc, hc))
                 comps.append((a, b, lc, hc))
-        if not comps:
-            continue
-        done += 1
         made = RealSet(tuple(ints), tuple(pts))
         expected_sup = max(c[1] for c in comps)
         expected_inf = min(c[0] for c in comps)
@@ -596,9 +614,7 @@ def check_completeness(seed: int = 0) -> list[CheckResult]:
         not_ub = make(expected_sup - 0.25)
         if not sets.is_upper_bound(ub, g) or sets.is_upper_bound(not_ub, g):
             fails["upper_bounds"].append(tag)
-    for name, bad in fails.items():
-        s.check_all(name, bad, n)
-    return s.results
+    s.tally(fails, n)
 
 
 # -- criterion 7: derivative engine ------------------------------------------------------
@@ -642,9 +658,8 @@ def _rand_expression(rng: random.Random) -> Expr:
     return Root(Const(3.0) + Cos(Var()), 2)
 
 
-def check_derivative(seed: int = 0) -> list[CheckResult]:
-    s = _Suite("derivative")
-    rng = random.Random(seed)
+@_suite("derivative")
+def check_derivative(s: _Suite, rng: random.Random) -> None:
     n = 200
     chain_fails, homo_fails, quot_fails = [], [], []
     for _ in range(n):
@@ -703,21 +718,17 @@ def check_derivative(seed: int = 0) -> list[CheckResult]:
 
     # monotonicity transfer
     mono_fails = []
-    for f in (
-        NaturalExtension.on_interval(Exp(Var())),
-        NaturalExtension.on_interval(pow_int(Var(), 3) + Var(), -2.0, 2.0),
+    for f, rising in (
+        (NaturalExtension.on_interval(Exp(Var())), True),
+        (NaturalExtension.on_interval(pow_int(Var(), 3) + Var(), -2.0, 2.0), True),
+        (NaturalExtension.on_interval(Neg(Exp(Var()))), False),
     ):
         shadows = sorted(rng.uniform(-1.9, 1.9) for _ in range(20))
         values = [f.eval_at(rand_value(rng, shadow=t)) for t in shadows]
         for u, v in zip(values, values[1:]):
-            if not core.lt(u, v):
-                mono_fails.append(f"{u} !< {v}")
-    falling = NaturalExtension.on_interval(Neg(Exp(Var())))
-    shadows = sorted(rng.uniform(-1.9, 1.9) for _ in range(20))
-    values = [falling.eval_at(rand_value(rng, shadow=t)) for t in shadows]
-    for u, v in zip(values, values[1:]):
-        if not core.lt(v, u):
-            mono_fails.append(f"{v} !< {u}")
+            lower, upper = (u, v) if rising else (v, u)
+            if not core.lt(lower, upper):
+                mono_fails.append(f"{lower} !< {upper}")
     const_f = NaturalExtension.on_interval(Const(2.5))
     for _ in range(20):
         if const_f.eval_at(rand_value(rng)) != make(2.5):
@@ -800,7 +811,6 @@ def check_derivative(seed: int = 0) -> list[CheckResult]:
     if not close(log_like.deriv_at(make(math.e)), 1.0 / math.e, 1e-9):
         inv_fails.append("inverse derivative at e")
     s.check_all("inverse_extension", inv_fails, 2)
-    return s.results
 
 
 # -- criterion 8: Taylor ------------------------------------------------------------------
@@ -817,9 +827,8 @@ def _taylor_family(rng: random.Random):
     return NaturalExtension.on_interval(PowReal(Var(), 1.5), 0.0, _INF)
 
 
-def check_taylor(seed: int = 0) -> list[CheckResult]:
-    s = _Suite("taylor")
-    rng = random.Random(seed)
+@_suite("taylor")
+def check_taylor(s: _Suite, rng: random.Random) -> None:
     exp_f = NaturalExtension.on_interval(Exp(Var()))
     result = taylor_expand(exp_f, 0.0, 3, make(0.5, {"e:1": 1.0}))
     s.check(
@@ -867,15 +876,13 @@ def check_taylor(seed: int = 0) -> list[CheckResult]:
             if abs(target - rhs) > 1e-10 * max(1.0, abs(target)):
                 bound_fails.append(f"lagrange residual f={f.expr}, theta={res.theta}")
     s.check_all("lagrange_bound_and_witness", bound_fails, 100)
-    return s.results
 
 
 # -- criterion 9: mean value --------------------------------------------------------------
 
 
-def check_mvt(seed: int = 0) -> list[CheckResult]:
-    s = _Suite("mvt")
-    rng = random.Random(seed)
+@_suite("mvt")
+def check_mvt(s: _Suite, rng: random.Random) -> None:
     n = 100
     nonreal_fails, real_fails = [], []
     for _ in range(n):
@@ -907,7 +914,6 @@ def check_mvt(seed: int = 0) -> list[CheckResult]:
             real_fails.append(f"f={f.expr}, [{sa}, {sb}]")
     s.check_all("identity_with_nonreal_endpoints", nonreal_fails, n)
     s.check_all("classical_identity_with_real_endpoints", real_fails, n)
-    return s.results
 
 
 # -- criterion 10: singular equations -------------------------------------------------------
@@ -929,8 +935,8 @@ def _step_rhs() -> PiecewiseExtension:
     return PiecewiseExtension((0.0,), (Const(0.0), Const(0.0)), (MonadRule(1.0, 0.0),))
 
 
-def check_ode(seed: int = 0) -> list[CheckResult]:
-    s = _Suite("ode")
+@_suite("ode")
+def check_ode(s: _Suite, rng: random.Random) -> None:
     reports = calculus.ode_verify(_vee_solution(), _vee_rhs())
     s.check(
         "vee_solution_passes",
@@ -975,84 +981,48 @@ def check_ode(seed: int = 0) -> list[CheckResult]:
         s.check("proviso_violation_detected", False, "no error raised")
     except ProvisoViolated as exc:
         s.check("proviso_violation_detected", True, str(exc))
-    return s.results
 
 
 # -- criterion 11: higher derivative patterns -------------------------------------------------
 
 
-def check_higher(seed: int = 0) -> list[CheckResult]:
-    s = _Suite("higher")
-    rng = random.Random(seed)
+@_suite("higher")
+def check_higher(s: _Suite, rng: random.Random) -> None:
     tol = 1e-12
-    square = NaturalExtension.on_interval(pow_int(Var(), 2))
-    exp_f = NaturalExtension.on_interval(Exp(Var()))
-    sin_f = NaturalExtension.on_interval(Sin(Var()))
-    cos_f = NaturalExtension.on_interval(Cos(Var()))
-    fails: dict[str, list[str]] = {k: [] for k in ("square", "exponential", "sine", "cosine")}
+    extensions = {
+        "square": NaturalExtension.on_interval(pow_int(Var(), 2)),
+        "exponential": NaturalExtension.on_interval(Exp(Var())),
+        "sine": NaturalExtension.on_interval(Sin(Var())),
+        "cosine": NaturalExtension.on_interval(Cos(Var())),
+    }
+    fails: dict[str, list[str]] = {name: [] for name in extensions}
     for _ in range(10):
         x = rand_value(rng, shadow=rng.uniform(-3, 3))
         t = x.shadow
+        sn, cs, ex = math.sin(t), math.cos(t), math.exp(t)
+        # the k-th derivative of each function at t
+        derivative = {
+            "square": lambda k: (t * t, 2 * t, 2.0)[k] if k < 3 else 0.0,
+            "exponential": lambda k: ex,
+            "sine": lambda k: (sn, cs, -sn, -cs)[k % 4],
+            "cosine": lambda k: (cs, -sn, -cs, sn)[k % 4],
+        }
         for m in range(1, 9):
-            if m == 1:
-                want = make(t * t, {g: 2 * t * c for g, c in x.dpart.items()})
-                want_d = 2 * t
-            elif m == 2:
-                want = make(2 * t, {g: 2 * c for g, c in x.dpart.items()})
-                want_d = 2.0
-            elif m == 3:
-                want, want_d = make(2.0), 0.0
-            else:
-                want, want_d = make(0.0), 0.0
-            if not value_close(square.eval_higher(m, x), want, tol) or not close(
-                square.deriv_higher(m, x), want_d, tol
-            ):
-                fails["square"].append(f"m={m}, x={x}")
-
-            ex = math.exp(t)
-            want = make(ex, {g: ex * c for g, c in x.dpart.items()})
-            if not value_close(exp_f.eval_higher(m, x), want, tol) or not close(
-                exp_f.deriv_higher(m, x), ex, tol
-            ):
-                fails["exponential"].append(f"m={m}, x={x}")
-
-            sn, cs = math.sin(t), math.cos(t)
-            if m % 2 == 1:
-                sign = (-1.0) ** ((m - 1) // 2)
-                want = make(sign * sn, {g: sign * cs * c for g, c in x.dpart.items()})
-                want_d = sign * cs
-            else:
-                sign = (-1.0) ** ((m - 2) // 2)
-                want = make(sign * cs, {g: -sign * sn * c for g, c in x.dpart.items()})
-                want_d = (-1.0) ** (m // 2) * sn
-            if not value_close(sin_f.eval_higher(m, x), want, tol) or not close(
-                sin_f.deriv_higher(m, x), want_d, tol
-            ):
-                fails["sine"].append(f"m={m}, x={x}")
-
-            if m % 2 == 1:
-                sign = (-1.0) ** ((m - 1) // 2)
-                want = make(sign * cs, {g: -sign * sn * c for g, c in x.dpart.items()})
-                want_d = (-1.0) ** ((m + 1) // 2) * sn
-            else:
-                sign = (-1.0) ** (m // 2)
-                want = make(sign * sn, {g: sign * cs * c for g, c in x.dpart.items()})
-                want_d = sign * cs
-            if not value_close(cos_f.eval_higher(m, x), want, tol) or not close(
-                cos_f.deriv_higher(m, x), want_d, tol
-            ):
-                fails["cosine"].append(f"m={m}, x={x}")
-    for name, bad in fails.items():
-        s.check_all(name, bad, 80)
-    return s.results
+            for name, f in extensions.items():
+                d = derivative[name]
+                want = make(d(m - 1), {g: d(m) * c for g, c in x.dpart.items()})
+                if not value_close(f.eval_higher(m, x), want, tol) or not close(
+                    f.deriv_higher(m, x), d(m), tol
+                ):
+                    fails[name].append(f"m={m}, x={x}")
+    s.tally(fails, 80)
 
 
 # -- sequence catalog invariants ---------------------------------------------------------------
 
 
-def check_seq(seed: int = 0) -> list[CheckResult]:
-    s = _Suite("seq")
-    rng = random.Random(seed)
+@_suite("seq")
+def check_seq(s: _Suite, rng: random.Random) -> None:
     catalog = seq.DEFAULT_CATALOG
     witness_fails = []
     for gid in catalog.ids:
@@ -1081,26 +1051,9 @@ def check_seq(seed: int = 0) -> list[CheckResult]:
         seq.convergence_witness(make(0.0, {"h": 1.0}), 0.01, 1024) == 101,
     )
     s.check("constant_witness", seq.convergence_witness(make(5.0), 1e-12, 1024) == 1)
-    return s.results
 
 
-# -- suite registry -------------------------------------------------------------------------------
-
-
-SUITES = {
-    "identities": check_identities,
-    "ring": check_ring,
-    "oracle": check_oracle,
-    "differential": check_differential,
-    "sets": check_sets,
-    "completeness": check_completeness,
-    "derivative": check_derivative,
-    "taylor": check_taylor,
-    "mvt": check_mvt,
-    "ode": check_ode,
-    "higher": check_higher,
-    "seq": check_seq,
-}
+# -- running suites ------------------------------------------------------------------------------
 
 
 def run_suite(name: str, seed: int = 0) -> list[CheckResult]:

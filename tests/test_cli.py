@@ -1,9 +1,11 @@
+import io
 import json
 
 import pytest
 
 from monadica import core, sets
 from monadica.cli import main
+from monadica.errors import DomainError
 
 
 def run(capsys, *argv):
@@ -327,6 +329,19 @@ class TestVerify:
         summary = json.loads(out.strip().splitlines()[-1])
         assert summary["seed"] == 11
 
+    @pytest.mark.parametrize("text", ["abc", "1.5"])
+    def test_environment_seed_must_be_an_integer(self, capsys, monkeypatch, text):
+        monkeypatch.setenv("MONADICA_SEED", text)
+        code, out = run(capsys, "verify", "--suite", "ode")
+        assert code == 1
+        assert strict_json(out) == {"error": f"MONADICA_SEED must be an integer, not {text!r}"}
+
+    def test_empty_environment_seed_is_zero(self, capsys, monkeypatch):
+        monkeypatch.setenv("MONADICA_SEED", "")
+        code, out = run(capsys, "verify", "--suite", "ode")
+        assert code == 0
+        assert json.loads(out.strip().splitlines()[-1])["seed"] == 0
+
     def test_any_failure_exits_two(self, capsys, monkeypatch):
         from monadica import verify
         from monadica.verify import CheckResult
@@ -337,6 +352,68 @@ class TestVerify:
         code, out = run(capsys, "verify", "--suite", "doomed")
         assert code == 2
         assert "FAIL doomed.never" in out
+
+    def test_a_law_that_raises_fails_its_suite_and_the_rest_run(self, capsys, monkeypatch):
+        from monadica import verify
+
+        def raising(*args):
+            raise DomainError("no mean value point")
+
+        monkeypatch.setattr(verify, "mean_value_point", raising)
+        code, out = run(capsys, "verify")
+        lines = out.strip().splitlines()
+        assert code == 2
+        assert "FAIL mvt.raised — DomainError: no mean value point" in lines
+        for suite in ("identities", "ode", "higher", "seq"):
+            assert any(line.startswith(f"PASS {suite}.") for line in lines), suite
+        summary = strict_json(lines[-1])
+        assert summary["failed"] == 1 and "mvt" in summary["suites"]
+
+
+class TestRepl:
+    VALUE = 'eval "exp(x)" --at \'{"shadow":0,"d":{"e:1":1}}\''
+    ANSWER = {"shadow": 1.0, "d": {"e:1": 1.0}}
+
+    def repl(self, capsys, monkeypatch, *lines):
+        """Feed lines to ``monadica repl``; its exit code and stdout documents."""
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(f"{line}\n" for line in lines)))
+        code, out = run(capsys, "repl")
+        return code, [strict_json(line) for line in out.splitlines()]
+
+    def test_blank_and_comment_lines_are_skipped(self, capsys, monkeypatch):
+        assert self.repl(capsys, monkeypatch, "", "   ", "# a note", self.VALUE) == (
+            0,
+            [self.ANSWER],
+        )
+
+    def test_quit_stops_reading(self, capsys, monkeypatch):
+        assert self.repl(capsys, monkeypatch, self.VALUE, "quit", self.VALUE) == (
+            0,
+            [self.ANSWER],
+        )
+
+    def test_repl_does_not_nest(self, capsys, monkeypatch):
+        assert self.repl(capsys, monkeypatch, "repl", self.VALUE) == (
+            0,
+            [{"error": "repl cannot nest"}, self.ANSWER],
+        )
+
+    def test_usage_error_reads_on(self, capsys, monkeypatch):
+        # argparse reports the missing --at on stderr; stdout stays JSON
+        assert self.repl(capsys, monkeypatch, 'eval "exp(x)"', self.VALUE) == (0, [self.ANSWER])
+
+    def test_domain_error_prints_json_and_reads_on(self, capsys, monkeypatch):
+        code, docs = self.repl(
+            capsys, monkeypatch, 'eval "log(x)" --at \'{"shadow":-1,"d":{}}\'', self.VALUE
+        )
+        assert code == 0
+        assert list(docs[0]) == ["error"] and docs[1] == self.ANSWER
+
+    def test_unbalanced_quote_prints_json_and_reads_on(self, capsys, monkeypatch):
+        assert self.repl(capsys, monkeypatch, 'eval "exp(x) --at 1', self.VALUE) == (
+            0,
+            [{"error": "cannot split the line: No closing quotation"}, self.ANSWER],
+        )
 
 
 def test_usage_errors_exit_nonzero():
