@@ -140,7 +140,7 @@ class NaturalExtension(core.Record):
         """Build the extension on the open interval (lo, hi), checking by
         sampling that the function and its derivative are valid there: each
         probe has a finite value and derivative."""
-        lo, hi = float(lo), float(hi)
+        lo, hi = core._real(lo, "interval lo"), core._real(hi, "interval hi")
         if math.isnan(lo) or math.isnan(hi) or not lo < hi:
             raise DomainError(f"invalid open interval ({lo}, {hi})")
         ext = cls(expr, lo + 0.0, hi + 0.0)  # no signed zero
@@ -297,7 +297,7 @@ def taylor_expand(f: NaturalExtension, center: float, order: int, x) -> TaylorEx
     the shadow of x (which must differ from the center)."""
     if not isinstance(order, int) or order < 0:
         raise DomainError("expansion order must be a nonnegative integer")
-    center = float(center)
+    center = core._real(center, "center")
     x = as_generalized(x)
     f._require(center)
     f._require(x.shadow)
@@ -380,7 +380,11 @@ def mean_value_point(f: NaturalExtension, a, b) -> float:
 class InverseExpr(Expr):
     """Inverse of a strictly monotone extension, evaluated by bisection."""
 
-    __slots__ = ("fn",)
+    __slots__ = ("fn", "_last")
+
+    def __init__(self, fn: NaturalExtension) -> None:
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "_last", (None, 0.0))
 
     def _window(self) -> tuple[float, float]:
         wlo, whi = _finite_window(self.fn.lo, self.fn.hi, _PROBE_WINDOW)
@@ -391,7 +395,13 @@ class InverseExpr(Expr):
         return arith.lift(self.invert, y, self.slope)
 
     def invert(self, y: float) -> float:
-        """The point where the function takes the value y."""
+        """The point where the function takes the value y.  eval_at passes
+        one float to the value and the slope, so the last root is kept and
+        each point inverts once; the memo compares by identity, since
+        0.0 == -0.0."""
+        key, root = self._last
+        if key is y:
+            return root
         phi = self.fn.real_fn(0)
         lo, hi = self._window()
         va, vb = phi(lo), phi(hi)
@@ -405,6 +415,7 @@ class InverseExpr(Expr):
                 break
             step = (phi(root) - y) / d
             root -= step
+        object.__setattr__(self, "_last", (y, root))
         return root
 
     def slope(self, y: float, v: float) -> float:
@@ -456,20 +467,11 @@ def inverse_extension(f: NaturalExtension) -> NaturalExtension:
     ylo, yhi = sorted((values[0] + 0.0, values[-1] + 0.0))  # no signed zero
     inv_expr = InverseExpr(f)
     g = NaturalExtension(inv_expr, ylo, yhi)
-    # What compiling the two trees would give, without compiling them and
-    # with one inversion per point: eval_at passes the same float to both.
-    # The memo compares by identity, since 0.0 == -0.0.
-    last = (None, 0.0)
-
-    def value(y: float) -> float:
-        nonlocal last
-        key, root = last
-        if key is not y:
-            root = inv_expr.eval_real(y)
-            last = (y, root)
-        return root
-
-    g._compiled.update({0: value, 1: lambda y: inv_expr.slope(y, value(y))})
+    # What compiling the two trees would give, without compiling them; a
+    # copy compiles them, and either way eval_at inverts once per point
+    g._compiled.update(
+        {0: inv_expr.eval_real, 1: lambda y: inv_expr.slope(y, inv_expr.eval_real(y))}
+    )
     return g
 
 
@@ -582,7 +584,7 @@ class PiecewiseExtension(core.Record):
     __slots__ = ("breakpoints", "gap_exprs", "monad_rules")
 
     def __init__(self, breakpoints, gap_exprs, monad_rules) -> None:
-        bps = tuple(float(b) for b in breakpoints)
+        bps = tuple(core._real(b, "breakpoint") for b in breakpoints)
         for b in bps:
             if not math.isfinite(b):
                 raise DomainError("breakpoints must be finite reals")
@@ -622,7 +624,7 @@ class PiecewiseExtension(core.Record):
         """Difference quotients at steps 2**-k, k = 4..20, per side; a side
         converges when its last three estimates are Cauchy within 1e-5 and
         the limit exists when both sides agree within 1e-4.  Heuristic."""
-        xi0 = float(xi0)
+        xi0 = core._real(xi0, "point")
         c = self._value(xi0)
         nearest = min(
             (abs(b - xi0) for b in self.breakpoints if b != xi0), default=_INF
@@ -662,7 +664,7 @@ class PiecewiseExtension(core.Record):
         the declaration.  Off the breakpoints it is the symbolic derivative
         of the gap expression; None when that is not evaluable.
         """
-        xi0 = float(xi0)
+        xi0 = core._real(xi0, "point")
         i, on_breakpoint = self._region(xi0)
         if not on_breakpoint:
             e = self.gap_exprs[i]

@@ -33,11 +33,26 @@ class Ordering(enum.Enum):
     GREATER = "greater"
 
 
-def _clean(value: float, what: str) -> float:
+#: The types ``json.loads`` gives numbers: booleans and strings are not numbers.
+JSON_NUMBER_TYPES = frozenset({int, float})
+
+
+def _real(value, what: str) -> float:
+    """The one gate for numbers from callers: an int or a float, by exact
+    type as ``JSON_NUMBER_TYPES`` says, as a float.  NaN and infinities
+    pass, for the caller to check; ``what`` names the value in the error."""
+    if type(value) is float:
+        return value
+    if type(value) is not int:
+        raise DomainError(f"{what} must be a number, not {value!r}")
     try:
-        v = float(value)
+        return float(value)
     except OverflowError:
         raise DomainError(f"{what} lies beyond the float range") from None
+
+
+def _clean(value: float, what: str) -> float:
+    v = _real(value, what)
     if not math.isfinite(v):
         raise NonFiniteInput(f"{what} must be a finite real, got {value!r}")
     # no signed-zero distinction
@@ -214,9 +229,7 @@ def as_generalized(value) -> GeneralizedReal:
     """Embed a plain number; pass existing values through unchanged."""
     if isinstance(value, GeneralizedReal):
         return value
-    if isinstance(value, (int, float)):
-        return GeneralizedReal(float(value))
-    raise TypeError(f"cannot interpret {value!r} as a generalized real")
+    return GeneralizedReal(value)
 
 
 def make(shadow: float, dpart: Mapping[str, float] | None = None) -> GeneralizedReal:
@@ -377,17 +390,13 @@ def density_real_between(x, y) -> float:
 
 def density_nonreal_between(xi: float, eta: float) -> GeneralizedReal:
     """A nonreal value strictly between two reals (midpoint plus an impulse)."""
-    xi, eta = float(xi), float(eta)
+    xi, eta = _real(xi, "xi"), _real(eta, "eta")
     if not xi < eta:
         raise DomainError("density requires strictly ordered endpoints")
     return GeneralizedReal((xi + eta) / 2.0, {DENSITY_WITNESS_ID: 1.0})
 
 
 # -- wire format --------------------------------------------------------------
-
-#: The types ``json.loads`` gives numbers: booleans and strings are not numbers.
-JSON_NUMBER_TYPES = frozenset({int, float})
-
 
 def to_dict(x) -> dict:
     x = as_generalized(x)
@@ -411,9 +420,13 @@ def to_json(x) -> str:
     return json.dumps(to_dict(x))
 
 
-def from_json(text: str) -> GeneralizedReal:
+def _loads(text: str):
+    """``json.loads``, where text that is not JSON is a ``DomainError``."""
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise DomainError(f"invalid JSON: {exc}") from exc
-    return from_dict(data)
+
+
+def from_json(text: str) -> GeneralizedReal:
+    return from_dict(_loads(text))

@@ -15,7 +15,7 @@ import operator
 import sys
 from typing import Iterable, Sequence
 
-from .core import Record, as_generalized
+from .core import Record, _real, as_generalized
 from .errors import DomainError, NotInvertible, UnknownGenerator
 
 
@@ -39,7 +39,7 @@ def harmonic() -> SequenceGenerator:
 
 def geometric(r: float) -> SequenceGenerator:
     """n -> r**n for 0 < r < 1; id ``g:<r>`` (shortest round-trip decimal)."""
-    r = float(r)
+    r = _real(r, "geometric ratio")
     if not 0.0 < r < 1.0:
         raise DomainError(f"geometric ratio must satisfy 0 < r < 1, got {r!r}")
     return SequenceGenerator(f"g:{r!r}", lambda n, _r=r: _r**n)

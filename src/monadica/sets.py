@@ -20,7 +20,7 @@ import math
 from bisect import bisect_left, bisect_right
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .core import JSON_NUMBER_TYPES, Record, as_generalized, from_json, sigma
+from .core import Record, _loads, _real, as_generalized, from_json, sigma
 from .errors import (
     DomainError,
     EmptySetError,
@@ -58,25 +58,6 @@ class Interval(NamedTuple):
     @property
     def bounded(self) -> bool:
         return math.isfinite(self.lo) and math.isfinite(self.hi)
-
-
-_BEYOND_FLOAT = "a number lies beyond the float range"
-
-
-def _require_numbers(*vs) -> None:
-    """Refuse anything but ints and floats, as the JSON decoders do: no
-    strings, booleans or None."""
-    for v in vs:
-        if type(v) not in JSON_NUMBER_TYPES:
-            raise DomainError(f"set endpoints and points must be numbers, not {v!r}")
-
-
-def _real(v) -> float:
-    """``float(v)``, where an int beyond the float range is a ``DomainError``."""
-    try:
-        return float(v)
-    except OverflowError:
-        raise DomainError(_BEYOND_FLOAT) from None
 
 
 def _in_sorted(xs: Sequence[float], p: float) -> bool:
@@ -126,7 +107,7 @@ def _normalize(
                 raise DomainError("set points must be finite reals")
             append((p, False, p, True))
     except OverflowError:
-        raise DomainError(_BEYOND_FLOAT) from None
+        raise DomainError("a number lies beyond the float range") from None
     except (TypeError, ValueError):
         raise DomainError(
             "malformed set: intervals are (lo, hi, lo_closed, hi_closed) with numeric "
@@ -180,14 +161,13 @@ class RealSet(Record):
 
     @classmethod
     def point(cls, p: float) -> "RealSet":
-        _require_numbers(p)
-        return cls((), (p,))
+        return cls((), (_real(p, "set point"),))
 
     @classmethod
     def interval(
         cls, lo: float, hi: float, lo_closed: bool = True, hi_closed: bool = True
     ) -> "RealSet":
-        _require_numbers(lo, hi)
+        lo, hi = _real(lo, "interval lo"), _real(hi, "interval hi")
         return cls(((lo, hi, lo_closed, hi_closed),))
 
     @classmethod
@@ -206,24 +186,14 @@ class RealSet(Record):
 
     def contains(self, p: float) -> bool:
         if type(p) is not float:
-            p = _real(p)
+            p = _real(p, "point")
         i = bisect_right(self._lows, p) - 1
         return (i >= 0 and self.intervals[i].contains(p)) or _in_sorted(self.points, p)
 
     @property
-    def bounded_below(self) -> bool:
-        return not self.intervals or math.isfinite(self.intervals[0].lo)
-
-    @property
-    def bounded_above(self) -> bool:
-        return not self.intervals or math.isfinite(self.intervals[-1].hi)
-
-    @property
     def is_bounded(self) -> bool:
-        return self.bounded_below and self.bounded_above
-
-    def component_count(self) -> int:
-        return len(self.intervals) + len(self.points)
+        ints = self.intervals
+        return not ints or (math.isfinite(ints[0].lo) and math.isfinite(ints[-1].hi))
 
     # -- boolean algebra ------------------------------------------------------
 
@@ -307,41 +277,7 @@ class RealSet(Record):
 
     @property
     def is_connected(self) -> bool:
-        return self.component_count() <= 1
-
-    # -- bounds -----------------------------------------------------------------
-
-    def _extremum(self, upper: bool) -> tuple[float, bool]:
-        """(value, attained) for sup or inf; raises on empty or unbounded."""
-        if self.is_empty:
-            raise EmptySetError("the empty set has no supremum or infimum")
-        best = None
-        attained = False
-        if self.points:
-            best = max(self.points) if upper else min(self.points)
-            attained = True
-        if self.intervals:
-            iv = self.intervals[-1] if upper else self.intervals[0]
-            endpoint = iv.hi if upper else iv.lo
-            if best is None or (endpoint > best if upper else endpoint < best):
-                best, attained = endpoint, (iv.hi_closed if upper else iv.lo_closed)
-        if not math.isfinite(best):
-            raise UnboundedError("the set is unbounded on the requested side")
-        return best, attained
-
-    def sup_value(self) -> float:
-        return self._extremum(upper=True)[0]
-
-    def inf_value(self) -> float:
-        return self._extremum(upper=False)[0]
-
-    def max_value(self) -> float | None:
-        value, attained = self._extremum(upper=True)
-        return value if attained else None
-
-    def min_value(self) -> float | None:
-        value, attained = self._extremum(upper=False)
-        return value if attained else None
+        return len(self.intervals) + len(self.points) <= 1
 
 
 class GeneralizedSet(Record):
@@ -352,7 +288,7 @@ class GeneralizedSet(Record):
     def __init__(self, base: RealSet = RealSet(), extras: Iterable[float] = ()) -> None:
         cleaned = set()
         for p in extras:
-            p = _real(p)
+            p = _real(p, "extra point")
             if not math.isfinite(p):
                 raise DomainError("extra points must be finite reals")
             cleaned.add(0.0 if p == 0.0 else p)
@@ -456,12 +392,6 @@ def hat_interval(kind: str, a: float | None = None, b: float | None = None) -> G
         raise DomainError(f"unknown interval kind {kind!r}")
     if a is None or b is None:
         raise DomainError(f"{kind} interval needs both endpoints")
-    _require_numbers(a, b)
-    a, b = _real(a), _real(b)
-    if math.isnan(a) or math.isnan(b):
-        raise DomainError("interval endpoints may not be NaN")
-    if a > b:
-        raise DomainError(f"interval endpoints out of order: {a} > {b}")
     lo_closed = kind in ("closed", "half_lo")
     hi_closed = kind in ("closed", "half_hi")
     return monad(RealSet.interval(a, b, lo_closed, hi_closed))
@@ -545,38 +475,60 @@ def is_connected(g: GeneralizedSet) -> bool:
 # -- bounds and the completeness interface ----------------------------------------
 
 
+def _extremum(g: GeneralizedSet, upper: bool) -> tuple[float, bool]:
+    """(value, attained) for the sup (upper) or inf of the shadow of g;
+    raises on an empty set and on an unbounded side.  Reads the sorted base
+    and extras without building the shadow: an extra lies outside the base,
+    so it can only close an open endpoint it sits on, and a point wins a tie."""
+    if g.is_empty:
+        raise EmptySetError("the empty set has no supremum or infimum")
+    end = -1 if upper else 0
+    ends = [(pts[end], True) for pts in (g.base.points, g.extras) if pts]
+    if g.base.intervals:
+        iv = g.base.intervals[end]
+        ends.append((iv.hi, iv.hi_closed) if upper else (iv.lo, iv.lo_closed))
+    best, attained = max(ends, key=lambda e: (e[0] if upper else -e[0], e[1]))
+    if not math.isfinite(best):
+        raise UnboundedError("the set is unbounded on the requested side")
+    return best, attained
+
+
 def sup_r(g: GeneralizedSet) -> float:
-    return shadow(g).sup_value()
+    return _extremum(g, True)[0]
 
 
 def inf_r(g: GeneralizedSet) -> float:
-    return shadow(g).inf_value()
+    return _extremum(g, False)[0]
 
 
 def max_r(g: GeneralizedSet) -> float | None:
-    return shadow(g).max_value()
+    value, attained = _extremum(g, True)
+    return value if attained else None
 
 
 def min_r(g: GeneralizedSet) -> float | None:
-    return shadow(g).min_value()
+    value, attained = _extremum(g, False)
+    return value if attained else None
 
 
 def is_upper_bound(bound, g: GeneralizedSet) -> bool:
-    s = shadow(g)
-    if s.is_empty:
+    try:
+        sup = _extremum(g, True)[0]
+    except EmptySetError:
         return True
-    if not s.bounded_above:
+    except UnboundedError:
         return False
-    return sigma(as_generalized(bound)) >= s.sup_value()
+    return sigma(bound) >= sup
 
 
 def is_lower_bound(bound, g: GeneralizedSet) -> bool:
-    s = shadow(g)
-    if s.is_empty:
+    try:
+        inf = _extremum(g, False)[0]
+    except EmptySetError:
         return True
-    if not s.bounded_below:
+    except UnboundedError:
         return False
-    return sigma(as_generalized(bound)) <= s.inf_value()
+    return sigma(bound) <= inf
 
 
 # -- wire format ---------------------------------------------------------------------
@@ -590,23 +542,14 @@ def _enc_endpoint(v: float):
     return v
 
 
-def _dec_float(v) -> float:
-    try:
-        return float(v)
-    except OverflowError:
-        raise DomainError(f"malformed set encoding: {_BEYOND_FLOAT}") from None
-
-
 def _dec_endpoint(v) -> float:
     if type(v) is float:
         return v
-    if type(v) is int:
-        return _dec_float(v)
     if v == "+inf" or v == "inf":
         return _INF
     if v == "-inf":
         return -_INF
-    raise DomainError(f"bad interval endpoint {v!r}")
+    return _real(v, "malformed set encoding: an interval endpoint")
 
 
 def realset_to_dict(s: RealSet) -> dict:
@@ -632,10 +575,8 @@ def _dec_list(data: Mapping, key: str) -> Sequence:
 
 
 def _dec_reals(data: Mapping, key: str) -> tuple[float, ...]:
-    items = _dec_list(data, key)
-    if not set(map(type, items)) <= JSON_NUMBER_TYPES:
-        raise DomainError(f"malformed set encoding: {key!r} must hold numbers")
-    return tuple(map(_dec_float, items))
+    what = f"malformed set encoding: a member of {key!r}"
+    return tuple([_real(v, what) for v in _dec_list(data, key)])
 
 
 def _dec_interval(item) -> tuple:
@@ -671,13 +612,6 @@ def set_to_json(g: GeneralizedSet) -> str:
     return json.dumps(set_to_dict(g))
 
 
-def _loads(text: str):
-    try:
-        return json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
-        raise DomainError(f"invalid JSON: {exc}") from exc
-
-
 def set_from_json(text: str) -> GeneralizedSet:
     return set_from_dict(_loads(text))
 
@@ -698,7 +632,7 @@ JSON_OPS = {
     "union": (_set_op(union), 2),
     "intersect": (_set_op(intersect), 2),
     "difference": (_set_op(difference), 2),
-    "monad": (lambda text: set_to_dict(monad(realset_from_dict(_loads(text)))), 1),
+    "monad": (_set_op(monad), 1),
     "shadow": (lambda text: realset_to_dict(shadow(set_from_json(text))), 1),
     **{name: (_set_op(fn), 1) for name, fn in _TOPO_OPS.items()},
     "is_open": (_query(is_open), 1),

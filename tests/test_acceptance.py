@@ -6,12 +6,12 @@ and runtime budgets are frozen here and inside monadica.verify, and so is
 every criterion's list of check names.
 """
 
-import os
 import time
 
-from monadica import core, verify
+from monadica import cli, core, verify
+from monadica.calculus import NaturalExtension
 
-SEED = int(os.environ.get("MONADICA_SEED", "0"))
+SEED = cli._default_seed()
 
 
 def _run(number: int, label: str, fn, budget_seconds: float, names: list[str]) -> None:
@@ -140,6 +140,18 @@ def test_criterion_07_derivative_engine():
         "inverse_extension",
     ]
     _run(7, "derivative engine", verify.check_derivative, 3.0, names)
+
+
+def test_derivative_totals_count_each_comparison(monkeypatch):
+    # an extension off by 1e-3 fails both comparisons of every contract case
+    # and each of the 20 constancy comparisons, out of 3 * 19 + 20
+    exact_eval_at = NaturalExtension.eval_at
+    monkeypatch.setattr(
+        NaturalExtension, "eval_at", lambda f, x: core.add(exact_eval_at(f, x), 1e-3)
+    )
+    detail = {r.name: r.detail for r in verify.check_derivative(0)}
+    assert detail["extension_contract"].startswith("200/200 failed; first: xi=")
+    assert detail["monotonicity_and_constancy"] == "20/77 failed; first: constant function moved"
 
 
 def test_criterion_08_taylor():

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import re
 import sys
@@ -20,6 +22,7 @@ from monadica.errors import (
     DomainError,
     NonFiniteInput,
     NotInjective,
+    NotDifferentiable,
     NotInvertible,
     OutOfDomain,
     VanishingDerivative,
@@ -129,6 +132,14 @@ class TestHigherExtensions:
     def test_first_extension_is_the_natural_one(self):
         x = make(1.1, {"h": 3})
         assert sin_f.eval_higher(1, x) == sin_f.eval_at(x)
+
+    @pytest.mark.parametrize("method", ["eval_higher", "deriv_higher"])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_an_undefined_derivative_is_not_differentiable(self, method, m):
+        # built without on_interval's probes, so 0 lies inside the domain
+        f = NaturalExtension(parse("1/x"), -1.0, 1.0)
+        with pytest.raises(NotDifferentiable, match=f"^derivative of order {m} is not defined at 0.0$"):
+            getattr(f, method)(m, make(0.0, {"h": 1.0}))
 
 
 class TestTaylor:
@@ -252,6 +263,28 @@ class TestInversion:
         value, slope = compile_real(inv.expr), compile_real(inv.deriv)
         for y, g in zip(ys, got):
             assert repr(g) == repr(make(value(y), {"h": slope(y), "e:1": -2.0 * slope(y)}))
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [lambda g: g, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))],
+        ids=["original", "deepcopy", "pickle"],
+    )
+    def test_a_copied_or_unpickled_inverse_inverts_once_per_evaluation(
+        self, monkeypatch, round_trip
+    ):
+        f = NaturalExtension.on_interval(parse("exp(x) + x"), -2.0, 2.0)
+        want = inverse_extension(f).eval_at(make(1.0, {"h": 1.0}))
+        got = round_trip(inverse_extension(f))
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return bisect(*args)
+
+        bisect = calculus._bisect
+        monkeypatch.setattr(calculus, "_bisect", counting)
+        assert repr(got.eval_at(make(1.0, {"h": 1.0}))) == repr(want)
+        assert len(calls) == 1
 
     def test_concurrent_evaluations_each_get_their_own_root(self):
         f = NaturalExtension.on_interval(parse("exp(x) + 0.5 * x^3"), -2.0, 2.0)

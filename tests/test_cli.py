@@ -267,6 +267,12 @@ class TestSets:
         assert code == 0
         assert json.loads(out) == {"intervals": [], "points": [2.5], "extras": []}
 
+    def test_monad_keeps_the_extras(self, capsys):
+        # the shadow of a bare real is that real, so its monad is kept
+        code, out = run(capsys, "sets", "monad", '{"intervals":[],"points":[],"extras":[5]}')
+        assert code == 0
+        assert strict_json(out) == {"intervals": [], "points": [5.0], "extras": []}
+
     def test_pretty_output_is_indented(self, capsys):
         code, out = run(capsys, "sets", "shadow", self.CLOSED_01, "--pretty")
         assert code == 0 and out.startswith("{\n")

@@ -160,7 +160,9 @@ def test_nodes_hold_only_operands_and_constants():
     for cls in NODES | {InverseExpr}:
         assert not dataclasses.is_dataclass(cls), cls.__name__
         assert "__slots__" in vars(cls), cls.__name__
-    assert InverseExpr.__slots__ == ("fn",)
+    # its one derived slot, the last inversion, is no field
+    assert InverseExpr._fields == ("fn",)
+    assert InverseExpr.__slots__ == ("fn", "_last")
     # and the trees that parsing and differentiation build, of every type,
     # hold nothing else
     nodes = [n for tree in (EVERY_TYPE, EVERY_TYPE.deriv()) for n in expr.iter_nodes(tree)]

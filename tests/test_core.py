@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monadica import core
+from monadica import calculus, core, seq, sets
+from monadica.calculus import MonadRule, NaturalExtension, PiecewiseExtension
 from monadica.core import Ordering, make
 from monadica.errors import DomainError, MonadicaError, NonFiniteInput, NotInvertible
+from monadica.expr import Exp, Neg, Var
+from monadica.sets import GeneralizedSet, RealSet
 from monadica.verify import value_close
 
 
@@ -413,3 +416,42 @@ class TestFloatEdges:
         # too long for int() where Python limits integer string conversion
         with pytest.raises(DomainError, match="invalid JSON|beyond the float range"):
             core.from_json('{"shadow": 1' + "0" * 5000 + ', "d": {}}')
+
+
+
+# -- the number gate: every entry point takes ints and floats only -----------------
+
+_X = Var()
+_EXP = NaturalExtension.on_interval(Exp(_X))
+_VEE = PiecewiseExtension((0.0,), (Neg(_X), _X), (MonadRule(0.0, 1.0),))
+
+GATED = {
+    "GeneralizedReal": lambda v: core.GeneralizedReal(v),
+    "coefficient": lambda v: make(0.0, {"h": v}),
+    "as_generalized": core.as_generalized,
+    "density_xi": lambda v: core.density_nonreal_between(v, 2.0),
+    "density_eta": lambda v: core.density_nonreal_between(0.0, v),
+    "on_interval_lo": lambda v: NaturalExtension.on_interval(_X, v, 1.0),
+    "on_interval_hi": lambda v: NaturalExtension.on_interval(_X, -1.0, v),
+    "taylor_center": lambda v: calculus.taylor_expand(_EXP, v, 2, make(0.5)),
+    "breakpoint": lambda v: PiecewiseExtension((v,), (_X, _X), (MonadRule(0.0, 1.0),)),
+    "limit_probe": _VEE.limit_probe,
+    "piecewise_deriv_at": _VEE.deriv_at,
+    "geometric": seq.geometric,
+    "set_point": RealSet.point,
+    "interval_lo": lambda v: RealSet.interval(v, 1.0),
+    "interval_hi": lambda v: RealSet.interval(0.0, v),
+    "contains": RealSet.closed(0.0, 1.0).contains,
+    "extras": lambda v: GeneralizedSet(RealSet(), (v,)),
+    "decoded_endpoint": lambda v: sets.set_from_dict({"intervals": [{"lo": v, "hi": 1.0}]}),
+    "decoded_point": lambda v: sets.set_from_dict({"points": [v]}),
+    "decoded_extra": lambda v: sets.set_from_dict({"extras": [v]}),
+}
+
+
+@pytest.mark.parametrize("bad", ["abc", "1.5", True, None, 10**400],
+                         ids=["text", "numeric_text", "bool", "none", "huge_int"])
+@pytest.mark.parametrize("entry", sorted(GATED))
+def test_gated_entry_points_take_only_ints_and_floats(entry, bad):
+    with pytest.raises(DomainError, match="must be a number, not|lies beyond the float range"):
+        GATED[entry](bad)
