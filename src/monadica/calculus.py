@@ -15,6 +15,7 @@ with explicit monad rules are built on top.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from typing import TYPE_CHECKING, Callable, Iterator
@@ -62,12 +63,20 @@ def _finite_window(lo: float, hi: float, reach: float) -> tuple[float, float]:
     return lo, hi
 
 
+@functools.cache
+def _unit(n: int) -> list[float]:
+    """The n + 1 nodes i / n of the unit interval, built once per n."""
+    return [i / n for i in range(n + 1)]
+
+
 def _grid(lo: float, hi: float, n: int, cells: bool = False) -> list[float]:
-    """The n + 1 nodes of n equal cells on [lo, hi]; with cells, the n cell
-    midpoints instead."""
+    """The n + 1 nodes lo + (hi - lo) * (i / n) of n equal cells on [lo, hi];
+    with cells, the n cell midpoints instead.  For n a power of two, i / n is
+    exact, so a node is the same float at any n that puts it on the grid."""
+    w = hi - lo
     if cells:
-        return [lo + (hi - lo) * (i + 0.5) / n for i in range(n)]
-    return [lo + (hi - lo) * i / n for i in range(n + 1)]
+        return [lo + w * (i + 0.5) / n for i in range(n)]
+    return [lo + w * u for u in _unit(n)]
 
 
 def _bisect(g, a: float, b: float, ga: float, tol: float = 0.0) -> float:
@@ -259,9 +268,9 @@ def compose_ext(outer: NaturalExtension, inner: NaturalExtension) -> NaturalExte
 
 class TaylorExpansion(core.Record):
     """Partial sum, a sampled remainder bound (the largest |f^(n+1)| over
-    2049 points of the segment, refined by a ternary search, so not an
-    enclosure), and (when a numeric root search succeeds) a remainder
-    witness theta in ]0,1[ or None."""
+    2049 points from the center to x, refined by a ternary search, so not
+    an enclosure), and (when a numeric root search on the same samples
+    succeeds) a remainder witness theta in ]0,1[ or None."""
 
     __slots__ = ("partial_sum", "remainder_bound", "theta")
 
@@ -273,15 +282,13 @@ class TaylorExpansion(core.Record):
         }
 
 
-def _max_abs_on_segment(fn: Callable[[float], float], lo: float, hi: float) -> float:
-    if lo > hi:
-        lo, hi = hi, lo
-    xs = _grid(lo, hi, _BOUND_CELLS)
-    vals = [abs(fn(t)) for t in xs]
-    best = max(range(len(xs)), key=lambda i: vals[i])
-    # ternary refinement around the sampled argmax
+def _max_abs_on_segment(fn: Callable[[float], float], xs: list[float], vals: list[float]) -> float:
+    """The largest |fn| over the grid xs (vals = fn(xs)), refined by a
+    ternary search around the sampled argmax."""
+    mags = [abs(v) for v in vals]
+    best = max(range(len(xs)), key=mags.__getitem__)
     a = xs[max(0, best - 1)]
-    b = xs[min(_BOUND_CELLS, best + 1)]
+    b = xs[min(len(xs) - 1, best + 1)]
     for _ in range(60):
         m1 = a + (b - a) / 3.0
         m2 = b - (b - a) / 3.0
@@ -289,7 +296,7 @@ def _max_abs_on_segment(fn: Callable[[float], float], lo: float, hi: float) -> f
             a = m1
         else:
             b = m2
-    return max(vals[best], abs(fn((a + b) / 2.0)))
+    return max(mags[best], abs(fn((a + b) / 2.0)))
 
 
 def taylor_expand(f: NaturalExtension, center: float, order: int, x) -> TaylorExpansion:
@@ -316,26 +323,31 @@ def taylor_expand(f: NaturalExtension, center: float, order: int, x) -> TaylorEx
     except OverflowError:
         raise OutOfDomain(f"a power of the step {h!r} from the center overflows") from None
     top = f.real_fn(order + 1)
+    xs = _grid(center, x.shadow, _BOUND_CELLS)
+    tops = [top(t) for t in xs]
 
     def gap(theta: float) -> float:
         return target - partial - scale * top(center + theta * h)
 
-    theta = _find_unit_root(gap, abs_tol=1e-13 * max(1.0, abs(target)))
-    bound = _max_abs_on_segment(top, center, x.shadow) * abs(h) ** (order + 1)
+    # the inner theta node i / 1024 is bound node 2i: i / 1024 and
+    # 2i / 2048 are the same float, so center + theta * h is too
+    inner = [target - partial - scale * v for v in tops[2:-1:2]]
+    theta = _find_unit_root(gap, inner, abs_tol=1e-13 * max(1.0, abs(target)))
+    bound = _max_abs_on_segment(top, xs, tops) * abs(h) ** (order + 1)
     bound /= math.factorial(order + 1)
     return TaylorExpansion(partial, bound, theta)
 
 
-# the unit grid with its ends moved inside, built once: building it per call
-# costs about as much as evaluating a compiled tree at every node
-_THETAS = [1e-9, *_grid(0.0, 1.0, _ROOT_CELLS)[1:-1], 1.0 - 1e-9]
+# the unit grid with its ends moved inside
+_THETAS = [1e-9, *_unit(_ROOT_CELLS)[1:-1], 1.0 - 1e-9]
 
 
-def _find_unit_root(g, abs_tol: float) -> float | None:
-    """A root of g in the open unit interval: grid scan plus bisection."""
-    if abs(g(0.5)) <= abs_tol:
+def _find_unit_root(g, inner: list[float], abs_tol: float) -> float | None:
+    """A root of g in the open unit interval: grid scan plus bisection,
+    given inner = g at the inner nodes of _THETAS."""
+    if abs(inner[_ROOT_CELLS // 2 - 1]) <= abs_tol:
         return 0.5
-    vals = [g(t) for t in _THETAS]
+    vals = [g(_THETAS[0]), *inner, g(_THETAS[-1])]
     for t, v in zip(_THETAS, vals):
         if abs(v) <= abs_tol:
             return t
@@ -364,10 +376,11 @@ def mean_value_point(f: NaturalExtension, a, b) -> float:
         return lam(t) - slope
 
     ts = _grid(sa, sb, _ROOT_CELLS)[1:-1]
-    vals = [h(t) for t in ts]
+    vals = [lam(t) - slope for t in ts]
+    mags = [abs(v) for v in vals]
     tol = 1e-13 * max(1.0, abs(slope))
-    best = min(range(len(ts)), key=lambda i: abs(vals[i]))
-    if abs(vals[best]) <= tol:
+    best = min(range(len(ts)), key=mags.__getitem__)
+    if mags[best] <= tol:
         return ts[best]
     # without a sign change, the grid minimum: the crossing was narrower
     # than the grid

@@ -179,7 +179,7 @@ class GeneralizedReal(Record):
         return div(other, self)
 
     def __pow__(self, m):
-        if not isinstance(m, int):
+        if type(m) is not int:
             return NotImplemented
         return pow_nat(self, m)
 
@@ -291,7 +291,7 @@ def div(y, x) -> GeneralizedReal:
 
 def pow_nat(x, m: int) -> GeneralizedReal:
     """x**m for a natural exponent (m = 0 gives 1)."""
-    if not isinstance(m, int) or m < 0:
+    if type(m) is not int or m < 0:
         raise DomainError(f"exponent must be a natural number, got {m!r}")
     if m == 0:
         return ONE

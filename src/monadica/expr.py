@@ -82,7 +82,7 @@ class Expr(core.Record):
         return neg(self)
 
     def __pow__(self, m):
-        if isinstance(m, int):
+        if type(m) is int:
             return pow_int(self, m)
         if isinstance(m, float):
             return PowReal(self, m)
@@ -92,9 +92,7 @@ class Expr(core.Record):
 def _coerce(value) -> Expr:
     if isinstance(value, Expr):
         return value
-    if isinstance(value, (int, float)):
-        return Const(float(value))
-    raise TypeError(f"cannot interpret {value!r} as an expression")
+    return Const(core._real(value, "constant"))
 
 
 class Const(Expr):

@@ -5,6 +5,7 @@ import random
 import re
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +21,7 @@ from monadica.calculus import (
 from monadica.core import make
 from monadica.errors import (
     DomainError,
+    MonadicaError,
     NonFiniteInput,
     NotInjective,
     NotDifferentiable,
@@ -30,6 +32,7 @@ from monadica.errors import (
 from monadica.expr import Const, Cos, Exp, Log, PowReal, Sin, Var, compile_real, parse, pow_int
 from monadica.sets import GeneralizedSet, RealSet, monad
 from monadica.verify import value_close
+from test_compile import random_tree
 
 X = Var()
 DX = make(0, {"e:1": 1})
@@ -501,3 +504,178 @@ def test_an_extension_that_is_not_finite_names_the_input_shadow(method, x, shado
     want = f"the extension is not finite at shadow {shadow}"
     with pytest.raises(NonFiniteInput, match=f"^{re.escape(want)}$"):
         call(x)
+
+
+# -- the Taylor kernel against the two scans it replaced ------------------------------
+# The remainder bound once sampled its own grid, lower end first, and the
+# witness search its own unit grid; both are kept here as oracles.
+
+
+def _parent_grid(lo, hi, n):
+    return [lo + (hi - lo) * i / n for i in range(n + 1)]
+
+
+def _parent_max_abs_on_segment(fn, lo, hi):
+    if lo > hi:
+        lo, hi = hi, lo
+    xs = _parent_grid(lo, hi, 2048)
+    vals = [abs(fn(t)) for t in xs]
+    best = max(range(len(xs)), key=lambda i: vals[i])
+    a = xs[max(0, best - 1)]
+    b = xs[min(2048, best + 1)]
+    for _ in range(60):
+        m1 = a + (b - a) / 3.0
+        m2 = b - (b - a) / 3.0
+        if abs(fn(m1)) < abs(fn(m2)):
+            a = m1
+        else:
+            b = m2
+    return max(vals[best], abs(fn((a + b) / 2.0)))
+
+
+_PARENT_THETAS = [1e-9, *_parent_grid(0.0, 1.0, 1024)[1:-1], 1.0 - 1e-9]
+
+
+def _parent_find_unit_root(g, abs_tol):
+    if abs(g(0.5)) <= abs_tol:
+        return 0.5
+    vals = [g(t) for t in _PARENT_THETAS]
+    for t, v in zip(_PARENT_THETAS, vals):
+        if abs(v) <= abs_tol:
+            return t
+    return next(calculus._crossings(g, _PARENT_THETAS, vals, abs_tol), None)
+
+
+def _parent_taylor(f, center, order, x):
+    """taylor_expand at a float x, with the two scans above."""
+    h = x - center
+    lams = f.deriv_exprs(order + 1)
+    partial = 0.0
+    for k in range(order + 1):
+        partial += lams[k].eval_real(center) * h**k / math.factorial(k)
+    target = f.real_fn(0)(x)
+    scale = h ** (order + 1) / math.factorial(order + 1)
+    top = f.real_fn(order + 1)
+
+    def gap(theta):
+        return target - partial - scale * top(center + theta * h)
+
+    theta = _parent_find_unit_root(gap, abs_tol=1e-13 * max(1.0, abs(target)))
+    bound = _parent_max_abs_on_segment(top, center, x) * abs(h) ** (order + 1)
+    return partial, bound / math.factorial(order + 1), theta
+
+
+def _taylor_outcome(call):
+    try:
+        got = call()
+    except MonadicaError:
+        return None
+    if isinstance(got, calculus.TaylorExpansion):
+        got = got.partial_sum, got.remainder_bound, got.theta
+    return tuple(map(repr, got))
+
+
+def _resolved(fn, lo, hi):
+    """Whether the grid resolves the largest |fn| on the segment: the samples
+    beside the sampled maximum are at least half of it.  Across a pole, or on
+    rounding noise, the maximum is wherever a grid puts a node nearest the
+    spike, so two grids an ulp apart give unrelated bounds."""
+    mags = [abs(fn(t)) for t in _parent_grid(min(lo, hi), max(lo, hi), 2048)]
+    best = max(range(len(mags)), key=mags.__getitem__)
+    beside = [mags[j] for j in (best - 1, best + 1) if 0 <= j < len(mags)]
+    return all(m >= mags[best] / 2.0 for m in beside)
+
+
+def test_taylor_matches_the_separate_scans_it_replaced():
+    compared = {"ahead": 0, "behind": 0, "unresolved": 0}
+    for seed in range(30):
+        rng = random.Random(seed)
+        tree = random_tree(rng, 3, [], X)
+        center = rng.uniform(-2.0, 2.0)
+        for order in range(4):
+            for side in ("ahead", "behind"):
+                step = rng.uniform(0.05, 1.5)
+                x = center + step if side == "ahead" else center - step
+                f = NaturalExtension(tree, -math.inf, math.inf)
+                want = _taylor_outcome(lambda: _parent_taylor(f, center, order, x))
+                got = _taylor_outcome(lambda: taylor_expand(f, center, order, make(x)))
+                if want is None or got is None:
+                    assert want == got, (seed, order, side)
+                    continue
+                if side == "ahead":
+                    # the same grid, so the same floats
+                    assert got == want, (seed, order, str(tree))
+                else:
+                    # the bound grid now starts at the center: the witness
+                    # reads the same nodes, the bound moves by an ulp or so
+                    assert (got[0], got[2]) == (want[0], want[2]), (seed, order, str(tree))
+                    if not _resolved(f.real_fn(order + 1), center, x):
+                        compared["unresolved"] += 1
+                        continue
+                    a, b = float(want[1]), float(got[1])
+                    assert abs(a - b) <= 1e-14 * max(abs(a), abs(b)), (seed, order, str(tree))
+                compared[side] += 1
+    assert compared["ahead"] >= 60 and compared["behind"] >= 60, compared
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_taylor_samples_the_top_derivative_once(order):
+    text = "exp(sin(x))*x^3 + log(2+cos(x))/(1+x^2)"
+    calls = []
+
+    def counted(fn):
+        def top(t):
+            calls.append(t)
+            return fn(t)
+        return top
+
+    f = NaturalExtension.on_interval(parse(text))
+    f._compiled[order + 1] = counted(f.real_fn(order + 1))
+    got = taylor_expand(f, 0.3, order, make(0.8))
+    # the grid, the witness search's two ends, the ternary refinement, and
+    # at most one bisection
+    assert len(calls) <= 2049 + 2 + 121 + 64
+    calls.clear()
+    want = _parent_taylor(f, 0.3, order, 0.8)
+    assert len(calls) > 3200  # the two scans sampled the segment apart
+    assert _taylor_outcome(lambda: got) == _taylor_outcome(lambda: want)
+
+
+def _magnitude(rng):
+    return rng.choice((-1.0, 1.0)) * math.ldexp(rng.uniform(0.5, 1.0), rng.randint(-1070, 1000))
+
+
+def _rounded_once(lo, hi, n):
+    """lo plus the nearest float to each exact offset (hi - lo) * i / n."""
+    w = Fraction(hi - lo)
+    return [lo + float(w * Fraction(i, n)) for i in range(n + 1)]
+
+
+@pytest.mark.parametrize("n", [512, 1024, 2048])
+def test_node_grids_are_the_scaled_index_formula(n):
+    # (hi - lo) * (i / n) is (hi - lo) * i / n for n a power of two, except
+    # where (hi - lo) / n is below the normal range: there the offset
+    # rounds once, to the nearest float, and the formula rounds twice
+    rng = random.Random(n)
+    subnormal = 0
+    for _ in range(300):
+        lo, hi = _magnitude(rng), _magnitude(rng)
+        for a, b in ((lo, hi), (hi, lo)):
+            if abs(b - a) / n >= sys.float_info.min:
+                assert calculus._grid(a, b, n) == _parent_grid(a, b, n), (a, b)
+            else:
+                subnormal += 1
+                assert calculus._grid(a, b, n) == _rounded_once(a, b, n), (a, b)
+    assert subnormal < 10
+
+
+@pytest.mark.parametrize("n", [512, 1024, 2048])
+def test_node_grids_round_subnormal_offsets_once(n):
+    rng = random.Random(n)
+    double_rounded = 0
+    for _ in range(40):
+        lo, hi = (math.ldexp(rng.uniform(-1.0, 1.0), rng.randint(-1040, -1005)) for _ in "ab")
+        want = _rounded_once(lo, hi, n)
+        assert calculus._grid(lo, hi, n) == want, (lo, hi)
+        double_rounded += want != _parent_grid(lo, hi, n)
+    assert double_rounded > 0

@@ -113,6 +113,12 @@ class TestArithmetic:
         with pytest.raises(DomainError):
             core.root(make(2), 1)
 
+    def test_bool_exponents_rejected(self):
+        with pytest.raises(DomainError, match="^exponent must be a natural number, got True$"):
+            core.pow_nat(make(2), True)
+        with pytest.raises(TypeError):
+            make(2) ** True
+
     def test_square_root(self):
         assert core.root(make(4, {"e:1": 1}), 2) == make(2, {"e:1": 0.25})
 

@@ -1,4 +1,5 @@
 import math
+import operator
 
 import pytest
 
@@ -65,6 +66,21 @@ class TestEvaluation:
     def test_compose(self):
         e = Compose(Sin(X), pow_int(X, 2))
         assert e.eval_real(2.0) == math.sin(4.0)
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+@pytest.mark.parametrize("bad", [True, "a", None, 10**400])
+def test_operands_are_expressions_or_numbers(op, bad):
+    apply = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}[op]
+    for left, right in ((X, bad), (bad, X)):
+        with pytest.raises(DomainError, match="^constant (must be a number, not|lies beyond)"):
+            apply(left, right)
+
+
+def test_bool_exponents_rejected():
+    assert X**2 == pow_int(X, 2) and X**2.0 == PowReal(X, 2.0)
+    with pytest.raises(TypeError):
+        X**True
 
 
 class TestDifferentiation:
