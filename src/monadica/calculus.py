@@ -222,7 +222,7 @@ class NaturalExtension(core.Record):
     def eval_higher(self, m: int, x) -> GeneralizedReal:
         """m-th extension: (m-1)-th derivative value plus m-th derivative
         times dx."""
-        if not isinstance(m, int) or m < 1:
+        if type(m) is not int or m < 1:
             raise DomainError("extension order must be a positive integer")
         x = as_generalized(x)
         self._require(x.shadow)
@@ -238,7 +238,7 @@ class NaturalExtension(core.Record):
 
     def deriv_higher(self, m: int, x) -> float:
         """m-th derivative at the shadow of x (always a real)."""
-        if not isinstance(m, int) or m < 1:
+        if type(m) is not int or m < 1:
             raise DomainError("derivative order must be a positive integer")
         x = as_generalized(x)
         self._require(x.shadow)
@@ -302,7 +302,7 @@ def _max_abs_on_segment(fn: Callable[[float], float], xs: list[float], vals: lis
 def taylor_expand(f: NaturalExtension, center: float, order: int, x) -> TaylorExpansion:
     """Expand around a real center and evaluate the remainder machinery at
     the shadow of x (which must differ from the center)."""
-    if not isinstance(order, int) or order < 0:
+    if type(order) is not int or order < 0:
         raise DomainError("expansion order must be a nonnegative integer")
     center = core._real(center, "center")
     x = as_generalized(x)

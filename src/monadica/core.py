@@ -306,7 +306,7 @@ def pow_nat(x, m: int) -> GeneralizedReal:
 
 def root(x, m: int) -> GeneralizedReal:
     """The unique positive m-th root of a positive value (m > 1)."""
-    if not isinstance(m, int) or m < 2:
+    if type(m) is not int or m < 2:
         raise DomainError(f"root degree must be an integer > 1, got {m!r}")
     x = as_generalized(x)
     s = x.shadow

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+import struct
 from typing import Callable
 
 from . import core
@@ -527,7 +528,7 @@ def iter_nodes(e: Expr):
 
 def differentiate(e: Expr, order: int = 1) -> Expr:
     """Symbolic derivative of the given order (order 0 returns e itself)."""
-    if not isinstance(order, int) or order < 0:
+    if type(order) is not int or order < 0:
         raise DomainError("derivative order must be a nonnegative integer")
     out = e
     try:
@@ -548,10 +549,21 @@ def compile_real(e: Expr) -> Callable[[float], float]:
     same rules, so every node does the same float operations in the same
     order (a quotient: numerator, denominator, then the zero check), and
     every domain check raises the same error with the same message, an
-    overflow included.  Each distinct node object is evaluated once per
-    binding of the variable (``Compose`` rebinds it), so shared subtrees
-    are evaluated once.  Compiling costs about 20 to 150 tree walks, so
-    ``eval_real`` remains the path for one-shot evaluation.
+    overflow included.  Each node object is walked once per binding of the
+    variable (``Compose`` rebinds it), and the emitted values are numbered:
+    an operation on the same operand names is assigned once and named again
+    wherever it recurs, a check is emitted once, and each constant gets one
+    name (an int or str keyed by type and value, a float by its bits, any
+    other object by identity).  So equal subtrees that differentiation
+    rebuilds as new objects are computed once; the k-th derivative of
+    ``exp(sin(x))*x^3 + log(2+cos(x))/(1+x^2)`` takes 13, 25, 51, 99 and
+    180 lines at k = 0 to 4, where merging only repeated node objects
+    takes 13, 29, 77, 240 and 928.  Dropping a repeat changes no float and
+    no error: it computes the same operation on the same inputs, and a
+    repeated check already passed where it first occurred.  Compiling
+    costs about 5 tree walks (a fourth derivative whose repeats merge) to
+    300 (a single node), so ``eval_real`` remains the path for one-shot
+    evaluation.
     """
     try:
         return _Emit().build(e)
@@ -565,8 +577,8 @@ def _emits(template: str):
 
 
 class _Emit(Arithmetic):
-    """Names of Python variables: each operation emits one assignment, and
-    each check one raising test; see compile_real."""
+    """Names of Python variables: each distinct operation emits one
+    assignment, and each distinct check one raising test; see compile_real."""
 
     def __init__(self) -> None:
         self.lines: list[str] = []
@@ -574,6 +586,9 @@ class _Emit(Arithmetic):
         for f in ("exp", "log", "sin", "cos", "sqrt"):
             self.env[f] = getattr(math, f)
         self.names: dict[tuple[int, str], str] = {}
+        self.numbers: dict[str, str] = {}  # right-hand side -> its name
+        self.bound: dict[tuple, str] = {}  # constant's key -> its name
+        self.checked: set[str] = set()
 
     def walk(self, e: Expr, x: str) -> str:
         """e's value with the variable bound to x, emitted once per binding."""
@@ -584,21 +599,36 @@ class _Emit(Arithmetic):
         return name
 
     def bind(self, obj) -> str:
-        """A name for a Python object (constants are bound, never printed)."""
-        name = f"k{len(self.env)}"
-        self.env[name] = obj
+        """A name for a Python object (constants are bound, never printed),
+        one per constant: an int or str is keyed by type and value, a float
+        by its bits, so 0.0 and -0.0 and NaNs of either sign stay apart, and
+        any other object by identity (the environment keeps it alive)."""
+        kind = type(obj)
+        if kind is float:
+            key = (kind, struct.pack("<d", obj))
+        else:
+            key = (kind, obj if kind is int or kind is str else id(obj))
+        name = self.bound.get(key)
+        if name is None:
+            name = self.bound[key] = f"k{len(self.env)}"
+            self.env[name] = obj
         return name
 
     const = bind
 
     def let(self, rhs: str) -> str:
-        name = f"v{len(self.lines)}"
-        self.lines.append(f"{name} = {rhs}")
+        """The name of rhs's value, assigned where rhs first occurs."""
+        name = self.numbers.get(rhs)
+        if name is None:
+            name = self.numbers[rhs] = f"v{len(self.lines)}"
+            self.lines.append(f"{name} = {rhs}")
         return name
 
     def check(self, failed: str, message: str, shown: str) -> None:
-        msg = self.bind(message)
-        self.lines.append(f"if {failed}: raise OutOfDomain({msg}.format({shown}))")
+        line = f"if {failed}: raise OutOfDomain({self.bind(message)}.format({shown}))"
+        if line not in self.checked:
+            self.checked.add(line)
+            self.lines.append(line)
 
     add, sub, mul = _emits("{} + {}"), _emits("{} - {}"), _emits("{} * {}")
     div, neg, exp = _emits("{} / {}"), _emits("-{}"), _emits("exp({})")

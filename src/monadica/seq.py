@@ -27,7 +27,7 @@ class SequenceGenerator(Record):
 
 def impulse(k: int) -> SequenceGenerator:
     """1 at index k, 0 elsewhere; id ``e:<k>``."""
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:
         raise DomainError(f"impulse index must be a positive integer, got {k!r}")
     return SequenceGenerator(f"e:{k}", lambda n, _k=k: 1.0 if n == _k else 0.0)
 
@@ -160,7 +160,7 @@ DEFAULT_CATALOG = Catalog.standard()
 
 def term(x, n: int, catalog: Catalog = DEFAULT_CATALOG) -> float:
     """n-th term of the sequence a value denotes."""
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise DomainError(f"sequence index must be a positive integer, got {n!r}")
     x = as_generalized(x)
     value = x.shadow
@@ -192,7 +192,7 @@ def convergence_witness(
     n in [N, nmax]; None when no sampled index qualifies."""
     if not eps > 0.0:
         raise DomainError("eps must be positive")
-    if not isinstance(nmax, int) or nmax < 1:
+    if type(nmax) is not int or nmax < 1:
         raise DomainError("nmax must be a positive integer")
     x = as_generalized(x)
     indices = sampled_indices(nmax)
@@ -238,7 +238,7 @@ def oracle_pow_nat(
     x, m: int, n_terms: int, catalog: Catalog = DEFAULT_CATALOG
 ) -> list[float]:
     """m-fold repetition of the termwise multiplication formula."""
-    if not isinstance(m, int) or m < 1:
+    if type(m) is not int or m < 1:
         raise DomainError("exponent must be a positive integer")
     x = as_generalized(x)
     base = prefix(x, n_terms, catalog)

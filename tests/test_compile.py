@@ -88,15 +88,25 @@ def outcome(fn, x):
         return "error", type(exc), str(exc)
 
 
+def derivatives(tree, order):
+    """The tree and its derivatives up to the given order."""
+    out = [tree]
+    for _ in range(order):
+        out.append(out[-1].deriv())
+    return out
+
+
 def test_compiled_trees_match_the_tree_walk_bit_for_bit():
     # InverseExpr states its rule in calculus, outside expr
     inverse = InverseExpr(NaturalExtension.on_interval(parse("exp(x) + x"), -2.0, 2.0))
     seen_checks, values = set(), 0
     for seed in range(6):
         rng = random.Random(seed)
-        for _ in range(40):
+        for i in range(40):
             tree = random_tree(rng, 4, [], inverse)
-            for e in (tree, tree.deriv()):
+            # compile_real's numbering merges most from order 2 on; every
+            # fifth tree goes up to order 4, which keeps the test about 1 s
+            for e in derivatives(tree, 4 if i % 5 == 0 else 1):
                 fn = compile_real(e)
                 for x in POINTS:
                     want = outcome(e.eval_real, x)
@@ -134,6 +144,39 @@ def test_shared_nodes_are_evaluated_once_per_binding():
     assert (walked, c.calls[0]) == (7, 2)
     # gen_eval runs the same rule, with the slope lift gives it
     assert gen_eval(Mul(c, X), make(0.5, {"h": 1.0})) == make(0.75, {"h": 2.0})
+
+
+# differentiation rebuilds equal subtrees as new objects, so this tree's
+# derivatives repeat much of their work
+SWELLING = parse("exp(sin(x))*x^3 + log(2+cos(x))/(1+x^2)")
+
+
+def emitted(e):
+    """The lines compile_real emits for e."""
+    emit = expr._Emit()
+    emit.build(e)
+    return emit.lines
+
+
+def test_emitted_kernels_repeat_no_operation_and_no_check():
+    lines = emitted(expr.differentiate(SWELLING, 4))
+    rhs = [line.split(" = ", 1)[1] for line in lines if not line.startswith("if ")]
+    checks = [line for line in lines if line.startswith("if ")]
+    assert checks and len(set(rhs)) == len(rhs) and len(set(checks)) == len(checks)
+
+
+def test_emitted_line_counts_per_derivative_order():
+    # a deterministic work count; merging only repeated node objects takes
+    # 13, 29, 77, 240 and 928 lines
+    counts = [len(emitted(expr.differentiate(SWELLING, k))) for k in range(5)]
+    assert counts == [13, 25, 51, 99, 180]
+
+
+def test_signed_zero_constants_keep_their_own_names():
+    # keyed by value, the two constants would merge and give -0.0
+    e = Add(Mul(Const(-0.0), X), Mul(Const(0.0), X))
+    want = ("value", struct.pack("<d", 0.0))
+    assert outcome(compile_real(e), 1.0) == outcome(e.eval_real, 1.0) == want
 
 
 NODES = {

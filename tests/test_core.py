@@ -10,7 +10,7 @@ from monadica import calculus, core, seq, sets
 from monadica.calculus import MonadRule, NaturalExtension, PiecewiseExtension
 from monadica.core import Ordering, make
 from monadica.errors import DomainError, MonadicaError, NonFiniteInput, NotInvertible
-from monadica.expr import Exp, Neg, Var
+from monadica.expr import Exp, Neg, Var, differentiate
 from monadica.sets import GeneralizedSet, RealSet
 from monadica.verify import value_close
 
@@ -461,3 +461,33 @@ GATED = {
 def test_gated_entry_points_take_only_ints_and_floats(entry, bad):
     with pytest.raises(DomainError, match="must be a number, not|lies beyond the float range"):
         GATED[entry](bad)
+
+
+# -- orders, degrees and indices are ints, never bools -----------------------------
+
+ORDERS = {
+    "eval_higher": (lambda m: _EXP.eval_higher(m, make(0.5)),
+                    "extension order must be a positive integer"),
+    "deriv_higher": (lambda m: _EXP.deriv_higher(m, make(0.5)),
+                     "derivative order must be a positive integer"),
+    "taylor_expand": (lambda m: calculus.taylor_expand(_EXP, 0.3, m, make(0.5)),
+                      "expansion order must be a nonnegative integer"),
+    "root": (lambda m: core.root(make(4.0), m), "root degree must be an integer > 1, got True"),
+    "differentiate": (lambda m: differentiate(Exp(_X), m),
+                      "derivative order must be a nonnegative integer"),
+    "impulse": (seq.impulse, "impulse index must be a positive integer, got True"),
+    "term": (lambda m: seq.term(make(0.5, {"e:1": 1.0}), m),
+             "sequence index must be a positive integer, got True"),
+    "convergence_witness": (lambda m: seq.convergence_witness(make(0.5), 0.1, m),
+                            "nmax must be a positive integer"),
+    "oracle_pow_nat": (lambda m: seq.oracle_pow_nat(make(0.5), m, 4),
+                       "exponent must be a positive integer"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ORDERS))
+def test_orders_refuse_a_bool(entry):
+    call, message = ORDERS[entry]
+    with pytest.raises(DomainError) as info:
+        call(True)
+    assert str(info.value) == message
