@@ -33,7 +33,8 @@ from .errors import (
     RegionMismatch,
     VanishingDerivative,
 )
-from .expr import Compose, Const, Div, Expr, compile_real, differentiate, gen_eval
+from .expr import Compose, Const, Div, Expr, compile_real, differentiate
+from .expr import gen_eval  # noqa: F401  (re-exported: callers import it from here)
 
 if TYPE_CHECKING:
     from .sets import GeneralizedSet
@@ -222,28 +223,22 @@ class NaturalExtension(core.Record):
     def eval_higher(self, m: int, x) -> GeneralizedReal:
         """m-th extension: (m-1)-th derivative value plus m-th derivative
         times dx."""
-        if type(m) is not int or m < 1:
-            raise DomainError("extension order must be a positive integer")
-        x = as_generalized(x)
-        self._require(x.shadow)
-        lams = self.deriv_exprs(m)
-        try:
-            value = lams[m - 1].eval_real(x.shadow)
-            slope = lams[m].eval_real(x.shadow)
-        except MonadicaError as exc:
-            raise NotDifferentiable(
-                f"derivative of order {m} is not defined at {x.shadow!r}"
-            ) from exc
+        x, (value, slope) = self._top_derivs(m, "extension order", x, 2)
         return _tangent(x, value, slope)
 
     def deriv_higher(self, m: int, x) -> float:
         """m-th derivative at the shadow of x (always a real)."""
-        if type(m) is not int or m < 1:
-            raise DomainError("derivative order must be a positive integer")
+        return self._top_derivs(m, "derivative order", x, 1)[1][0]
+
+    def _top_derivs(self, m: int, what: str, x, count: int) -> tuple[GeneralizedReal, list]:
+        """x as a value, and the derivatives of the top ``count`` orders up
+        to m (an order >= 1 that ``what`` names) at its shadow."""
+        m = core._count(m, what, 1)
         x = as_generalized(x)
         self._require(x.shadow)
+        lams = self.deriv_exprs(m)[m + 1 - count :]
         try:
-            return self.deriv_exprs(m)[m].eval_real(x.shadow)
+            return x, [lam.eval_real(x.shadow) for lam in lams]
         except MonadicaError as exc:
             raise NotDifferentiable(
                 f"derivative of order {m} is not defined at {x.shadow!r}"
@@ -302,8 +297,7 @@ def _max_abs_on_segment(fn: Callable[[float], float], xs: list[float], vals: lis
 def taylor_expand(f: NaturalExtension, center: float, order: int, x) -> TaylorExpansion:
     """Expand around a real center and evaluate the remainder machinery at
     the shadow of x (which must differ from the center)."""
-    if type(order) is not int or order < 0:
-        raise DomainError("expansion order must be a nonnegative integer")
+    order = core._count(order, "expansion order", 0)
     center = core._real(center, "center")
     x = as_generalized(x)
     f._require(center)
@@ -592,9 +586,11 @@ class RegionReport(core.Record):
 
 class PiecewiseExtension(core.Record):
     """Expressions on the open gaps between breakpoints, affine rules on the
-    breakpoint monads; regions cover the whole continuum."""
+    breakpoint monads; regions cover the whole continuum.  Each gap is the
+    natural extension of its expression on its gap, which
+    ``NaturalExtension.on_interval`` checks is valid there (by sampling)."""
 
-    __slots__ = ("breakpoints", "gap_exprs", "monad_rules")
+    __slots__ = ("breakpoints", "gap_exprs", "monad_rules", "_gaps")
 
     def __init__(self, breakpoints, gap_exprs, monad_rules) -> None:
         bps = tuple(core._real(b, "breakpoint") for b in breakpoints)
@@ -610,6 +606,9 @@ class PiecewiseExtension(core.Record):
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "gap_exprs", tuple(gap_exprs))
         object.__setattr__(self, "monad_rules", tuple(monad_rules))
+        ends = (-_INF, *bps, _INF)
+        gaps = map(NaturalExtension.on_interval, self.gap_exprs, ends, ends[1:])
+        object.__setattr__(self, "_gaps", tuple(gaps))
 
     def _region(self, s: float) -> tuple[int, bool]:
         """(i, True) when s is breakpoint i, else (i, False) for gap i."""
@@ -623,7 +622,7 @@ class PiecewiseExtension(core.Record):
         i, on_breakpoint = self._region(s)
         if on_breakpoint:
             return self.monad_rules[i].value
-        return self.gap_exprs[i].eval_real(s)
+        return self._gaps[i].real_fn(0)(s)
 
     def eval_at(self, t) -> GeneralizedReal:
         t = as_generalized(t)
@@ -631,7 +630,7 @@ class PiecewiseExtension(core.Record):
         if on_breakpoint:
             rule = self.monad_rules[i]
             return core._tangent(t, rule.value, rule.slope)
-        return gen_eval(self.gap_exprs[i], t)
+        return self._gaps[i].eval_at(t)
 
     def limit_probe(self, xi0: float) -> LimitProbe:
         """Difference quotients at steps 2**-k, k = 4..20, per side; a side
@@ -680,9 +679,8 @@ class PiecewiseExtension(core.Record):
         xi0 = core._real(xi0, "point")
         i, on_breakpoint = self._region(xi0)
         if not on_breakpoint:
-            e = self.gap_exprs[i]
             try:
-                return e.deriv().eval_real(xi0)
+                return self._gaps[i].real_fn(1)(xi0)
             except MonadicaError:
                 return None
         declared = self.monad_rules[i].slope
@@ -707,7 +705,7 @@ def ode_verify(solution: PiecewiseExtension, rhs: PiecewiseExtension) -> list[Re
         )
     bps = solution.breakpoints
     reports: list[RegionReport] = []
-    for i, e in enumerate(solution.gap_exprs):
+    for i, (gap, rhs_gap) in enumerate(zip(solution._gaps, rhs._gaps)):
         if not bps:
             region = "all t"
         elif i == 0:
@@ -716,16 +714,13 @@ def ode_verify(solution: PiecewiseExtension, rhs: PiecewiseExtension) -> list[Re
             region = f"t > {bps[-1]!r}"
         else:
             region = f"{bps[i - 1]!r} < t < {bps[i]!r}"
-        lo = -_INF if i == 0 else bps[i - 1]
-        hi = _INF if i == len(bps) else bps[i]
-        de = e.deriv()
+        slope, value = gap.real_fn(1), rhs_gap.real_fn(0)
         worst = 0.0
         status = "pass"
         detail = ""
-        for t in _grid(*_finite_window(lo, hi, 2.0), _ODE_SAMPLES, cells=True):
+        for t in _grid(*_finite_window(gap.lo, gap.hi, 2.0), _ODE_SAMPLES, cells=True):
             try:
-                got = de.eval_real(t)
-                want = rhs.gap_exprs[i].eval_real(t)
+                got, want = slope(t), value(t)
             except MonadicaError as exc:
                 status, detail = "fail", f"evaluation failed at t={t!r}: {exc}"
                 break

@@ -51,6 +51,16 @@ def _real(value, what: str) -> float:
         raise DomainError(f"{what} lies beyond the float range") from None
 
 
+def _count(value, what: str, lo: int, hi: int | None = None) -> int:
+    """The integer twin of ``_real``: an int by exact type, so a bool is
+    refused, from lo up to hi (no upper bound when hi is None); ``what``
+    names the value in the error."""
+    if type(value) is not int or value < lo or (hi is not None and value > hi):
+        bound = f">= {lo}" if hi is None else f"from {lo} to {hi}"
+        raise DomainError(f"{what} must be an integer {bound}, not {value!r}")
+    return value
+
+
 def _clean(value: float, what: str) -> float:
     v = _real(value, what)
     if not math.isfinite(v):
@@ -291,9 +301,7 @@ def div(y, x) -> GeneralizedReal:
 
 def pow_nat(x, m: int) -> GeneralizedReal:
     """x**m for a natural exponent (m = 0 gives 1)."""
-    if type(m) is not int or m < 0:
-        raise DomainError(f"exponent must be a natural number, got {m!r}")
-    if m == 0:
+    if _count(m, "exponent", 0) == 0:
         return ONE
     x = as_generalized(x)
     try:
@@ -306,8 +314,7 @@ def pow_nat(x, m: int) -> GeneralizedReal:
 
 def root(x, m: int) -> GeneralizedReal:
     """The unique positive m-th root of a positive value (m > 1)."""
-    if type(m) is not int or m < 2:
-        raise DomainError(f"root degree must be an integer > 1, got {m!r}")
+    _count(m, "root degree", 2)
     x = as_generalized(x)
     s = x.shadow
     if s <= 0.0:

@@ -528,11 +528,9 @@ def iter_nodes(e: Expr):
 
 def differentiate(e: Expr, order: int = 1) -> Expr:
     """Symbolic derivative of the given order (order 0 returns e itself)."""
-    if type(order) is not int or order < 0:
-        raise DomainError("derivative order must be a nonnegative integer")
     out = e
     try:
-        for _ in range(order):
+        for _ in range(core._count(order, "derivative order", 0)):
             out = out.deriv()
     except RecursionError as exc:
         raise DomainError(TOO_DEEP) from exc

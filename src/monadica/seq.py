@@ -15,7 +15,7 @@ import operator
 import sys
 from typing import Iterable, Sequence
 
-from .core import Record, _real, as_generalized
+from .core import Record, _count, _real, as_generalized
 from .errors import DomainError, NotInvertible, UnknownGenerator
 
 
@@ -27,8 +27,7 @@ class SequenceGenerator(Record):
 
 def impulse(k: int) -> SequenceGenerator:
     """1 at index k, 0 elsewhere; id ``e:<k>``."""
-    if type(k) is not int or k < 1:
-        raise DomainError(f"impulse index must be a positive integer, got {k!r}")
+    _count(k, "impulse index", 1)
     return SequenceGenerator(f"e:{k}", lambda n, _k=k: 1.0 if n == _k else 0.0)
 
 
@@ -160,8 +159,7 @@ DEFAULT_CATALOG = Catalog.standard()
 
 def term(x, n: int, catalog: Catalog = DEFAULT_CATALOG) -> float:
     """n-th term of the sequence a value denotes."""
-    if type(n) is not int or n < 1:
-        raise DomainError(f"sequence index must be a positive integer, got {n!r}")
+    _count(n, "sequence index", 1)
     x = as_generalized(x)
     value = x.shadow
     for gid, c in x.dpart.items():
@@ -169,10 +167,13 @@ def term(x, n: int, catalog: Catalog = DEFAULT_CATALOG) -> float:
     return value
 
 
+#: The most terms one prefix holds, so a request cannot run out of memory.
+_MAX_TERMS = 100_000
+
+
 def prefix(x, n_terms: int, catalog: Catalog = DEFAULT_CATALOG) -> list[float]:
-    """First n_terms terms of the sequence a value denotes."""
-    if n_terms < 0:
-        raise DomainError(f"number of terms must be nonnegative, got {n_terms}")
+    """First n_terms terms (at most 100 000) of the sequence a value denotes."""
+    _count(n_terms, "number of terms", 0, _MAX_TERMS)
     return [term(x, n, catalog) for n in range(1, n_terms + 1)]
 
 
@@ -192,8 +193,7 @@ def convergence_witness(
     n in [N, nmax]; None when no sampled index qualifies."""
     if not eps > 0.0:
         raise DomainError("eps must be positive")
-    if type(nmax) is not int or nmax < 1:
-        raise DomainError("nmax must be a positive integer")
+    _count(nmax, "nmax", 1)
     x = as_generalized(x)
     indices = sampled_indices(nmax)
     ok = [abs(term(x, n, catalog) - x.shadow) < eps for n in indices]
@@ -212,8 +212,7 @@ def oracle_binary(
     op: str, x, y, n_terms: int, catalog: Catalog = DEFAULT_CATALOG
 ) -> list[float]:
     """Apply the defining termwise formula of addition or multiplication."""
-    if n_terms < 1:
-        raise DomainError("n_terms must be at least 1")
+    _count(n_terms, "number of terms", 1, _MAX_TERMS)
     x, y = as_generalized(x), as_generalized(y)
     px = prefix(x, n_terms, catalog)
     py = prefix(y, n_terms, catalog)
@@ -238,8 +237,7 @@ def oracle_pow_nat(
     x, m: int, n_terms: int, catalog: Catalog = DEFAULT_CATALOG
 ) -> list[float]:
     """m-fold repetition of the termwise multiplication formula."""
-    if type(m) is not int or m < 1:
-        raise DomainError("exponent must be a positive integer")
+    _count(m, "exponent", 1)
     x = as_generalized(x)
     base = prefix(x, n_terms, catalog)
     lx = x.shadow

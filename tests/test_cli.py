@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -196,7 +197,18 @@ class TestSeq:
     def test_negative_term_count_is_rejected(self, capsys):
         code, out = run(capsys, "seq", "print", '{"shadow":2,"d":{}}', "--terms", "-3")
         assert code == 1
-        assert "nonnegative" in strict_json(out)["error"]
+        want = "number of terms must be an integer from 0 to 100000, not -3"
+        assert strict_json(out)["error"] == want
+
+    def test_a_term_count_beyond_the_limit_is_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out = run(
+            capsys, "seq", "print", '{"shadow":0.5,"d":{"e:1":1}}', "--terms", "100000000"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        want = "number of terms must be an integer from 0 to 100000, not 100000000"
+        assert strict_json(out) == {"error": want}
 
 
 class TestSets:

@@ -114,7 +114,7 @@ class TestArithmetic:
             core.root(make(2), 1)
 
     def test_bool_exponents_rejected(self):
-        with pytest.raises(DomainError, match="^exponent must be a natural number, got True$"):
+        with pytest.raises(DomainError, match="^exponent must be an integer >= 0, not True$"):
             core.pow_nat(make(2), True)
         with pytest.raises(TypeError):
             make(2) ** True
@@ -463,31 +463,38 @@ def test_gated_entry_points_take_only_ints_and_floats(entry, bad):
         GATED[entry](bad)
 
 
-# -- orders, degrees and indices are ints, never bools -----------------------------
+# -- orders, degrees, indices and counts are ints, never bools -------------------
 
 ORDERS = {
     "eval_higher": (lambda m: _EXP.eval_higher(m, make(0.5)),
-                    "extension order must be a positive integer"),
+                    "extension order must be an integer >= 1"),
     "deriv_higher": (lambda m: _EXP.deriv_higher(m, make(0.5)),
-                     "derivative order must be a positive integer"),
+                     "derivative order must be an integer >= 1"),
     "taylor_expand": (lambda m: calculus.taylor_expand(_EXP, 0.3, m, make(0.5)),
-                      "expansion order must be a nonnegative integer"),
-    "root": (lambda m: core.root(make(4.0), m), "root degree must be an integer > 1, got True"),
+                      "expansion order must be an integer >= 0"),
+    "root": (lambda m: core.root(make(4.0), m), "root degree must be an integer >= 2"),
     "differentiate": (lambda m: differentiate(Exp(_X), m),
-                      "derivative order must be a nonnegative integer"),
-    "impulse": (seq.impulse, "impulse index must be a positive integer, got True"),
+                      "derivative order must be an integer >= 0"),
+    "impulse": (seq.impulse, "impulse index must be an integer >= 1"),
     "term": (lambda m: seq.term(make(0.5, {"e:1": 1.0}), m),
-             "sequence index must be a positive integer, got True"),
+             "sequence index must be an integer >= 1"),
     "convergence_witness": (lambda m: seq.convergence_witness(make(0.5), 0.1, m),
-                            "nmax must be a positive integer"),
+                            "nmax must be an integer >= 1"),
     "oracle_pow_nat": (lambda m: seq.oracle_pow_nat(make(0.5), m, 4),
-                       "exponent must be a positive integer"),
+                       "exponent must be an integer >= 1"),
+    "prefix": (lambda n: seq.prefix(make(0.5), n),
+               "number of terms must be an integer from 0 to 100000"),
+    "oracle_binary": (lambda n: seq.oracle_binary("add", make(0.5), make(1.0), n),
+                      "number of terms must be an integer from 1 to 100000"),
+    "oracle_inv": (lambda n: seq.oracle_inv(make(0.5), n),
+                   "number of terms must be an integer from 0 to 100000"),
 }
 
 
 @pytest.mark.parametrize("entry", sorted(ORDERS))
 def test_orders_refuse_a_bool(entry):
     call, message = ORDERS[entry]
-    with pytest.raises(DomainError) as info:
-        call(True)
-    assert str(info.value) == message
+    for bad in (True, 2.5, "3"):
+        with pytest.raises(DomainError) as info:
+            call(bad)
+        assert str(info.value) == f"{message}, not {bad!r}"

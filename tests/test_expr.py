@@ -117,8 +117,9 @@ class TestDifferentiation:
 
     @pytest.mark.parametrize("order", [1.5, "2", None, -1])
     def test_order_must_be_a_nonnegative_integer(self, order):
-        with pytest.raises(DomainError, match="^derivative order must be a nonnegative integer$"):
+        with pytest.raises(DomainError) as info:
             differentiate(parse("sin(x)"), order)
+        assert str(info.value) == f"derivative order must be an integer >= 0, not {order!r}"
 
 
 class TestParser:

@@ -3,6 +3,7 @@ its ``__slots__``, and it pickles and copies to an equal value."""
 
 import copy
 import dataclasses
+import math
 import pickle
 
 import pytest
@@ -48,6 +49,18 @@ def test_natural_extensions_with_filled_caches_round_trip(kind, trip):
 
 def _piecewise():
     return PiecewiseExtension((0.0,), (parse("-x"), Var()), (MonadRule(0.0, 0.0),))
+
+
+@pytest.mark.parametrize("trip", sorted(ROUND_TRIPS))
+def test_a_piecewise_copy_rebuilds_its_gap_extensions(trip):
+    p = _piecewise()
+    got = ROUND_TRIPS[trip](p)
+    assert got._gaps == p._gaps and got._gaps is not p._gaps
+    for s in (-2.0, 3.0):
+        x = make(s, {"h": 2.0})
+        want = make(abs(s), {"h": math.copysign(2.0, s)})
+        assert got._gaps[s > 0].eval_at(x) == p.eval_at(x) == want
+        assert got.deriv_at(s) == p.deriv_at(s)
 
 
 # one instance of every record but the natural extensions and the nodes
@@ -106,6 +119,7 @@ def test_records_have_no_dict_and_fields_that_cannot_change(name):
 def test_derived_slots_are_not_fields():
     assert RealSet._fields == ("intervals", "points")
     assert NaturalExtension._fields == ("expr", "lo", "hi")
+    assert PiecewiseExtension._fields == ("breakpoints", "gap_exprs", "monad_rules")
     # a grown cache leaves equality and the hash alone
     f, g = (NaturalExtension.on_interval(parse("sin(x)")) for _ in range(2))
     f.deriv_exprs(4)

@@ -37,6 +37,13 @@ class TestGenerators:
         with pytest.raises(DomainError):
             seq.term(make(1), 0)
 
+    def test_a_prefix_holds_at_most_100000_terms(self):
+        x = make(0.5, {"h": 1.0})
+        assert len(seq.prefix(x, 100_000)) == 100_000
+        for call in (seq.prefix, seq.oracle_inv, lambda x, n: seq.oracle_binary("mul", x, x, n)):
+            with pytest.raises(DomainError, match=r"to 100000, not 100001$"):
+                call(x, 100_001)
+
     def test_catalog_rejects_duplicates_and_dependence(self):
         with pytest.raises(DomainError):
             seq.Catalog([seq.impulse(1), seq.impulse(1)])
