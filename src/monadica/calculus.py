@@ -150,11 +150,12 @@ class NaturalExtension(core.Record):
         """Build the extension on the open interval (lo, hi), checking by
         sampling that the function and its derivative are valid there: each
         probe has a finite value and derivative."""
+        if not isinstance(expr, Expr):
+            raise DomainError(f"a function must be an expression, not {expr!r}")
         lo, hi = core._real(lo, "interval lo"), core._real(hi, "interval hi")
         if math.isnan(lo) or math.isnan(hi) or not lo < hi:
             raise DomainError(f"invalid open interval ({lo}, {hi})")
         ext = cls(expr, lo + 0.0, hi + 0.0)  # no signed zero
-        ext.deriv_exprs(1)  # a tree with no derivative fails before compiling
         value, slope = ext.real_fn(0), ext.real_fn(1)
         invalid = f"function is not valid on ({lo}, {hi}): "
         for xi in _grid(*_finite_window(lo, hi, _PROBE_WINDOW), _PROBES, cells=True):
@@ -365,10 +366,6 @@ def mean_value_point(f: NaturalExtension, a, b) -> float:
     slope = (phi(sb) - phi(sa)) / width
     if math.isinf(width) or not math.isfinite(slope):
         raise OutOfDomain(f"the mean slope over [{sa!r}, {sb!r}] overflows")
-
-    def h(t: float) -> float:
-        return lam(t) - slope
-
     ts = _grid(sa, sb, _ROOT_CELLS)[1:-1]
     vals = [lam(t) - slope for t in ts]
     mags = [abs(v) for v in vals]
@@ -376,9 +373,13 @@ def mean_value_point(f: NaturalExtension, a, b) -> float:
     best = min(range(len(ts)), key=mags.__getitem__)
     if mags[best] <= tol:
         return ts[best]
-    # without a sign change, the grid minimum: the crossing was narrower
-    # than the grid
-    return next(_crossings(h, ts, vals, tol), ts[best])
+    root = next(_crossings(lambda t: lam(t) - slope, ts, vals, tol), None)
+    if root is None:
+        raise DomainError(
+            f"no mean-value point found on [{sa!r}, {sb!r}]: the derivative "
+            f"neither meets nor crosses the mean slope {slope!r} on the grid"
+        )
+    return root
 
 
 # -- inversion ----------------------------------------------------------------------
@@ -603,6 +604,9 @@ class PiecewiseExtension(core.Record):
             raise DomainError("need one gap expression more than breakpoints")
         if len(monad_rules) != len(bps):
             raise DomainError("need one monad rule per breakpoint")
+        for rule in monad_rules:
+            if not isinstance(rule, MonadRule):
+                raise DomainError(f"a monad rule must be a MonadRule, not {rule!r}")
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "gap_exprs", tuple(gap_exprs))
         object.__setattr__(self, "monad_rules", tuple(monad_rules))

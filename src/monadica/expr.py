@@ -7,9 +7,9 @@ a function is valid belongs to its natural extension
 (``calculus.NaturalExtension``), not to its nodes.  Each node type has one
 ``rule`` for its value, pointwise checks included, which floats
 (``eval_real``), emitted code (``compile_real``) and (value, slope) pairs
-(``gen_eval``) all run.  Each node also produces its symbolic derivative
-(with constant folding so repeated differentiation does not blow up).
-There is deliberately no simplification beyond that.
+(``gen_eval``) all run; the pairs state each derivative rule once, and run
+over trees they differentiate symbolically (``differentiate``), with
+constant folding and deliberately no simplification beyond that.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import struct
 from typing import Callable
 
 from . import core
-from .errors import DomainError, NotInvertible, OutOfDomain
+from .errors import DomainError, NotDifferentiable, NotInvertible, OutOfDomain
 
 #: The message of the DomainError each entry point raises in place of a
 #: RecursionError: parse, differentiate, eval_real, compile_real, gen_eval.
@@ -52,7 +52,8 @@ class Expr(core.Record):
         raise NotImplementedError
 
     def deriv(self) -> "Expr":
-        raise NotImplementedError
+        """The symbolic derivative; see ``differentiate``."""
+        return differentiate(self)
 
     # operator sugar, mirroring how the trees are written in tests
     def __add__(self, other):
@@ -102,9 +103,6 @@ class Const(Expr):
     def rule(self, arith, x):
         return arith.const(self.value)
 
-    def deriv(self):
-        return Const(0.0)
-
     def __str__(self):
         return repr(self.value)
 
@@ -114,9 +112,6 @@ class Var(Expr):
 
     def rule(self, arith, x):
         return x
-
-    def deriv(self):
-        return Const(1.0)
 
     def __str__(self):
         return "x"
@@ -128,9 +123,6 @@ class Add(Expr):
     def rule(self, arith, x):
         return arith.add(arith.walk(self.lhs, x), arith.walk(self.rhs, x))
 
-    def deriv(self):
-        return add(self.lhs.deriv(), self.rhs.deriv())
-
     def __str__(self):
         return f"({self.lhs} + {self.rhs})"
 
@@ -141,9 +133,6 @@ class Sub(Expr):
     def rule(self, arith, x):
         return arith.sub(arith.walk(self.lhs, x), arith.walk(self.rhs, x))
 
-    def deriv(self):
-        return sub(self.lhs.deriv(), self.rhs.deriv())
-
     def __str__(self):
         return f"({self.lhs} - {self.rhs})"
 
@@ -153,11 +142,6 @@ class Mul(Expr):
 
     def rule(self, arith, x):
         return arith.mul(arith.walk(self.lhs, x), arith.walk(self.rhs, x))
-
-    def deriv(self):
-        return add(
-            mul(self.lhs.deriv(), self.rhs), mul(self.lhs, self.rhs.deriv())
-        )
 
     def __str__(self):
         return f"({self.lhs} * {self.rhs})"
@@ -173,10 +157,6 @@ class Div(Expr):
         arith.nonzero(b, "division by zero at {!r}", x)
         return arith.div(a, b)
 
-    def deriv(self):
-        num = sub(mul(self.lhs.deriv(), self.rhs), mul(self.lhs, self.rhs.deriv()))
-        return Div(num, pow_int(self.rhs, 2))
-
     def __str__(self):
         return f"({self.lhs} / {self.rhs})"
 
@@ -186,9 +166,6 @@ class Neg(Expr):
 
     def rule(self, arith, x):
         return arith.neg(arith.walk(self.arg, x))
-
-    def deriv(self):
-        return neg(self.arg.deriv())
 
     def __str__(self):
         return f"(-{self.arg})"
@@ -202,12 +179,6 @@ class PowInt(Expr):
         if self.exponent < 0:
             arith.nonzero(b, "zero base with negative exponent at {!r}", x)
         return arith.pow_int(b, self.exponent)
-
-    def deriv(self):
-        m = self.exponent
-        if m == 0:
-            return Const(0.0)
-        return mul(mul(Const(float(m)), pow_int(self.base, m - 1)), self.base.deriv())
 
     def __str__(self):
         return f"({self.base})^{self.exponent}"
@@ -223,11 +194,6 @@ class PowReal(Expr):
         arith.positive(b, "real power needs a positive base, got {!r}")
         return arith.pow_real(b, self.exponent)
 
-    def deriv(self):
-        a = self.exponent
-        lowered = PowReal(self.base, a - 1.0)
-        return mul(mul(Const(a), lowered), self.base.deriv())
-
     def __str__(self):
         return f"({self.base})^{self.exponent!r}"
 
@@ -242,11 +208,6 @@ class Root(Expr):
         arith.positive(b, "root needs a positive argument, got {!r}")
         return arith.root(b, self.degree)
 
-    def deriv(self):
-        m = self.degree
-        denom = mul(Const(float(m)), pow_int(Root(self.base, m), m - 1))
-        return Div(self.base.deriv(), denom)
-
     def __str__(self):
         return f"root({self.degree}, {self.base})"
 
@@ -256,9 +217,6 @@ class Exp(Expr):
 
     def rule(self, arith, x):
         return arith.exp(arith.walk(self.arg, x))
-
-    def deriv(self):
-        return mul(Exp(self.arg), self.arg.deriv())
 
     def __str__(self):
         return f"exp({self.arg})"
@@ -274,9 +232,6 @@ class Log(Expr):
         arith.positive(a, "log needs a positive argument, got {!r}")
         return arith.log(a)
 
-    def deriv(self):
-        return Div(self.arg.deriv(), self.arg)
-
     def __str__(self):
         return f"log({self.arg})"
 
@@ -287,9 +242,6 @@ class Sin(Expr):
     def rule(self, arith, x):
         return arith.sin(arith.walk(self.arg, x))
 
-    def deriv(self):
-        return mul(Cos(self.arg), self.arg.deriv())
-
     def __str__(self):
         return f"sin({self.arg})"
 
@@ -299,9 +251,6 @@ class Cos(Expr):
 
     def rule(self, arith, x):
         return arith.cos(arith.walk(self.arg, x))
-
-    def deriv(self):
-        return mul(neg(Sin(self.arg)), self.arg.deriv())
 
     def __str__(self):
         return f"cos({self.arg})"
@@ -315,9 +264,6 @@ class Compose(Expr):
     def rule(self, arith, x):
         return arith.walk(self.outer, arith.walk(self.inner, x))
 
-    def deriv(self):
-        return mul(Compose(self.outer.deriv(), self.inner), self.inner.deriv())
-
     def __str__(self):
         return f"({self.outer})∘({self.inner})"
 
@@ -330,7 +276,7 @@ class Arithmetic:
     sub, mul, div, neg, pow_int, pow_real, root, exp, log, sin, cos; the
     checks ``nonzero(a, message, shown)`` and ``positive(a, message)``; and
     ``lift(fn, a, slope)``: fn(a), with derivative factor slope(a, fn(a)),
-    for a node computed by a Python function."""
+    for a node computed by a Python function, fn a method of the node."""
 
     def walk(self, e: Expr, x):
         """The value of e with the variable bound to x."""
@@ -348,7 +294,8 @@ class _Float(Arithmetic):
     def const(self, c):
         return c
 
-    def root(self, a, m):
+    @staticmethod
+    def root(a, m):
         return math.sqrt(a) if m == 2 else a ** (1.0 / m)
 
     def nonzero(self, a, message, shown):
@@ -387,7 +334,12 @@ def gen_eval(e: Expr, x) -> core.GeneralizedReal:
 
 class _Pair(Arithmetic):
     """(value, slope) float pairs: a value and its derivative along x, with
-    products of infinitesimals dropped."""
+    products of infinitesimals dropped.  These are the derivative rules,
+    each stated once; they use only ``+ - * / ** neg`` and the five hooks
+    below, so ``_Tree`` runs them over trees."""
+
+    _exp, _log, _sin, _cos = _Float.exp, _Float.log, _Float.sin, _Float.cos
+    _root = staticmethod(_Float.root)
 
     def const(self, c):
         return c, 0.0
@@ -422,26 +374,26 @@ class _Pair(Arithmetic):
 
     def pow_real(self, p, alpha):
         a, da = p
-        r = a**alpha
+        r = a ** float(alpha)  # over trees an int would build a PowInt
         return r, alpha * (r / a) * da
 
     def root(self, p, m):
         a, da = p
-        r = math.sqrt(a) if m == 2 else a ** (1.0 / m)
+        r = self._root(a, m)
         return r, r / (m * a) * da
 
     def exp(self, p):
-        v = math.exp(p[0])
+        v = self._exp(p[0])
         return v, v * p[1]
 
     def log(self, p):
-        return math.log(p[0]), p[1] / p[0]
+        return self._log(p[0]), p[1] / p[0]
 
     def sin(self, p):
-        return math.sin(p[0]), math.cos(p[0]) * p[1]
+        return self._sin(p[0]), self._cos(p[0]) * p[1]
 
     def cos(self, p):
-        return math.cos(p[0]), -math.sin(p[0]) * p[1]
+        return self._cos(p[0]), -self._sin(p[0]) * p[1]
 
     def nonzero(self, p, message, shown):
         if p[0] == 0.0:
@@ -455,6 +407,46 @@ class _Pair(Arithmetic):
         a, da = p
         v = fn(a)
         return v, slope(a, v) * da
+
+
+class _Tree(_Pair):
+    """(tree, slope) pairs: ``_Pair``'s rules over expression trees, whose
+    operators are the folding constructors, so the slope is the symbolic
+    derivative.  A slope stays a float while it is constant.  Each node is
+    walked once per binding, so shared subtrees are differentiated once and
+    the derivative shares the function's subtrees.  The checks do nothing:
+    the nodes of the result carry their own."""
+
+    _exp, _log, _sin, _cos, _root = Exp, Log, Sin, Cos, Root
+
+    def __init__(self) -> None:
+        self.pairs: dict[tuple[int, int], tuple] = {}
+
+    def walk(self, e: Expr, x: tuple) -> tuple:
+        key = (id(e), id(x))
+        pair = self.pairs.get(key)
+        if pair is None:
+            pair = self.pairs[key] = e.rule(self, x)
+        return pair
+
+    def const(self, c):
+        return Const(c), 0.0
+
+    def nonzero(self, p, message, shown):
+        pass
+
+    def positive(self, p, message):
+        pass
+
+    def lift(self, fn, p, slope):
+        # the derivative of a lifted node is the node's own, since fn is
+        # opaque; one that states none would recurse into differentiate
+        node, (a, da) = fn.__self__, p
+        if type(node).deriv is Expr.deriv:
+            raise NotDifferentiable(f"{type(node).__name__} states no derivative")
+        if type(a) is Var:
+            return node, node.deriv() * da
+        return Compose(node, a), Compose(node.deriv(), a) * da
 
 
 # -- folding constructors ------------------------------------------------------
@@ -527,11 +519,12 @@ def iter_nodes(e: Expr):
 
 
 def differentiate(e: Expr, order: int = 1) -> Expr:
-    """Symbolic derivative of the given order (order 0 returns e itself)."""
+    """Symbolic derivative of the given order (order 0 returns e itself):
+    the slope of the (tree, slope) pair walk, once per order."""
     out = e
     try:
         for _ in range(core._count(order, "derivative order", 0)):
-            out = out.deriv()
+            out = _coerce(_Tree().walk(out, (Var(), 1.0))[1])
     except RecursionError as exc:
         raise DomainError(TOO_DEEP) from exc
     return out
@@ -552,16 +545,17 @@ def compile_real(e: Expr) -> Callable[[float], float]:
     an operation on the same operand names is assigned once and named again
     wherever it recurs, a check is emitted once, and each constant gets one
     name (an int or str keyed by type and value, a float by its bits, any
-    other object by identity).  So equal subtrees that differentiation
-    rebuilds as new objects are computed once; the k-th derivative of
-    ``exp(sin(x))*x^3 + log(2+cos(x))/(1+x^2)`` takes 13, 25, 51, 99 and
-    180 lines at k = 0 to 4, where merging only repeated node objects
-    takes 13, 29, 77, 240 and 928.  Dropping a repeat changes no float and
+    other object by identity).  A derivative shares its function's subtrees,
+    which are walked once, and the numbering computes once the equal subtrees
+    that differentiation builds as new objects; the k-th derivative of
+    ``exp(sin(x))*x^3 + log(2+cos(x))/(1+x^2)`` takes 13, 24, 41, 65 and
+    98 lines at k = 0 to 4, where merging only repeated node objects
+    takes 13, 27, 61, 148 and 373.  Dropping a repeat changes no float and
     no error: it computes the same operation on the same inputs, and a
     repeated check already passed where it first occurred.  Compiling
-    costs about 5 tree walks (a fourth derivative whose repeats merge) to
-    300 (a single node), so ``eval_real`` remains the path for one-shot
-    evaluation.
+    costs about 2 tree walks (that fourth derivative, whose walk unfolds
+    its shared subtrees) to 200 (a single node), so ``eval_real`` remains
+    the path for one-shot evaluation.
     """
     try:
         return _Emit().build(e)

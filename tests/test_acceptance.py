@@ -152,6 +152,13 @@ def test_derivative_totals_count_each_comparison(monkeypatch):
     detail = {r.name: r.detail for r in verify.check_derivative(0)}
     assert detail["extension_contract"].startswith("200/200 failed; first: xi=")
     assert detail["monotonicity_and_constancy"] == "20/77 failed; first: constant function moved"
+    monkeypatch.undo()
+    # six comparisons per functional identity case, and eight images
+    monkeypatch.setattr(verify, "value_close", lambda x, y, tol: False)
+    monkeypatch.setattr(verify, "image_set", lambda f, s: None)
+    detail = {r.name: r.detail for r in verify.check_derivative(0)}
+    assert detail["functional_identities"].startswith("600/600 failed; first: periodicity x=")
+    assert detail["range_identities"] == "8/8 failed; first: exp on (-1.0, 1.0)"
 
 
 def test_criterion_08_taylor():

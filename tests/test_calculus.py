@@ -202,6 +202,13 @@ class TestMeanValue:
         for gid in set(lhs.dpart) | set(rhs.dpart):
             assert lhs.coefficient(gid) == pytest.approx(rhs.coefficient(gid), abs=1e-12)
 
+    def test_no_point_across_a_pole_is_a_domain_error(self):
+        # f' < 0 on both sides of the pole, but the secant slope is positive,
+        # so no mean-value point exists; the grid minimum is no answer
+        f = NaturalExtension.on_interval(parse("1/(x-0.123456)"), -1, 1)
+        with pytest.raises(DomainError, match=r"no mean-value point found on \[-0\.5, 0\.6\]"):
+            mean_value_point(f, make(-0.5), make(0.6))
+
 
 class TestFloatEdges:
     @pytest.mark.parametrize(

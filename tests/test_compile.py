@@ -146,8 +146,8 @@ def test_shared_nodes_are_evaluated_once_per_binding():
     assert gen_eval(Mul(c, X), make(0.5, {"h": 1.0})) == make(0.75, {"h": 2.0})
 
 
-# differentiation rebuilds equal subtrees as new objects, so this tree's
-# derivatives repeat much of their work
+# differentiation builds some equal subtrees as new objects (sin's slope
+# makes a cos(u) beside cos's own), so this tree's derivatives repeat work
 SWELLING = parse("exp(sin(x))*x^3 + log(2+cos(x))/(1+x^2)")
 
 
@@ -167,9 +167,9 @@ def test_emitted_kernels_repeat_no_operation_and_no_check():
 
 def test_emitted_line_counts_per_derivative_order():
     # a deterministic work count; merging only repeated node objects takes
-    # 13, 29, 77, 240 and 928 lines
+    # 13, 27, 61, 148 and 373 lines
     counts = [len(emitted(expr.differentiate(SWELLING, k))) for k in range(5)]
-    assert counts == [13, 25, 51, 99, 180]
+    assert counts == [13, 24, 41, 65, 98]
 
 
 def test_signed_zero_constants_keep_their_own_names():

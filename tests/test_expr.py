@@ -1,11 +1,12 @@
 import math
 import operator
+import random
 
 import pytest
 
 from monadica.calculus import gen_eval
 from monadica.core import make
-from monadica.errors import DomainError, OutOfDomain
+from monadica.errors import DomainError, MonadicaError, NotDifferentiable, OutOfDomain
 from monadica.expr import (
     Compose,
     Const,
@@ -18,9 +19,11 @@ from monadica.expr import (
     Var,
     compile_real,
     differentiate,
+    iter_nodes,
     parse,
     pow_int,
 )
+from test_compile import NODES, Counted, random_tree
 
 X = Var()
 
@@ -100,6 +103,10 @@ class TestDifferentiation:
         assert differentiate(Cos(X)).eval_real(0.7) == -math.sin(0.7)
         assert differentiate(PowReal(X, 1.5)).eval_real(4.0) == 1.5 * 4.0**0.5
 
+    def test_a_real_power_keeps_its_domain_with_an_int_exponent(self):
+        with pytest.raises(OutOfDomain, match="real power needs a positive base"):
+            differentiate(PowReal(X, 2)).eval_real(-1.0)
+
     def test_quotient_rule(self):
         e = X / (Const(1.0) + pow_int(X, 2))
         got = differentiate(e).eval_real(2.0)
@@ -120,6 +127,65 @@ class TestDifferentiation:
         with pytest.raises(DomainError) as info:
             differentiate(parse("sin(x)"), order)
         assert str(info.value) == f"derivative order must be an integer >= 0, not {order!r}"
+
+    def test_a_lifted_node_without_a_derivative_is_not_differentiable(self):
+        with pytest.raises(NotDifferentiable, match="^Counted states no derivative$"):
+            differentiate(Counted([0]) * X)
+
+
+def to_sympy(e, x, sympy):
+    """The sympy expression of a tree, with the variable bound to x."""
+    kind = type(e).__name__
+    if kind == "Var":
+        return x
+    if kind == "Const":
+        return sympy.Rational(e.value)  # the float's exact binary value
+    if kind == "Compose":
+        return to_sympy(e.outer, to_sympy(e.inner, x, sympy), sympy)
+    if kind in ("PowInt", "PowReal", "Root"):
+        b = to_sympy(e.base, x, sympy)
+        if kind == "Root":
+            return b ** sympy.Rational(1, e.degree)
+        return b ** (e.exponent if kind == "PowInt" else sympy.Float(e.exponent, 30))
+    args = [to_sympy(getattr(e, name), x, sympy) for name in e._fields]
+    binary = {"Add": operator.add, "Sub": operator.sub, "Mul": operator.mul, "Div": operator.truediv}
+    if kind in binary:
+        return binary[kind](*args)
+    unary = {"Neg": operator.neg, "Exp": sympy.exp, "Log": sympy.log, "Sin": sympy.sin, "Cos": sympy.cos}
+    return unary[kind](*args)
+
+
+def test_derivatives_match_sympy_on_random_trees_of_every_node_type():
+    # an oracle that shares no rule with the library: sympy differentiates,
+    # mpmath evaluates at 30 digits
+    sympy = pytest.importorskip("sympy")
+    mpmath = pytest.importorskip("mpmath")
+    t = sympy.Symbol("t", real=True)
+    kinds, compared = set(), 0
+    with mpmath.workdps(30):
+        for seed in range(80):
+            tree = random_tree(random.Random(seed), 3, [], Const(0.75))
+            kinds.update(type(n).__name__ for n in iter_nodes(tree))
+            symbolic = to_sympy(tree, t, sympy)
+            if symbolic.has(sympy.zoo, sympy.nan):
+                continue  # sympy folded a constant 1/0: no value to compare
+            for order in (1, 2, 3):
+                symbolic = sympy.diff(symbolic, t)
+                want = sympy.lambdify(t, symbolic, "mpmath")
+                ours = differentiate(tree, order)
+                for xi in (-1.7, -0.6, 0.3, 0.7, 1.3, 2.2):
+                    try:
+                        got = ours.eval_real(xi)
+                    except MonadicaError:
+                        continue
+                    ref = complex(want(mpmath.mpf(xi)))
+                    assert ref.imag == 0.0, (str(tree), order, xi, ref)
+                    assert abs(got - ref.real) <= 1e-9 * max(1.0, abs(ref.real)), (
+                        str(tree), order, xi, got, ref
+                    )
+                    compared += 1
+    assert kinds == {cls.__name__ for cls in NODES}
+    assert compared > 1000
 
 
 class TestParser:

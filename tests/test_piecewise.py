@@ -7,6 +7,7 @@ import pytest
 
 from monadica.calculus import (
     MonadRule,
+    NaturalExtension,
     PiecewiseExtension,
     ode_verify,
 )
@@ -55,6 +56,23 @@ class TestConstruction:
             match=r"^function is not valid on \(-inf, 0\.0\): log needs a positive argument",
         ):
             PiecewiseExtension([0], [parse("log(x)"), X], [MonadRule(0, 1)])
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: NaturalExtension.on_interval("x"), "a function must be an expression, not 'x'"),
+            (lambda: PiecewiseExtension((), ("x",), ()), "a function must be an expression, not 'x'"),
+            (
+                lambda: PiecewiseExtension((0.0,), (X, X), (None,)),
+                "a monad rule must be a MonadRule, not None",
+            ),
+        ],
+        ids=["gap_text", "piecewise_gap_text", "rule_none"],
+    )
+    def test_a_malformed_gap_or_rule_is_refused(self, build, message):
+        with pytest.raises(DomainError) as raised:
+            build()
+        assert str(raised.value) == message
 
 
 class TestEvaluation:
