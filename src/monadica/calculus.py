@@ -18,6 +18,8 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_right
+from itertools import compress
+from operator import sub
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from . import core
@@ -33,7 +35,7 @@ from .errors import (
     RegionMismatch,
     VanishingDerivative,
 )
-from .expr import Compose, Const, Div, Expr, compile_real, differentiate
+from .expr import Compose, Const, Div, Expr, _Emit, compile_real, differentiate
 from .expr import gen_eval  # noqa: F401  (re-exported: callers import it from here)
 
 if TYPE_CHECKING:
@@ -65,9 +67,21 @@ def _finite_window(lo: float, hi: float, reach: float) -> tuple[float, float]:
 
 
 @functools.cache
-def _unit(n: int) -> list[float]:
-    """The n + 1 nodes i / n of the unit interval, built once per n."""
-    return [i / n for i in range(n + 1)]
+def _unit(n: int, cells: bool = False) -> list[float]:
+    """The n + 1 nodes i / n of the unit interval, or with cells the n cell
+    midpoints (i + 0.5) / n, built once per n."""
+    return [(i + 0.5) / n for i in range(n)] if cells else [i / n for i in range(n + 1)]
+
+
+class _Nodes(core.Record):
+    """The nodes lo + w * u over a unit table, each computed when read: for a
+    power-of-two n, the floats ``_grid`` gives, except where w / n is
+    subnormal or w * (i + 0.5) overflows (a finite node here, inf there)."""
+
+    __slots__ = ("lo", "w", "units")
+
+    def __getitem__(self, i: int) -> float:
+        return self.lo + self.w * self.units[i]
 
 
 def _grid(lo: float, hi: float, n: int, cells: bool = False) -> list[float]:
@@ -95,26 +109,25 @@ def _bisect(g, a: float, b: float, ga: float, tol: float = 0.0) -> float:
             b = mid
 
 
-def _crossings(g, xs: list[float], vals: list[float], tol: float) -> Iterator[float]:
+def _crossings(g, xs, vals: list[float], tol: float) -> Iterator[float]:
     """Lazily, one bisected root of g per grid cell whose end values
     (vals = g(xs)) exceed tol in size and differ in sign."""
-    for a, b, ga, gb in zip(xs, xs[1:], vals, vals[1:]):
+    for i, ga, gb in zip(range(len(vals)), vals, vals[1:]):
         if ga * gb < 0.0 and abs(ga) > tol and abs(gb) > tol:
-            yield _bisect(g, a, b, ga, tol)
+            yield _bisect(g, xs[i], xs[i + 1], ga, tol)
 
 
-def _touch_zeros(
-    f: NaturalExtension, xs: list[float], vals: list[float], tol: float
-) -> Iterator[float]:
+def _touch_zeros(f: NaturalExtension, xs, vals: list[float], tol: float) -> Iterator[float]:
     """Lazily, zeros of f' where f' need not change sign (vals = f'(xs)).
     At each grid minimum of |f'|, a sign change of f'' over the two
     neighbours is bisected, and the point is kept when |f'| <= tol there.
     Heuristic: only points where |f'| dips at a grid node are examined."""
     lam, curl = f.real_fn(1), f.real_fn(2)
-    mags = [abs(v) for v in vals]
-    last = len(xs) - 1
-    for i, m in enumerate(mags):
-        if (i > 0 and mags[i - 1] < m) or (i < last and mags[i + 1] <= m):
+    mags = list(map(abs, vals))
+    last = len(vals) - 1
+    nan = [math.nan]  # no neighbour: every comparison with it is false
+    for i, before, m, after in zip(range(last + 1), nan + mags, mags, mags[1:] + nan):
+        if before < m or after <= m:
             continue
         a, b = xs[max(i - 1, 0)], xs[min(i + 1, last)]
         ca = curl(a)
@@ -131,9 +144,10 @@ class NaturalExtension(core.Record):
     """A real function ``expr`` on the open interval ]lo, hi[ where it and
     its symbolic derivative are valid.
 
-    Sampling loops evaluate the trees through ``real_fn``, which compiles
-    each derivative tree once (see ``expr.compile_real``) and returns
-    exactly what the tree walk ``eval_real`` would.
+    ``real_fn`` compiles each derivative tree once (see
+    ``expr.compile_real``), returning exactly what the tree walk
+    ``eval_real`` would; sampling loops call its grid form once per node
+    table (``_sample``), compiled on first use and kept beside it.
     """
 
     __slots__ = ("expr", "lo", "hi", "_trees", "_compiled")
@@ -182,6 +196,14 @@ class NaturalExtension(core.Record):
         if fn is None:
             fn = compiled[k] = compile_real(self.deriv_exprs(k)[k])
         return fn
+
+    def _sample(self, k: int, nodes: _Nodes) -> list[float]:
+        """The k-th derivative at every node, in one call of its grid form,
+        which raises the error the first failing node raises in ``real_fn``."""
+        grid = self._compiled.get(("grid", k))
+        if grid is None:
+            grid = self._compiled[("grid", k)] = _Emit().build(self.deriv_exprs(k)[k], grid=True)
+        return grid(nodes.lo, nodes.w, nodes.units)
 
     def _require(self, s: float) -> None:
         if not self.lo < s < self.hi:
@@ -278,13 +300,15 @@ class TaylorExpansion(core.Record):
         }
 
 
-def _max_abs_on_segment(fn: Callable[[float], float], xs: list[float], vals: list[float]) -> float:
+def _max_abs_on_segment(fn: Callable[[float], float], xs, vals: list[float]) -> float:
     """The largest |fn| over the grid xs (vals = fn(xs)), refined by a
-    ternary search around the sampled argmax."""
-    mags = [abs(v) for v in vals]
-    best = max(range(len(xs)), key=mags.__getitem__)
+    ternary search around the sampled argmax: the first largest |fn|, or
+    node 0 if NaN, as max(range(n), key=|vals|) picks it."""
+    hi, lo = max(vals), min(vals)
+    peak = max(abs(hi), abs(lo))
+    best = min(vals.index(v) for v in (hi, lo) if not abs(v) < peak)
     a = xs[max(0, best - 1)]
-    b = xs[min(len(xs) - 1, best + 1)]
+    b = xs[min(len(vals) - 1, best + 1)]
     for _ in range(60):
         m1 = a + (b - a) / 3.0
         m2 = b - (b - a) / 3.0
@@ -292,7 +316,7 @@ def _max_abs_on_segment(fn: Callable[[float], float], xs: list[float], vals: lis
             a = m1
         else:
             b = m2
-    return max(mags[best], abs(fn((a + b) / 2.0)))
+    return max(peak, abs(fn((a + b) / 2.0)))
 
 
 def taylor_expand(f: NaturalExtension, center: float, order: int, x) -> TaylorExpansion:
@@ -318,23 +342,25 @@ def taylor_expand(f: NaturalExtension, center: float, order: int, x) -> TaylorEx
     except OverflowError:
         raise OutOfDomain(f"a power of the step {h!r} from the center overflows") from None
     top = f.real_fn(order + 1)
-    xs = _grid(center, x.shadow, _BOUND_CELLS)
-    tops = [top(t) for t in xs]
+    xs = _Nodes(center, h, _unit(_BOUND_CELLS))
+    tops = f._sample(order + 1, xs)
 
     def gap(theta: float) -> float:
         return target - partial - scale * top(center + theta * h)
 
     # the inner theta node i / 1024 is bound node 2i: i / 1024 and
     # 2i / 2048 are the same float, so center + theta * h is too
-    inner = [target - partial - scale * v for v in tops[2:-1:2]]
+    rest = target - partial
+    inner = [rest - scale * v for v in tops[2:-1:2]]
     theta = _find_unit_root(gap, inner, abs_tol=1e-13 * max(1.0, abs(target)))
     bound = _max_abs_on_segment(top, xs, tops) * abs(h) ** (order + 1)
     bound /= math.factorial(order + 1)
     return TaylorExpansion(partial, bound, theta)
 
 
-# the unit grid with its ends moved inside
-_THETAS = [1e-9, *_unit(_ROOT_CELLS)[1:-1], 1.0 - 1e-9]
+# the inner nodes of the unit grid, and with its ends moved inside
+_INNER = _unit(_ROOT_CELLS)[1:-1]
+_THETAS = [1e-9, *_INNER, 1.0 - 1e-9]
 
 
 def _find_unit_root(g, inner: list[float], abs_tol: float) -> float | None:
@@ -366,13 +392,13 @@ def mean_value_point(f: NaturalExtension, a, b) -> float:
     slope = (phi(sb) - phi(sa)) / width
     if math.isinf(width) or not math.isfinite(slope):
         raise OutOfDomain(f"the mean slope over [{sa!r}, {sb!r}] overflows")
-    ts = _grid(sa, sb, _ROOT_CELLS)[1:-1]
-    vals = [lam(t) - slope for t in ts]
-    mags = [abs(v) for v in vals]
+    ts = _Nodes(sa, width, _INNER)
+    vals = [v - slope for v in f._sample(1, ts)]
+    mags = list(map(abs, vals))
     tol = 1e-13 * max(1.0, abs(slope))
-    best = min(range(len(ts)), key=mags.__getitem__)
-    if mags[best] <= tol:
-        return ts[best]
+    least = min(mags)  # the first minimum, as min picks it, NaN included
+    if least <= tol:
+        return ts[mags.index(least)]
     root = next(_crossings(lambda t: lam(t) - slope, ts, vals, tol), None)
     if root is None:
         raise DomainError(
@@ -440,11 +466,11 @@ class InverseExpr(Expr):
         return f"inverse({self.fn.expr})"
 
 
-def _require_finite(what: str, xs: list[float], vals: list[float]) -> None:
+def _require_finite(what: str, xs, vals: list[float]) -> None:
     """Raise DomainError at the first sample whose value is not finite."""
-    for t, v in zip(xs, vals):
-        if not math.isfinite(v):
-            raise DomainError(f"function has {what} {v!r} at {t!r}, which is not finite")
+    if not all(map(math.isfinite, vals)):
+        i = [*map(math.isfinite, vals)].index(False)
+        raise DomainError(f"function has {what} {vals[i]!r} at {xs[i]!r}, which is not finite")
 
 
 def inverse_extension(f: NaturalExtension) -> NaturalExtension:
@@ -456,18 +482,18 @@ def inverse_extension(f: NaturalExtension) -> NaturalExtension:
     derivatives, their sign and their zeros without a sign change (see
     ``_touch_zeros``).
     """
-    xs = _grid(*_finite_window(f.lo, f.hi, _PROBE_WINDOW), _INVERSE_SAMPLES, cells=True)
-    phi, lam = f.real_fn(0), f.real_fn(1)
-    values = [phi(t) for t in xs]
+    lo, hi = _finite_window(f.lo, f.hi, _PROBE_WINDOW)
+    xs = _Nodes(lo, hi - lo, _unit(_INVERSE_SAMPLES, cells=True))
+    values = f._sample(0, xs)
     _require_finite("value", xs, values)
-    diffs = [b - a for a, b in zip(values, values[1:])]
-    if any(d == 0.0 for d in diffs) or (min(diffs) < 0.0 < max(diffs)):
+    diffs = list(map(sub, values[1:], values))
+    if 0.0 in diffs or (min(diffs) < 0.0 < max(diffs)):
         raise NotInjective("function is not strictly monotone on its domain")
-    derivs = [lam(t) for t in xs]
+    derivs = f._sample(1, xs)
     _require_finite("derivative", xs, derivs)
-    zero_tol = 1e-12 * max(1.0, max(abs(d) for d in derivs))
+    zero_tol = 1e-12 * max(1.0, max(map(abs, derivs)))
     if (
-        any(d == 0.0 for d in derivs)
+        0.0 in derivs
         or min(derivs) < 0.0 < max(derivs)
         or next(_touch_zeros(f, xs, derivs, zero_tol), None) is not None
     ):
@@ -489,14 +515,15 @@ def inverse_extension(f: NaturalExtension) -> NaturalExtension:
 def _deriv_zeros(f: NaturalExtension, a: float, b: float):
     """Zeros of the derivative on [a, b], with or without a sign change;
     returns (zeros, is_constant)."""
-    lam = f.real_fn(1)
-    xs = _grid(a, b, _ZERO_CELLS)
-    vals = [lam(t) for t in xs]
-    tol = 1e-12 * max(1.0, max(abs(v) for v in vals))
-    if all(abs(v) <= tol for v in vals):
+    xs = _Nodes(a, b - a, _unit(_ZERO_CELLS))
+    vals = f._sample(1, xs)
+    mags = list(map(abs, vals))
+    tol = 1e-12 * max(1.0, max(mags))
+    flat = [m <= tol for m in mags]
+    if all(flat):
         return [], True
-    zeros = [t for t, v in zip(xs, vals) if abs(v) <= tol]
-    zeros += _crossings(lam, xs, vals, tol)
+    zeros = [xs[i] for i in compress(range(len(flat)), flat)]
+    zeros += _crossings(f.real_fn(1), xs, vals, tol)
     zeros += _touch_zeros(f, xs, vals, tol)
     zeros.sort()
     deduped: list[float] = []

@@ -38,9 +38,10 @@ class Expr(core.Record):
         """The value at a real point.  A float operation that overflows
         raises OutOfDomain, like any other point where the tree has no value;
         so does sin or cos of an intermediate that overflowed to infinity
-        (a ValueError in math)."""
+        (a ValueError in math).  Each node is walked once per binding of
+        the variable, so a derivative's shared subtrees are computed once."""
         try:
-            return _FLOAT.walk(self, xi)
+            return _Float().walk(self, xi)
         except (OverflowError, ValueError) as exc:
             raise OutOfDomain(f"evaluation overflows at {xi!r}") from exc
         except RecursionError as exc:
@@ -283,7 +284,24 @@ class Arithmetic:
         return e.rule(self, x)
 
 
-class _Float(Arithmetic):
+class _Memo(Arithmetic):
+    """Walks each node once per binding, keyed by node id and binding id: a
+    binding is the caller's point or a kept value, so no id is reused during
+    the walk, and 0.0 and -0.0 stay apart.  A repeat returns a completed
+    walk's value, so no value and no first error changes."""
+
+    def __init__(self) -> None:
+        self.memo: dict[tuple[int, int], object] = {}
+
+    def walk(self, e: Expr, x):
+        key = (id(e), id(x))
+        value = self.memo.get(key)
+        if value is None:
+            value = self.memo[key] = e.rule(self, x)
+        return value
+
+
+class _Float(_Memo):
     """Floats, with Python's own operations."""
 
     # builtins, so an instance lookup returns them unbound
@@ -308,9 +326,6 @@ class _Float(Arithmetic):
 
     def lift(self, fn, a, slope):
         return fn(a)
-
-
-_FLOAT = _Float()
 
 
 def gen_eval(e: Expr, x) -> core.GeneralizedReal:
@@ -409,7 +424,7 @@ class _Pair(Arithmetic):
         return v, slope(a, v) * da
 
 
-class _Tree(_Pair):
+class _Tree(_Memo, _Pair):
     """(tree, slope) pairs: ``_Pair``'s rules over expression trees, whose
     operators are the folding constructors, so the slope is the symbolic
     derivative.  A slope stays a float while it is constant.  Each node is
@@ -418,16 +433,6 @@ class _Tree(_Pair):
     the nodes of the result carry their own."""
 
     _exp, _log, _sin, _cos, _root = Exp, Log, Sin, Cos, Root
-
-    def __init__(self) -> None:
-        self.pairs: dict[tuple[int, int], tuple] = {}
-
-    def walk(self, e: Expr, x: tuple) -> tuple:
-        key = (id(e), id(x))
-        pair = self.pairs.get(key)
-        if pair is None:
-            pair = self.pairs[key] = e.rule(self, x)
-        return pair
 
     def const(self, c):
         return Const(c), 0.0
@@ -552,15 +557,15 @@ def compile_real(e: Expr) -> Callable[[float], float]:
     98 lines at k = 0 to 4, where merging only repeated node objects
     takes 13, 27, 61, 148 and 373.  Dropping a repeat changes no float and
     no error: it computes the same operation on the same inputs, and a
-    repeated check already passed where it first occurred.  Compiling
-    costs about 2 tree walks (that fourth derivative, whose walk unfolds
-    its shared subtrees) to 200 (a single node), so ``eval_real`` remains
-    the path for one-shot evaluation.
+    repeated check already passed where it first occurred.  The grid form
+    (``_Emit.build(e, grid=True)``), which natural extensions sample with,
+    puts the same lines inside one loop: ``grid(lo, w, units)`` is
+    ``[f(lo + w * u) for u in units]``, with the same floats and the same
+    first error, and no call per point.  Compiling costs about 4 tree walks
+    (that fourth derivative) to 60 (a single node), so ``eval_real``
+    remains the path for one-shot evaluation.
     """
-    try:
-        return _Emit().build(e)
-    except RecursionError as exc:
-        raise DomainError(TOO_DEEP) from exc
+    return _Emit().build(e)
 
 
 def _emits(template: str):
@@ -643,14 +648,24 @@ class _Emit(Arithmetic):
     def lift(self, fn, a, slope):
         return self.let(f"{self.bind(fn)}({a})")
 
-    def build(self, e: Expr) -> Callable[[float], float]:
-        result = self.walk(e, "x")
-        body = "".join(f"        {line}\n" for line in self.lines)
+    def build(self, e: Expr, grid: bool = False) -> Callable:
+        """e's kernel, or with grid its grid form; see compile_real."""
+        try:
+            result = self.walk(e, "x")
+        except RecursionError as exc:
+            raise DomainError(TOO_DEEP) from exc
+        if grid:
+            head = "lo, w, units):\n    out = []\n    append = out.append\n    try:\n"
+            head += "        for u in units:\n            x = lo + w * u\n"
+            pad, last, end = " " * 12, f"append({result})", "    return out\n"
+        else:
+            head, pad, last, end = "x):\n    try:\n", " " * 8, f"return {result}", ""
+        body = "".join(f"{pad}{line}\n" for line in [*self.lines, last])
         overflow = self.bind("evaluation overflows at {!r}")
         source = (
-            f"def compiled(x):\n    try:\n{body}        return {result}\n"
+            f"def compiled({head}{body}"
             f"    except (OverflowError, ValueError) as exc:\n"
-            f"        raise OutOfDomain({overflow}.format(x)) from exc\n"
+            f"        raise OutOfDomain({overflow}.format(x)) from exc\n{end}"
         )
         # the bound names are the function's globals
         exec(compile(source, "<compile_real>", "exec"), self.env)
@@ -759,6 +774,8 @@ def _prefix(toks: list, i: int) -> tuple[Expr, int]:
 def parse(text: str) -> Expr:
     """Parse infix syntax: x, numbers, pi, + - * / ^, exp/log/sin/cos/sqrt,
     root(m, e), pow(alpha, e)."""
+    if type(text) is not str:
+        raise DomainError(f"an expression must be text, not {text!r}")
     toks: list = _TOKEN_RE.findall(text)
     if toks and not toks[-1]:
         *_, bad = _TOKEN_RE.finditer(text)

@@ -636,12 +636,21 @@ def test_taylor_samples_the_top_derivative_once(order):
             return fn(t)
         return top
 
+    def counted_grid(fn):
+        def grid(lo, w, units):
+            calls.extend(lo + w * u for u in units)
+            return fn(lo, w, units)
+        return grid
+
     f = NaturalExtension.on_interval(parse(text))
     f._compiled[order + 1] = counted(f.real_fn(order + 1))
+    f._sample(order + 1, calculus._Nodes(0.0, 1.0, []))  # builds the grid form
+    key = ("grid", order + 1)
+    f._compiled[key] = counted_grid(f._compiled[key])
     got = taylor_expand(f, 0.3, order, make(0.8))
     # the grid, the witness search's two ends, the ternary refinement, and
-    # at most one bisection
-    assert len(calls) <= 2049 + 2 + 121 + 64
+    # at most one bisection, each point counted whichever form evaluates it
+    assert 2049 + 121 <= len(calls) <= 2049 + 2 + 121 + 64
     calls.clear()
     want = _parent_taylor(f, 0.3, order, 0.8)
     assert len(calls) > 3200  # the two scans sampled the segment apart
@@ -686,3 +695,135 @@ def test_node_grids_round_subnormal_offsets_once(n):
         assert calculus._grid(lo, hi, n) == want, (lo, hi)
         double_rounded += want != _parent_grid(lo, hi, n)
     assert double_rounded > 0
+
+
+# -- scans on samples that are NaN -------------------------------------------------
+# A kernel returns NaN without raising where an overflowing product meets
+# its negation (inf - inf).  The scans must pick what the parent's Python
+# loops picked: max and min keep the first NaN they start from and skip the
+# later ones, and a node within tolerance after a NaN first node is still
+# found by the witness search but not by the mean value search.
+
+
+def _parent_crossings(g, xs, vals, tol):
+    for a, b, ga, gb in zip(xs, xs[1:], vals, vals[1:]):
+        if ga * gb < 0.0 and abs(ga) > tol and abs(gb) > tol:
+            yield calculus._bisect(g, a, b, ga, tol)
+
+
+def _parent_mean_value_point(f, sa, sb):
+    """mean_value_point at float endpoints, as the parent scanned it."""
+    phi, lam = f.real_fn(0), f.real_fn(1)
+    slope = (phi(sb) - phi(sa)) / (sb - sa)
+    ts = _parent_grid(sa, sb, 1024)[1:-1]
+    vals = [lam(t) - slope for t in ts]
+    mags = [abs(v) for v in vals]
+    tol = 1e-13 * max(1.0, abs(slope))
+    best = min(range(len(ts)), key=mags.__getitem__)
+    if mags[best] <= tol:
+        return (ts[best],)
+    root = next(_parent_crossings(lambda t: lam(t) - slope, ts, vals, tol), None)
+    return None if root is None else (root,)
+
+
+# x^2*1e308 - x^2*1e308 is 0 for |x| <= 1.34, and its derivative is NaN
+# beyond |x| = 0.8985; for x^4 the third derivative is NaN beyond 0.0749
+_NAN_TAYLOR = [
+    ("x^4 + (x^4*1e308 - x^4*1e308)", -0.1, 0.1, 2),  # NaN first, theta at a node
+    ("x^4 + (x^4*1e308 - x^4*1e308)", -0.05, 0.1, 2),  # NaN last
+    ("sin(x) + (x^2*1e308 - x^2*1e308)", -1.0, 0.5, 0),  # NaN first, theta by bisection
+    ("x^2 + (x^2*1e308 - x^2*1e308)", -1.0, 0.5, 0),
+]
+_NAN_MEAN_VALUE = [
+    ("x^2 + (x^2*1e308 - x^2*1e308)", -1.0, 0.5),  # NaN first: the exact node is passed over
+    ("x^2 + (x^2*1e308 - x^2*1e308)", -0.5, 1.0),  # NaN last: the exact node is found
+    ("sin(x) + (x^2*1e308 - x^2*1e308)", -1.0, 0.5),
+    ("sin(x) + (x^2*1e308 - x^2*1e308)", -0.5, 1.0),
+]
+
+
+def _some_nan(fn, lo, hi):
+    got = [math.isnan(fn(t)) for t in _parent_grid(lo, hi, 1024)]
+    return any(got) and not all(got)
+
+
+@pytest.mark.parametrize("text, center, x, order", _NAN_TAYLOR)
+def test_taylor_keeps_the_parent_answer_on_nan_samples(text, center, x, order):
+    f = NaturalExtension(parse(text), -math.inf, math.inf)
+    assert _some_nan(f.real_fn(order + 1), center, x)
+    want = _taylor_outcome(lambda: _parent_taylor(f, center, order, x))
+    assert _taylor_outcome(lambda: taylor_expand(f, center, order, make(x))) == want
+
+
+@pytest.mark.parametrize("text, a, b", _NAN_MEAN_VALUE)
+def test_mean_value_keeps_the_parent_answer_on_nan_samples(text, a, b):
+    f = NaturalExtension(parse(text), -math.inf, math.inf)
+    assert _some_nan(f.real_fn(1), a, b)
+    want = _parent_mean_value_point(f, a, b)
+    try:
+        got = (mean_value_point(f, make(a), make(b)),)
+    except DomainError as exc:
+        assert str(exc).startswith("no mean-value point found")
+        got = None
+    assert repr(got) == repr(want)
+
+
+def _parent_max_abs_over(fn, xs, vals):
+    """The parent's _max_abs_on_segment, on given samples."""
+    mags = [abs(v) for v in vals]
+    best = max(range(len(xs)), key=mags.__getitem__)
+    a = xs[max(0, best - 1)]
+    b = xs[min(len(xs) - 1, best + 1)]
+    for _ in range(60):
+        m1 = a + (b - a) / 3.0
+        m2 = b - (b - a) / 3.0
+        if abs(fn(m1)) < abs(fn(m2)):
+            a = m1
+        else:
+            b = m2
+    return max(mags[best], abs(fn((a + b) / 2.0)))
+
+
+def test_the_remainder_argmax_is_the_parents_on_nan_ties_and_signed_zeros():
+    # fn exceeds every finite sample, so the result shows where the
+    # refinement started, i.e. which node was taken as the argmax
+    def fn(t):
+        return 4.0 + t
+
+    rng = random.Random(24)
+    pool = (math.nan, -math.nan, 0.0, -0.0, 1.0, -1.0, 2.5, -2.5, math.inf, -math.inf)
+    xs = _parent_grid(0.0, 1.0, 16)
+    for _ in range(3000):
+        vals = [rng.choice(pool) if rng.random() < 0.7 else rng.uniform(-3.0, 3.0) for _ in xs]
+        want = _parent_max_abs_over(fn, xs, vals)
+        assert repr(calculus._max_abs_on_segment(fn, xs, vals)) == repr(want), vals
+
+
+def test_an_inverse_samples_its_grid_forms_as_its_kernels_with_one_inversion_each(monkeypatch):
+    g = inverse_extension(NaturalExtension.on_interval(parse("exp(x) + 0.5 * x^3"), -2.0, 2.0))
+    nodes = calculus._Nodes(g.lo, g.hi - g.lo, calculus._unit(64, cells=True))
+    want = [[repr(g.real_fn(k)(nodes[i])) for i in range(64)] for k in (0, 1)]
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return bisect(*args)
+
+    bisect = calculus._bisect
+    monkeypatch.setattr(calculus, "_bisect", counting)
+    for k in (0, 1):
+        calls.clear()
+        assert list(map(repr, g._sample(k, nodes))) == want[k]
+        assert len(calls) == 64
+
+
+@pytest.mark.parametrize("n", [512, 1024, 2048])
+def test_cell_tables_give_the_cell_midpoints_of_the_grid(n):
+    # (i + 0.5) / n is exact for n a power of two, so lo + w * ((i + 0.5) / n)
+    # is the midpoint the cells grid gives, outside subnormal steps and
+    # overflowing w * (i + 0.5)
+    rng = random.Random(n)
+    for _ in range(200):
+        lo, hi = sorted(rng.uniform(-1e6, 1e6) for _ in "ab")
+        nodes = calculus._Nodes(lo, hi - lo, calculus._unit(n, cells=True))
+        assert [nodes[i] for i in range(n)] == calculus._grid(lo, hi, n, cells=True)

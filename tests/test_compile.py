@@ -15,6 +15,7 @@ import pytest
 from monadica import expr
 from monadica.calculus import InverseExpr, NaturalExtension, gen_eval, inverse_extension
 from monadica.core import make
+from monadica.errors import DomainError
 from monadica.expr import (
     Add,
     Compose,
@@ -119,6 +120,61 @@ def test_compiled_trees_match_the_tree_walk_bit_for_bit():
     assert values > 1000
 
 
+# (lo, w, units) of grids across zeros and negatives, far enough out that
+# exp and negative powers overflow, and of tiny points beside zero
+GRIDS = (
+    (-2.0, 4.0, [i / 32 for i in range(33)]),
+    (-800.0, 1600.0, [i / 16 for i in range(17)]),
+    (0.0, 1e-200, [i / 8 for i in range(9)]),
+)
+
+
+def test_grid_kernels_match_the_scalar_kernels_bit_for_bit():
+    inverse = InverseExpr(NaturalExtension.on_interval(parse("exp(x) + x"), -2.0, 2.0))
+    seen_checks, values, overflows = set(), 0, 0
+    for seed in range(6):
+        rng = random.Random(100 + seed)
+        for _ in range(30):
+            tree = random_tree(rng, 4, [], inverse)
+            for e in derivatives(tree, 3):
+                scalar, grid = compile_real(e), expr._Emit().build(e, grid=True)
+                for lo, w, units in GRIDS:
+                    want = [outcome(scalar, lo + w * u) for u in units]
+                    first = next((i for i, o in enumerate(want) if o[0] == "error"), len(want))
+                    # the values up to the first error, then that error
+                    got = [("value", struct.pack("<d", v)) for v in grid(lo, w, units[:first])]
+                    assert got == want[:first], (str(e), lo, w)
+                    values += first
+                    if first < len(want):
+                        assert outcome(lambda u: grid(lo, w, u), units) == want[first], str(e)
+                        message = want[first][2]
+                        overflows += message.startswith("evaluation overflows at")
+                        seen_checks.update(c for c in CHECKS if message.startswith(c))
+    assert seen_checks == set(CHECKS)
+    assert values > 20000 and overflows > 20
+
+
+def test_a_grid_of_no_points_is_empty_and_a_deep_tree_is_a_domain_error():
+    assert expr._Emit().build(parse("log(x)"), grid=True)(-1.0, 1.0, []) == []
+    deep = X
+    for _ in range(5000):
+        deep = Sin(deep)
+    with pytest.raises(DomainError, match=expr.TOO_DEEP):
+        expr._Emit().build(deep, grid=True)
+
+
+def test_the_tree_walk_keeps_signed_zero_bindings_apart():
+    # one shared node under the bindings -0.0 and 0.0, which are equal
+    # floats; keyed by value they would merge, and the sum would be -0.0
+    twice = Add(X, X)
+    e = Add(
+        Mul(Compose(twice, Mul(X, Const(-0.0))), Const(0.0)),
+        Compose(twice, Mul(X, Const(0.0))),
+    )
+    want = ("value", struct.pack("<d", 0.0))
+    assert outcome(e.eval_real, 1.0) == outcome(compile_real(e), 1.0) == want
+
+
 class Counted(Expr):
     """x + 1, counting its evaluations in calls[0], to observe how often a
     node is evaluated.  Nodes are immutable, so the count lives in a list."""
@@ -140,8 +196,9 @@ def test_shared_nodes_are_evaluated_once_per_binding():
     want = e.eval_real(0.5)
     walked, c.calls[0] = c.calls[0], 0
     assert compile_real(e)(0.5) == want
-    # x-scope: c once; inner binding of the Compose: c once
-    assert (walked, c.calls[0]) == (7, 2)
+    # x-scope: c once; inner binding of the Compose: c once; the tree walk
+    # keeps each (node, binding) value as the compiled kernel names it
+    assert (walked, c.calls[0]) == (2, 2)
     # gen_eval runs the same rule, with the slope lift gives it
     assert gen_eval(Mul(c, X), make(0.5, {"h": 1.0})) == make(0.75, {"h": 2.0})
 

@@ -367,3 +367,10 @@ def test_iter_nodes_walks_parents_first_without_recursion():
     e = parse("sin(x) + 2*exp(x)")
     assert [type(n).__name__ for n in iter_nodes(e)] == ["Add", "Sin", "Var", "Mul", "Const", "Exp", "Var"]
     assert sum(1 for _ in iter_nodes(nested_sin(5000))) == 5001
+
+
+@pytest.mark.parametrize("text", [123, b"x", None, 1.5, ["x"]], ids=repr)
+def test_parse_refuses_a_non_string(text):
+    with pytest.raises(DomainError) as info:
+        parse(text)
+    assert str(info.value) == f"an expression must be text, not {text!r}"
