@@ -47,6 +47,7 @@ _PROBES = 129  # cells probed for validity by NaturalExtension.on_interval
 _INVERSE_SAMPLES = 1024  # cells sampled for monotonicity by inverse_extension
 _ODE_SAMPLES = 25  # points checked per gap by ode_verify
 _ROOT_CELLS = 1024  # grid cells scanned for a sign change before bisecting
+_COARSE_CELLS = 32  # cells mean_value_point scans first, nested in _ROOT_CELLS's
 _ZERO_CELLS = 512  # grid cells scanned for zeros of the derivative in images
 _BOUND_CELLS = 2048  # grid cells sampled for the Taylor remainder bound
 
@@ -74,9 +75,12 @@ def _unit(n: int, cells: bool = False) -> list[float]:
 
 
 class _Nodes(core.Record):
-    """The nodes lo + w * u over a unit table, each computed when read: for a
-    power-of-two n, the floats ``_grid`` gives, except where w / n is
-    subnormal or w * (i + 0.5) overflows (a finite node here, inf there)."""
+    """The nodes lo + w * u over a unit table, each computed when read.  For
+    a power-of-two n, i / n and (i + 0.5) / n are exact, so a node is the
+    same float at any n that puts it on the table, and it is lo + w * i / n
+    (a midpoint lo + w * (i + 0.5) / n, as ``_midpoints`` gives it) except
+    where w / n is subnormal or w * (i + 0.5) overflows (a finite node here,
+    inf there)."""
 
     __slots__ = ("lo", "w", "units")
 
@@ -84,14 +88,10 @@ class _Nodes(core.Record):
         return self.lo + self.w * self.units[i]
 
 
-def _grid(lo: float, hi: float, n: int, cells: bool = False) -> list[float]:
-    """The n + 1 nodes lo + (hi - lo) * (i / n) of n equal cells on [lo, hi];
-    with cells, the n cell midpoints instead.  For n a power of two, i / n is
-    exact, so a node is the same float at any n that puts it on the grid."""
+def _midpoints(lo: float, hi: float, n: int) -> list[float]:
+    """The midpoints lo + (hi - lo) * (i + 0.5) / n of n equal cells on [lo, hi]."""
     w = hi - lo
-    if cells:
-        return [lo + w * (i + 0.5) / n for i in range(n)]
-    return [lo + w * u for u in _unit(n)]
+    return [lo + w * (i + 0.5) / n for i in range(n)]
 
 
 def _bisect(g, a: float, b: float, ga: float, tol: float = 0.0) -> float:
@@ -109,12 +109,24 @@ def _bisect(g, a: float, b: float, ga: float, tol: float = 0.0) -> float:
             b = mid
 
 
-def _crossings(g, xs, vals: list[float], tol: float) -> Iterator[float]:
-    """Lazily, one bisected root of g per grid cell whose end values
-    (vals = g(xs)) exceed tol in size and differ in sign."""
+def _sign_changes(vals: list[float], tol: float) -> Iterator[int]:
+    """Lazily, each grid cell i whose end values vals[i] and vals[i + 1]
+    exceed tol in size and differ in sign."""
     for i, ga, gb in zip(range(len(vals)), vals, vals[1:]):
         if ga * gb < 0.0 and abs(ga) > tol and abs(gb) > tol:
-            yield _bisect(g, xs[i], xs[i + 1], ga, tol)
+            yield i
+
+
+def _crossings(g, xs, vals: list[float], tol: float) -> Iterator[float]:
+    """Lazily, one bisected root of g per cell of ``_sign_changes`` (vals =
+    g(xs)), kept only where |g| is no larger than at either end of its cell:
+    toward a root |g| shrinks, and toward a pole, where g changes sign
+    without a root, it grows."""
+    for i in _sign_changes(vals, tol):
+        ga, gb = vals[i], vals[i + 1]
+        root = _bisect(g, xs[i], xs[i + 1], ga, tol)
+        if abs(g(root)) <= min(abs(ga), abs(gb)):
+            yield root
 
 
 def _touch_zeros(f: NaturalExtension, xs, vals: list[float], tol: float) -> Iterator[float]:
@@ -172,7 +184,7 @@ class NaturalExtension(core.Record):
         ext = cls(expr, lo + 0.0, hi + 0.0)  # no signed zero
         value, slope = ext.real_fn(0), ext.real_fn(1)
         invalid = f"function is not valid on ({lo}, {hi}): "
-        for xi in _grid(*_finite_window(lo, hi, _PROBE_WINDOW), _PROBES, cells=True):
+        for xi in _midpoints(*_finite_window(lo, hi, _PROBE_WINDOW), _PROBES):
             try:
                 v, d = value(xi), slope(xi)
             except MonadicaError as exc:
@@ -361,6 +373,8 @@ def taylor_expand(f: NaturalExtension, center: float, order: int, x) -> TaylorEx
 # the inner nodes of the unit grid, and with its ends moved inside
 _INNER = _unit(_ROOT_CELLS)[1:-1]
 _THETAS = [1e-9, *_INNER, 1.0 - 1e-9]
+# i / 32 and 32i / 1024 are the same float, so each coarse node is an _INNER node
+_COARSE = _unit(_COARSE_CELLS)[1:-1]
 
 
 def _find_unit_root(g, inner: list[float], abs_tol: float) -> float | None:
@@ -380,7 +394,16 @@ def _find_unit_root(g, inner: list[float], abs_tol: float) -> float | None:
 
 def mean_value_point(f: NaturalExtension, a, b) -> float:
     """A real point strictly between the shadows where the derivative equals
-    the shadow-level mean slope."""
+    the shadow-level mean slope.
+
+    The search scans f' - slope on the 31 inner nodes of 32 equal cells of
+    the segment, then, only when they show no point, on the 1 023 inner
+    nodes of 1 024 cells, which include those 31.  Each level takes the
+    first node where |f' - slope| is smallest, when that is within
+    1e-13 * max(1, |slope|), else the first bisected sign change that is a
+    root (see ``_crossings``).  When neither level finds a point it raises
+    ``DomainError``: a sign change that bisects onto a pole is not a root,
+    and a crossing narrower than a cell of the fine grid is not seen."""
     a, b = as_generalized(a), as_generalized(b)
     if not core.lt(a, b):
         raise DomainError("endpoints must satisfy a < b (indiscernible rejected)")
@@ -392,20 +415,32 @@ def mean_value_point(f: NaturalExtension, a, b) -> float:
     slope = (phi(sb) - phi(sa)) / width
     if math.isinf(width) or not math.isfinite(slope):
         raise OutOfDomain(f"the mean slope over [{sa!r}, {sb!r}] overflows")
-    ts = _Nodes(sa, width, _INNER)
-    vals = [v - slope for v in f._sample(1, ts)]
-    mags = list(map(abs, vals))
     tol = 1e-13 * max(1.0, abs(slope))
-    least = min(mags)  # the first minimum, as min picks it, NaN included
-    if least <= tol:
-        return ts[mags.index(least)]
-    root = next(_crossings(lambda t: lam(t) - slope, ts, vals, tol), None)
-    if root is None:
+
+    def gap(t: float) -> float:
+        return lam(t) - slope
+
+    for units in (_COARSE, _INNER):
+        ts = _Nodes(sa, width, units)
+        vals = [v - slope for v in f._sample(1, ts)]
+        mags = list(map(abs, vals))
+        least = min(mags)  # the first minimum, as min picks it, NaN included
+        if least <= tol:
+            return ts[mags.index(least)]
+        root = next(_crossings(gap, ts, vals, tol), None)
+        if root is not None:
+            return root
+    missed = f"no mean-value point found on [{sa!r}, {sb!r}]: the derivative "
+    cell = next(_sign_changes(vals, tol), None)
+    if cell is not None:
         raise DomainError(
-            f"no mean-value point found on [{sa!r}, {sb!r}]: the derivative "
-            f"neither meets nor crosses the mean slope {slope!r} on the grid"
+            f"{missed}crosses the mean slope {slope!r} between {ts[cell]!r} and "
+            f"{ts[cell + 1]!r}, but the crossing is not a root: |f' - slope| "
+            f"grows toward it, as at a pole"
         )
-    return root
+    raise DomainError(
+        f"{missed}neither meets nor crosses the mean slope {slope!r} on the grid"
+    )
 
 
 # -- inversion ----------------------------------------------------------------------
@@ -749,7 +784,7 @@ def ode_verify(solution: PiecewiseExtension, rhs: PiecewiseExtension) -> list[Re
         worst = 0.0
         status = "pass"
         detail = ""
-        for t in _grid(*_finite_window(gap.lo, gap.hi, 2.0), _ODE_SAMPLES, cells=True):
+        for t in _midpoints(*_finite_window(gap.lo, gap.hi, 2.0), _ODE_SAMPLES):
             try:
                 got, want = slope(t), value(t)
             except MonadicaError as exc:

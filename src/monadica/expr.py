@@ -14,6 +14,7 @@ constant folding and deliberately no simplification beyond that.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
@@ -568,6 +569,9 @@ def compile_real(e: Expr) -> Callable[[float], float]:
     return _Emit().build(e)
 
 
+_KERNELS = itertools.count(1)  # numbers the kernels' file names
+
+
 def _emits(template: str):
     """An Emit operation: one assignment of the template on operand names."""
     return lambda self, *names: self.let(template.format(*names))
@@ -667,8 +671,10 @@ class _Emit(Arithmetic):
             f"    except (OverflowError, ValueError) as exc:\n"
             f"        raise OutOfDomain({overflow}.format(x)) from exc\n{end}"
         )
-        # the bound names are the function's globals
-        exec(compile(source, "<compile_real>", "exec"), self.env)
+        # the bound names are the function's globals; a file name of its own
+        # keeps each kernel apart in profiles and tracebacks
+        name = f"<kernel {next(_KERNELS)} {'grid' if grid else 'scalar'}>"
+        exec(compile(source, name, "exec"), self.env)
         return self.env["compiled"]
 
 

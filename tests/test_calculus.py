@@ -8,6 +8,8 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monadica import calculus, core, sets
 from monadica.calculus import (
@@ -42,6 +44,26 @@ log_f = NaturalExtension.on_interval(Log(X), 0.0, math.inf)
 sin_f = NaturalExtension.on_interval(Sin(X))
 cos_f = NaturalExtension.on_interval(Cos(X))
 square_f = NaturalExtension.on_interval(pow_int(X, 2))
+
+
+def _nodes(lo, hi, n):
+    """The n + 1 nodes of n equal cells on [lo, hi], as the sampling loops
+    read them: ``_Nodes`` over the unit table ``_unit(n)``."""
+    xs = calculus._Nodes(lo, hi - lo, calculus._unit(n))
+    return [xs[i] for i in range(n + 1)]
+
+
+def _count_bisections(monkeypatch):
+    """The argument tuples of every ``calculus._bisect`` call from now on."""
+    calls = []
+    bisect = calculus._bisect
+
+    def counting(*args):
+        calls.append(args)
+        return bisect(*args)
+
+    monkeypatch.setattr(calculus, "_bisect", counting)
+    return calls
 
 
 class TestNaturalExtension:
@@ -168,6 +190,13 @@ class TestTaylor:
         with pytest.raises(OutOfDomain):
             taylor_expand(exp_f, 0.5, 2, make(0.5, {"e:1": 1}))
 
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_no_witness_at_a_pole(self, order):
+        # at orders 1 and 3 the gap changes sign across the pole, whose
+        # bisection once gave theta = 0.5668, where -0.5 + 1.1 * theta is it
+        f = NaturalExtension.on_interval(parse("1/(x-0.123456)"), -1, 1)
+        assert taylor_expand(f, -0.5, order, make(0.6)).theta is None
+
 
 class TestMeanValue:
     def test_square_midpoint(self):
@@ -207,6 +236,17 @@ class TestMeanValue:
         # so no mean-value point exists; the grid minimum is no answer
         f = NaturalExtension.on_interval(parse("1/(x-0.123456)"), -1, 1)
         with pytest.raises(DomainError, match=r"no mean-value point found on \[-0\.5, 0\.6\]"):
+            mean_value_point(f, make(-0.5), make(0.6))
+
+    def test_a_crossing_at_a_pole_is_no_root(self):
+        # f' - slope changes sign across the pole, and bisecting that cell
+        # once returned 0.12345599999999979, the pole, with f'(c) - slope
+        # about 2.2e47; |f' - slope| grows toward it, so it is no root
+        f = NaturalExtension.on_interval(parse("1/(x-0.123456)^2"), -1, 1)
+        with pytest.raises(
+            DomainError,
+            match=r"no mean-value point found on \[-0\.5, 0\.6\]: .* the crossing is not a root",
+        ):
             mean_value_point(f, make(-0.5), make(0.6))
 
 
@@ -285,14 +325,7 @@ class TestInversion:
         f = NaturalExtension.on_interval(parse("exp(x) + x"), -2.0, 2.0)
         want = inverse_extension(f).eval_at(make(1.0, {"h": 1.0}))
         got = round_trip(inverse_extension(f))
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return bisect(*args)
-
-        bisect = calculus._bisect
-        monkeypatch.setattr(calculus, "_bisect", counting)
+        calls = _count_bisections(monkeypatch)
         assert repr(got.eval_at(make(1.0, {"h": 1.0}))) == repr(want)
         assert len(calls) == 1
 
@@ -374,7 +407,7 @@ class TestTouchingZeros:
         r, c = rng.uniform(-3.0, 3.0), rng.uniform(-5.0, 5.0)
         e = pow_int(X - Const(r), 3) + Const(c)
         lo, hi = r - 1.0, r + 1.1
-        nodes = calculus._grid(lo, hi, calculus._ZERO_CELLS)
+        nodes = _nodes(lo, hi, calculus._ZERO_CELLS)
         assert min(abs(t - r) for t in nodes) > 1e-4  # r is off the grid
         got = image_set(NaturalExtension.on_interval(e), monad(RealSet.closed(lo, hi)))
         assert any(abs(y - c) <= 1e-12 for y in got.extras)
@@ -412,7 +445,7 @@ class TestRootKernel:
             calls.append(t)
             return math.cos(t)
 
-        xs = calculus._grid(0.0, 10.0, 10)
+        xs = _nodes(0.0, 10.0, 10)
         vals = [g(t) for t in xs]
         calls.clear()
         first = next(calculus._crossings(g, xs, vals, 0.0))
@@ -420,6 +453,14 @@ class TestRootKernel:
         assert len(calls) <= 64
         roots = list(calculus._crossings(g, xs, vals, 0.0))
         assert roots == pytest.approx([math.pi / 2, 3 * math.pi / 2, 5 * math.pi / 2])
+
+    def test_crossings_skip_a_sign_change_at_a_pole(self):
+        # tan changes sign at its roots 0 and pi and at its pole pi / 2
+        xs = _nodes(-0.3, 3.4, 16)
+        vals = [math.tan(t) for t in xs]
+        assert len(list(calculus._sign_changes(vals, 0.0))) == 3
+        roots = list(calculus._crossings(math.tan, xs, vals, 0.0))
+        assert roots == pytest.approx([0.0, math.pi], abs=1e-14)
 
 
 def test_composition_matches_pointwise_product_rule():
@@ -625,28 +666,33 @@ def test_taylor_matches_the_separate_scans_it_replaced():
     assert compared["ahead"] >= 60 and compared["behind"] >= 60, compared
 
 
+def _count_samples(f, k):
+    """Count f's k-th derivative samples: a list of every point its kernel or
+    its grid form evaluates, and a list of the grid form's table sizes."""
+    calls, grids = [], []
+    scalar = f.real_fn(k)
+
+    def counted(t):
+        calls.append(t)
+        return scalar(t)
+
+    f._sample(k, calculus._Nodes(0.0, 1.0, []))  # builds the grid form
+    grid = f._compiled[("grid", k)]
+
+    def counted_grid(lo, w, units):
+        grids.append(len(units))
+        calls.extend(lo + w * u for u in units)
+        return grid(lo, w, units)
+
+    f._compiled[k], f._compiled[("grid", k)] = counted, counted_grid
+    return calls, grids
+
+
 @pytest.mark.parametrize("order", [1, 3])
 def test_taylor_samples_the_top_derivative_once(order):
     text = "exp(sin(x))*x^3 + log(2+cos(x))/(1+x^2)"
-    calls = []
-
-    def counted(fn):
-        def top(t):
-            calls.append(t)
-            return fn(t)
-        return top
-
-    def counted_grid(fn):
-        def grid(lo, w, units):
-            calls.extend(lo + w * u for u in units)
-            return fn(lo, w, units)
-        return grid
-
     f = NaturalExtension.on_interval(parse(text))
-    f._compiled[order + 1] = counted(f.real_fn(order + 1))
-    f._sample(order + 1, calculus._Nodes(0.0, 1.0, []))  # builds the grid form
-    key = ("grid", order + 1)
-    f._compiled[key] = counted_grid(f._compiled[key])
+    calls, _ = _count_samples(f, order + 1)
     got = taylor_expand(f, 0.3, order, make(0.8))
     # the grid, the witness search's two ends, the ternary refinement, and
     # at most one bisection, each point counted whichever form evaluates it
@@ -678,10 +724,10 @@ def test_node_grids_are_the_scaled_index_formula(n):
         lo, hi = _magnitude(rng), _magnitude(rng)
         for a, b in ((lo, hi), (hi, lo)):
             if abs(b - a) / n >= sys.float_info.min:
-                assert calculus._grid(a, b, n) == _parent_grid(a, b, n), (a, b)
+                assert _nodes(a, b, n) == _parent_grid(a, b, n), (a, b)
             else:
                 subnormal += 1
-                assert calculus._grid(a, b, n) == _rounded_once(a, b, n), (a, b)
+                assert _nodes(a, b, n) == _rounded_once(a, b, n), (a, b)
     assert subnormal < 10
 
 
@@ -692,7 +738,7 @@ def test_node_grids_round_subnormal_offsets_once(n):
     for _ in range(40):
         lo, hi = (math.ldexp(rng.uniform(-1.0, 1.0), rng.randint(-1040, -1005)) for _ in "ab")
         want = _rounded_once(lo, hi, n)
-        assert calculus._grid(lo, hi, n) == want, (lo, hi)
+        assert _nodes(lo, hi, n) == want, (lo, hi)
         double_rounded += want != _parent_grid(lo, hi, n)
     assert double_rounded > 0
 
@@ -705,25 +751,41 @@ def test_node_grids_round_subnormal_offsets_once(n):
 # found by the witness search but not by the mean value search.
 
 
-def _parent_crossings(g, xs, vals, tol):
+def _reference_crossings(g, xs, vals, tol):
+    """Bisected sign changes whose |g| is no larger than at either cell end."""
     for a, b, ga, gb in zip(xs, xs[1:], vals, vals[1:]):
         if ga * gb < 0.0 and abs(ga) > tol and abs(gb) > tol:
-            yield calculus._bisect(g, a, b, ga, tol)
+            root = calculus._bisect(g, a, b, ga, tol)
+            if abs(g(root)) <= min(abs(ga), abs(gb)):
+                yield root
 
 
-def _parent_mean_value_point(f, sa, sb):
-    """mean_value_point at float endpoints, as the parent scanned it."""
+def _reference_mean_value_point(f, sa, sb, levels=(32, 1024)):
+    """mean_value_point at float endpoints, as Python loops over the scaled
+    index formula: the inner nodes of each grid in levels in turn, the next
+    one scanned only when the last shows no point.  levels=(1024,) is the
+    one-level search the two levels replaced."""
     phi, lam = f.real_fn(0), f.real_fn(1)
     slope = (phi(sb) - phi(sa)) / (sb - sa)
-    ts = _parent_grid(sa, sb, 1024)[1:-1]
-    vals = [lam(t) - slope for t in ts]
-    mags = [abs(v) for v in vals]
     tol = 1e-13 * max(1.0, abs(slope))
-    best = min(range(len(ts)), key=mags.__getitem__)
-    if mags[best] <= tol:
-        return (ts[best],)
-    root = next(_parent_crossings(lambda t: lam(t) - slope, ts, vals, tol), None)
-    return None if root is None else (root,)
+    for n in levels:
+        ts = _parent_grid(sa, sb, n)[1:-1]
+        vals = [lam(t) - slope for t in ts]
+        mags = [abs(v) for v in vals]
+        best = min(range(len(ts)), key=mags.__getitem__)
+        if mags[best] <= tol:
+            return (ts[best],)
+        root = next(_reference_crossings(lambda t: lam(t) - slope, ts, vals, tol), None)
+        if root is not None:
+            return (root,)
+    return None
+
+
+def _is_root(f, sa, sb, c):
+    """Whether c is a mean-value point of f on [sa, sb], to 1e-9 relative."""
+    phi, lam = f.real_fn(0), f.real_fn(1)
+    slope = (phi(sb) - phi(sa)) / (sb - sa)
+    return sa < c < sb and abs(lam(c) - slope) <= 1e-9 * max(1.0, abs(slope))
 
 
 # x^2*1e308 - x^2*1e308 is 0 for |x| <= 1.34, and its derivative is NaN
@@ -757,15 +819,72 @@ def test_taylor_keeps_the_parent_answer_on_nan_samples(text, center, x, order):
 
 @pytest.mark.parametrize("text, a, b", _NAN_MEAN_VALUE)
 def test_mean_value_keeps_the_parent_answer_on_nan_samples(text, a, b):
+    # the answer of the two-level reference; the sin(x) case on [-0.5, 1.0]
+    # meets its root at +0.4937 on the coarse grid, where the one-level
+    # search bisected onto the root at -0.4937 first
     f = NaturalExtension(parse(text), -math.inf, math.inf)
     assert _some_nan(f.real_fn(1), a, b)
-    want = _parent_mean_value_point(f, a, b)
+    want = _reference_mean_value_point(f, a, b)
     try:
         got = (mean_value_point(f, make(a), make(b)),)
     except DomainError as exc:
         assert str(exc).startswith("no mean-value point found")
         got = None
     assert repr(got) == repr(want)
+    assert got is None or _is_root(f, a, b, got[0])
+
+
+# -- the two-level mean value search ------------------------------------------------
+
+
+def test_coarse_mean_value_nodes_are_inner_nodes_bit_for_bit():
+    step = calculus._ROOT_CELLS // calculus._COARSE_CELLS
+    assert len(calculus._COARSE) == 31 and len(calculus._INNER) == 1023
+    rng = random.Random(25)
+    for _ in range(300):
+        width = 10.0 ** rng.uniform(-300.0, 300.0)
+        lo = rng.uniform(-1e3, 1e3) * width
+        coarse = calculus._Nodes(lo, width, calculus._COARSE)
+        inner = calculus._Nodes(lo, width, calculus._INNER)
+        for i in range(31):
+            assert coarse[i].hex() == inner[step * (i + 1) - 1].hex(), (lo, width, i)
+
+
+def test_mean_value_samples_31_nodes_when_they_show_the_crossing(monkeypatch):
+    cube = NaturalExtension.on_interval(pow_int(X, 3))
+    calls, grids = _count_samples(cube, 1)
+    bisections = _count_bisections(monkeypatch)
+    gamma = mean_value_point(cube, make(0), make(3))
+    assert gamma == pytest.approx(math.sqrt(3), abs=1e-10)
+    # the coarse grid, then one bisection and the check of its point
+    assert grids == [31] and len(bisections) == 1
+    assert 31 < len(calls) <= 31 + 64 + 1
+
+
+def test_mean_value_scans_the_fine_grid_for_a_crossing_inside_one_coarse_cell(monkeypatch):
+    # f' - slope = 1 - L'(x) for a steep logistic L centred on 0.328125,
+    # the middle of the coarse cell [10/32, 11/32]: it is near 1 at every
+    # coarse node and below 0 only within 0.007 of the centre
+    f = NaturalExtension(parse("x - 1/(1 + exp(-(x - 0.328125)*1000))"), -math.inf, math.inf)
+    calls, grids = _count_samples(f, 1)
+    bisections = _count_bisections(monkeypatch)
+    gamma = mean_value_point(f, make(0.0), make(1.0))
+    assert 10 / 32 < gamma < 0.328125 and _is_root(f, 0.0, 1.0, gamma)
+    assert grids == [31, 1023] and len(bisections) == 1
+    assert 31 + 1023 < len(calls) <= 31 + 1023 + 64 + 1
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.floats(-1.8, 0.8), st.floats(0.2, 1.0))
+def test_the_two_level_search_finds_a_root_wherever_one_level_does(seed, sa, width):
+    sb = sa + width
+    try:
+        f = NaturalExtension.on_interval(random_tree(random.Random(seed), 3, [], X), -2.0, 2.0)
+        want = _reference_mean_value_point(f, sa, sb, levels=(1024,))
+    except MonadicaError:  # no valid function, or no sample on the segment
+        return
+    if want is not None and _is_root(f, sa, sb, want[0]):
+        assert _is_root(f, sa, sb, mean_value_point(f, make(sa), make(sb)))
 
 
 def _parent_max_abs_over(fn, xs, vals):
@@ -803,14 +922,7 @@ def test_an_inverse_samples_its_grid_forms_as_its_kernels_with_one_inversion_eac
     g = inverse_extension(NaturalExtension.on_interval(parse("exp(x) + 0.5 * x^3"), -2.0, 2.0))
     nodes = calculus._Nodes(g.lo, g.hi - g.lo, calculus._unit(64, cells=True))
     want = [[repr(g.real_fn(k)(nodes[i])) for i in range(64)] for k in (0, 1)]
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return bisect(*args)
-
-    bisect = calculus._bisect
-    monkeypatch.setattr(calculus, "_bisect", counting)
+    calls = _count_bisections(monkeypatch)
     for k in (0, 1):
         calls.clear()
         assert list(map(repr, g._sample(k, nodes))) == want[k]
@@ -826,4 +938,4 @@ def test_cell_tables_give_the_cell_midpoints_of_the_grid(n):
     for _ in range(200):
         lo, hi = sorted(rng.uniform(-1e6, 1e6) for _ in "ab")
         nodes = calculus._Nodes(lo, hi - lo, calculus._unit(n, cells=True))
-        assert [nodes[i] for i in range(n)] == calculus._grid(lo, hi, n, cells=True)
+        assert [nodes[i] for i in range(n)] == calculus._midpoints(lo, hi, n)

@@ -163,6 +163,16 @@ def test_a_grid_of_no_points_is_empty_and_a_deep_tree_is_a_domain_error():
         expr._Emit().build(deep, grid=True)
 
 
+def test_each_kernel_has_a_file_name_of_its_own():
+    # profiles key functions by file, line and name, and every kernel is a
+    # function named compiled at line 1, so only the file name parts them
+    tree = parse("exp(sin(x))*x^3")
+    kernels = [compile_real(tree), compile_real(tree), expr._Emit().build(tree, grid=True)]
+    names = [k.__code__.co_filename for k in kernels]
+    assert len(set(names)) == 3, names
+    assert [n.endswith(" scalar>") for n in names] == [True, True, False], names
+
+
 def test_the_tree_walk_keeps_signed_zero_bindings_apart():
     # one shared node under the bindings -0.0 and 0.0, which are equal
     # floats; keyed by value they would merge, and the sum would be -0.0
