@@ -35,7 +35,7 @@ from .errors import (
     RegionMismatch,
     VanishingDerivative,
 )
-from .expr import Compose, Const, Div, Expr, _Emit, compile_real, differentiate
+from .expr import Compose, Const, Div, Expr, _value_at, compile_real, differentiate
 from .expr import gen_eval  # noqa: F401  (re-exported: callers import it from here)
 
 if TYPE_CHECKING:
@@ -75,12 +75,11 @@ def _unit(n: int, cells: bool = False) -> list[float]:
 
 
 class _Nodes(core.Record):
-    """The nodes lo + w * u over a unit table, each computed when read.  For
-    a power-of-two n, i / n and (i + 0.5) / n are exact, so a node is the
-    same float at any n that puts it on the table, and it is lo + w * i / n
-    (a midpoint lo + w * (i + 0.5) / n, as ``_midpoints`` gives it) except
-    where w / n is subnormal or w * (i + 0.5) overflows (a finite node here,
-    inf there)."""
+    """The nodes lo + w * u over a unit table, each computed when read or
+    iterated.  For a power-of-two n, i / n and (i + 0.5) / n are exact, so a
+    node is the same float at any n that puts it on the table, and it is
+    lo + w * i / n (a midpoint lo + w * (i + 0.5) / n) except where w / n is
+    subnormal or w * (i + 0.5) overflows (a finite node here, inf there)."""
 
     __slots__ = ("lo", "w", "units")
 
@@ -88,21 +87,15 @@ class _Nodes(core.Record):
         return self.lo + self.w * self.units[i]
 
 
-def _midpoints(lo: float, hi: float, n: int) -> list[float]:
-    """The midpoints lo + (hi - lo) * (i + 0.5) / n of n equal cells on [lo, hi]."""
-    w = hi - lo
-    return [lo + w * (i + 0.5) / n for i in range(n)]
-
-
-def _bisect(g, a: float, b: float, ga: float, tol: float = 0.0) -> float:
-    """A root of g in [a, b], given ga = g(a) and a sign change over [a, b].
-    Stops when |g(mid)| <= tol or the bracket is narrower than
+def _bisect(g, a: float, b: float, ga: float, tol: float = 0.0) -> tuple[float, float]:
+    """A root of g in [a, b] and g there, given ga = g(a) and a sign change
+    over [a, b].  Stops when |g(mid)| <= tol or the bracket is narrower than
     1e-15 * max(1, |mid|), which takes about 50 halvings of a unit bracket."""
     while True:
         mid = (a + b) / 2.0
         gm = g(mid)
         if abs(gm) <= tol or b - a < 1e-15 * max(1.0, abs(mid)):
-            return mid
+            return mid, gm
         if (ga < 0.0) == (gm < 0.0):
             a, ga = mid, gm
         else:
@@ -124,8 +117,8 @@ def _crossings(g, xs, vals: list[float], tol: float) -> Iterator[float]:
     without a root, it grows."""
     for i in _sign_changes(vals, tol):
         ga, gb = vals[i], vals[i + 1]
-        root = _bisect(g, xs[i], xs[i + 1], ga, tol)
-        if abs(g(root)) <= min(abs(ga), abs(gb)):
+        root, groot = _bisect(g, xs[i], xs[i + 1], ga, tol)
+        if abs(groot) <= min(abs(ga), abs(gb)):
             yield root
 
 
@@ -144,7 +137,7 @@ def _touch_zeros(f: NaturalExtension, xs, vals: list[float], tol: float) -> Iter
         a, b = xs[max(i - 1, 0)], xs[min(i + 1, last)]
         ca = curl(a)
         if ca * curl(b) < 0.0:
-            z = _bisect(curl, a, b, ca)
+            z = _bisect(curl, a, b, ca)[0]
             if abs(lam(z)) <= tol:
                 yield z
 
@@ -158,8 +151,8 @@ class NaturalExtension(core.Record):
 
     ``real_fn`` compiles each derivative tree once (see
     ``expr.compile_real``), returning exactly what the tree walk
-    ``eval_real`` would; sampling loops call its grid form once per node
-    table (``_sample``), compiled on first use and kept beside it.
+    ``eval_real`` would; sampling loops call the same kernel once per node
+    table (``_sample``).
     """
 
     __slots__ = ("expr", "lo", "hi", "_trees", "_compiled")
@@ -182,13 +175,15 @@ class NaturalExtension(core.Record):
         if math.isnan(lo) or math.isnan(hi) or not lo < hi:
             raise DomainError(f"invalid open interval ({lo}, {hi})")
         ext = cls(expr, lo + 0.0, hi + 0.0)  # no signed zero
-        value, slope = ext.real_fn(0), ext.real_fn(1)
+        ext.real_fn(0), ext.real_fn(1)  # a tree too deep raises TOO_DEEP as it is
+        wlo, whi = _finite_window(lo, hi, _PROBE_WINDOW)
+        probes = _Nodes(wlo, whi - wlo, _unit(_PROBES, cells=True))
         invalid = f"function is not valid on ({lo}, {hi}): "
-        for xi in _midpoints(*_finite_window(lo, hi, _PROBE_WINDOW), _PROBES):
-            try:
-                v, d = value(xi), slope(xi)
-            except MonadicaError as exc:
-                raise DomainError(invalid + str(exc)) from exc
+        try:
+            values, slopes = ext._sample(0, probes), ext._sample(1, probes)
+        except MonadicaError as exc:
+            raise DomainError(invalid + str(exc)) from exc
+        for xi, v, d in zip(probes, values, slopes):
             if not (math.isfinite(v) and math.isfinite(d)):
                 raise DomainError(
                     f"{invalid}value {v!r} and derivative {d!r} at {xi!r} are not both finite"
@@ -200,22 +195,23 @@ class NaturalExtension(core.Record):
         """The symbolic derivative."""
         return self.deriv_exprs(1)[1]
 
-    def real_fn(self, k: int) -> Callable[[float], float]:
-        """The k-th derivative (k = 0 is the function) as a compiled
-        function of one float, built on first use."""
-        compiled = self._compiled
-        fn = compiled.get(k)
+    def real_fn(self, k: int) -> functools.partial:
+        """The k-th derivative (k = 0 is the function) as a compiled function
+        of one float, built on first use: the partial's one argument is its kernel."""
+        fn = self._compiled.get(k)
         if fn is None:
-            fn = compiled[k] = compile_real(self.deriv_exprs(k)[k])
+            fn = self._compiled[k] = compile_real(self.deriv_exprs(k)[k])
         return fn
 
     def _sample(self, k: int, nodes: _Nodes) -> list[float]:
-        """The k-th derivative at every node, in one call of its grid form,
+        """The k-th derivative at every node, in one call of its kernel,
         which raises the error the first failing node raises in ``real_fn``."""
-        grid = self._compiled.get(("grid", k))
-        if grid is None:
-            grid = self._compiled[("grid", k)] = _Emit().build(self.deriv_exprs(k)[k], grid=True)
-        return grid(nodes.lo, nodes.w, nodes.units)
+        out: list[float] = []
+        try:
+            self.real_fn(k).args[0](nodes.lo, nodes.w, nodes.units, out)
+        except (OverflowError, ValueError) as exc:  # as in expr._value_at
+            raise OutOfDomain(f"evaluation overflows at {nodes[len(out)]!r}") from exc
+        return out
 
     def _require(self, s: float) -> None:
         if not self.lo < s < self.hi:
@@ -334,7 +330,7 @@ def _max_abs_on_segment(fn: Callable[[float], float], xs, vals: list[float]) -> 
 def taylor_expand(f: NaturalExtension, center: float, order: int, x) -> TaylorExpansion:
     """Expand around a real center and evaluate the remainder machinery at
     the shadow of x (which must differ from the center)."""
-    order = core._count(order, "expansion order", 0)
+    order = core._count(order, "expansion order", 0, 169)  # 170! is the last float factorial
     center = core._real(center, "center")
     x = as_generalized(x)
     f._require(center)
@@ -465,18 +461,18 @@ class InverseExpr(Expr):
 
     def invert(self, y: float) -> float:
         """The point where the function takes the value y.  eval_at passes
-        one float to the value and the slope, so the last root is kept and
-        each point inverts once; the memo compares by identity, since
-        0.0 == -0.0."""
+        one point to the value and the slope, so the last root is kept and
+        each point inverts once; the memo compares value and sign, so 0.0
+        and -0.0 stay apart and NaN never matches."""
         key, root = self._last
-        if key is y:
+        if key == y and math.copysign(1.0, key) == math.copysign(1.0, y):
             return root
         phi = self.fn.real_fn(0)
         lo, hi = self._window()
         va, vb = phi(lo), phi(hi)
         if not (min(va, vb) <= y <= max(va, vb)):
             raise OutOfDomain(f"{y!r} is outside the inverted range")
-        root = lo if va == y else _bisect(lambda t: phi(t) - y, lo, hi, va - y)
+        root = lo if va == y else _bisect(lambda t: phi(t) - y, lo, hi, va - y)[0]
         dphi = self.fn.real_fn(1)
         for _ in range(3):  # Newton polish
             d = dphi(root)
@@ -538,10 +534,13 @@ def inverse_extension(f: NaturalExtension) -> NaturalExtension:
     g = NaturalExtension(inv_expr, ylo, yhi)
     # What compiling the two trees would give, without compiling them; a
     # copy compiles them, and either way eval_at inverts once per point
-    g._compiled.update(
-        {0: inv_expr.eval_real, 1: lambda y: inv_expr.slope(y, inv_expr.eval_real(y))}
-    )
+    g._compiled[0] = _as_compiled(inv_expr.eval_real)
+    g._compiled[1] = _as_compiled(lambda y: inv_expr.slope(y, inv_expr.eval_real(y)))
     return g
+
+
+def _as_compiled(fn: Callable[[float], float]) -> functools.partial:
+    return functools.partial(_value_at, lambda lo, w, u, out: out.extend(map(fn, _Nodes(lo, w, u))))
 
 
 # -- images of sets -----------------------------------------------------------------
@@ -784,7 +783,8 @@ def ode_verify(solution: PiecewiseExtension, rhs: PiecewiseExtension) -> list[Re
         worst = 0.0
         status = "pass"
         detail = ""
-        for t in _midpoints(*_finite_window(gap.lo, gap.hi, 2.0), _ODE_SAMPLES):
+        lo, hi = _finite_window(gap.lo, gap.hi, 2.0)
+        for t in _Nodes(lo, hi - lo, _unit(_ODE_SAMPLES, cells=True)):
             try:
                 got, want = slope(t), value(t)
             except MonadicaError as exc:

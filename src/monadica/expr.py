@@ -14,6 +14,7 @@ constant folding and deliberately no simplification beyond that.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -558,15 +559,23 @@ def compile_real(e: Expr) -> Callable[[float], float]:
     98 lines at k = 0 to 4, where merging only repeated node objects
     takes 13, 27, 61, 148 and 373.  Dropping a repeat changes no float and
     no error: it computes the same operation on the same inputs, and a
-    repeated check already passed where it first occurred.  The grid form
-    (``_Emit.build(e, grid=True)``), which natural extensions sample with,
-    puts the same lines inside one loop: ``grid(lo, w, units)`` is
-    ``[f(lo + w * u) for u in units]``, with the same floats and the same
-    first error, and no call per point.  Compiling costs about 4 tree walks
-    (that fourth derivative) to 60 (a single node), so ``eval_real``
-    remains the path for one-shot evaluation.
+    repeated check already passed where it first occurred.  The lines run in
+    one loop over a table of nodes (``_Emit.build``), so natural extensions
+    sample a table in one call; this function is that kernel at one node.
+    Compiling costs about 4 tree walks (that fourth derivative) to 60 (a
+    single node), so ``eval_real`` remains the path for one-shot evaluation.
     """
-    return _Emit().build(e)
+    return functools.partial(_value_at, _Emit().build(e))
+
+
+def _value_at(kernel: Callable, x: float) -> float:
+    """The kernel at the one node x + 1.0 * -0.0, which is x bit for bit."""
+    out: list[float] = []
+    try:
+        kernel(x, 1.0, (-0.0,), out)
+    except (OverflowError, ValueError) as exc:
+        raise OutOfDomain(f"evaluation overflows at {x!r}") from exc
+    return out[0]
 
 
 _KERNELS = itertools.count(1)  # numbers the kernels' file names
@@ -652,29 +661,20 @@ class _Emit(Arithmetic):
     def lift(self, fn, a, slope):
         return self.let(f"{self.bind(fn)}({a})")
 
-    def build(self, e: Expr, grid: bool = False) -> Callable:
-        """e's kernel, or with grid its grid form; see compile_real."""
+    def build(self, e: Expr) -> Callable:
+        """e's kernel(lo, w, units, out): e at each lo + w * u, appended to out."""
         try:
             result = self.walk(e, "x")
         except RecursionError as exc:
             raise DomainError(TOO_DEEP) from exc
-        if grid:
-            head = "lo, w, units):\n    out = []\n    append = out.append\n    try:\n"
-            head += "        for u in units:\n            x = lo + w * u\n"
-            pad, last, end = " " * 12, f"append({result})", "    return out\n"
-        else:
-            head, pad, last, end = "x):\n    try:\n", " " * 8, f"return {result}", ""
-        body = "".join(f"{pad}{line}\n" for line in [*self.lines, last])
-        overflow = self.bind("evaluation overflows at {!r}")
+        body = "".join(f"        {line}\n" for line in self.lines)
         source = (
-            f"def compiled({head}{body}"
-            f"    except (OverflowError, ValueError) as exc:\n"
-            f"        raise OutOfDomain({overflow}.format(x)) from exc\n{end}"
+            f"def compiled(lo, w, units, out):\n    for u in units:\n"
+            f"        x = lo + w * u\n{body}        out.append({result})\n"
         )
         # the bound names are the function's globals; a file name of its own
         # keeps each kernel apart in profiles and tracebacks
-        name = f"<kernel {next(_KERNELS)} {'grid' if grid else 'scalar'}>"
-        exec(compile(source, name, "exec"), self.env)
+        exec(compile(source, f"<kernel {next(_KERNELS)}>", "exec"), self.env)
         return self.env["compiled"]
 
 

@@ -1,4 +1,5 @@
 import copy
+import functools
 import math
 import pickle
 import random
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monadica import calculus, core, sets
+from monadica import calculus, core, expr, sets
 from monadica.calculus import (
     NaturalExtension,
     gen_eval,
@@ -190,6 +191,21 @@ class TestTaylor:
         with pytest.raises(OutOfDomain):
             taylor_expand(exp_f, 0.5, 2, make(0.5, {"e:1": 1}))
 
+    def test_the_order_is_at_most_169(self):
+        # 170! is the last factorial a float holds, and order n divides by (n + 1)!
+        res = taylor_expand(exp_f, 0.0, 169, make(0.5))
+        assert res.partial_sum == pytest.approx(math.exp(0.5), abs=1e-15)
+        for order in (170, 400):
+            with pytest.raises(DomainError) as info:
+                taylor_expand(exp_f, 0.0, order, make(0.5))
+            assert str(info.value) == (
+                f"expansion order must be an integer from 0 to 169, not {order}"
+            )
+
+    def test_a_power_of_the_step_still_overflows(self):
+        with pytest.raises(OutOfDomain, match="a power of the step 10000000000.0 from"):
+            taylor_expand(exp_f, 0.0, 40, make(1e10))
+
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     def test_no_witness_at_a_pole(self, order):
         # at orders 1 and 3 the gap changes sign across the pole, whose
@@ -304,7 +320,7 @@ class TestInversion:
             return wrapped
 
         monkeypatch.setattr(calculus, "_bisect", counting("bisect", calculus._bisect))
-        monkeypatch.setattr(calculus, "compile_real", counting("compile", compile_real))
+        monkeypatch.setattr(expr._Emit, "build", counting("compile", expr._Emit.build))
         ys = [-3.0, -0.4, 0.0, 1.0, 2.5, 7.0]
         got = [inv.eval_at(make(y, {"h": 1.0, "e:1": -2.0})) for y in ys]
         assert counts == {"bisect": len(ys), "compile": 0}
@@ -328,6 +344,20 @@ class TestInversion:
         calls = _count_bisections(monkeypatch)
         assert repr(got.eval_at(make(1.0, {"h": 1.0}))) == repr(want)
         assert len(calls) == 1
+
+    def test_the_last_root_is_kept_by_value_and_sign(self, monkeypatch):
+        g = inverse_extension(NaturalExtension.on_interval(parse("exp(x) + x - 1"), -2.0, 2.0))
+        inv = g.expr
+        calls = _count_bisections(monkeypatch)
+        # equal floats that are distinct objects invert once
+        a, b = float("0.25"), float("0.25")
+        assert a is not b and inv.invert(a) == inv.invert(b)
+        assert len(calls) == 1
+        # 0.0 == -0.0, but they are different inputs
+        inv.invert(0.0)
+        inv.invert(-0.0)
+        inv.invert(-0.0)
+        assert len(calls) == 3
 
     def test_concurrent_evaluations_each_get_their_own_root(self):
         f = NaturalExtension.on_interval(parse("exp(x) + 0.5 * x^3"), -2.0, 2.0)
@@ -433,8 +463,8 @@ class TestRootKernel:
             calls.append(t)
             return t - root
 
-        got = calculus._bisect(g, a, b, g(a))
-        assert abs(got - root) <= 1e-15
+        got, g_got = calculus._bisect(g, a, b, g(a))
+        assert abs(got - root) <= 1e-15 and g_got == got - root
         # halving to float exhaustion would take 80 to 1 000 calls here
         assert len(calls) <= 64
 
@@ -667,24 +697,19 @@ def test_taylor_matches_the_separate_scans_it_replaced():
 
 
 def _count_samples(f, k):
-    """Count f's k-th derivative samples: a list of every point its kernel or
-    its grid form evaluates, and a list of the grid form's table sizes."""
+    """Count f's k-th derivative samples: a list of every point its kernel
+    evaluates, one-point calls included, and a list of the sizes of the
+    tables of more than one node it evaluates."""
     calls, grids = [], []
-    scalar = f.real_fn(k)
+    kernel = f.real_fn(k).args[0]
 
-    def counted(t):
-        calls.append(t)
-        return scalar(t)
-
-    f._sample(k, calculus._Nodes(0.0, 1.0, []))  # builds the grid form
-    grid = f._compiled[("grid", k)]
-
-    def counted_grid(lo, w, units):
-        grids.append(len(units))
+    def counted(lo, w, units, out):
+        if len(units) > 1:
+            grids.append(len(units))
         calls.extend(lo + w * u for u in units)
-        return grid(lo, w, units)
+        return kernel(lo, w, units, out)
 
-    f._compiled[k], f._compiled[("grid", k)] = counted, counted_grid
+    f._compiled[k] = functools.partial(expr._value_at, counted)
     return calls, grids
 
 
@@ -755,7 +780,7 @@ def _reference_crossings(g, xs, vals, tol):
     """Bisected sign changes whose |g| is no larger than at either cell end."""
     for a, b, ga, gb in zip(xs, xs[1:], vals, vals[1:]):
         if ga * gb < 0.0 and abs(ga) > tol and abs(gb) > tol:
-            root = calculus._bisect(g, a, b, ga, tol)
+            root = calculus._bisect(g, a, b, ga, tol)[0]
             if abs(g(root)) <= min(abs(ga), abs(gb)):
                 yield root
 
@@ -861,6 +886,37 @@ def test_mean_value_samples_31_nodes_when_they_show_the_crossing(monkeypatch):
     assert 31 < len(calls) <= 31 + 64 + 1
 
 
+def test_a_bisected_crossing_is_checked_by_the_value_the_bisection_found():
+    # the coarse grid, then one bisection whose last value is its point's
+    cube = NaturalExtension.on_interval(pow_int(X, 3))
+    calls, grids = _count_samples(cube, 1)
+    gamma = mean_value_point(cube, make(0), make(3))
+    assert gamma == 1.7320508075689531 and grids == [31]
+    points = calls[31:]
+    assert len(points) == len(set(points)) == 38 and points[-1] == gamma
+
+
+def test_each_derivative_order_is_compiled_once_per_extension(monkeypatch):
+    built = []
+    build = expr._Emit.build
+
+    def counting(self, e, **options):
+        built.append(e)
+        return build(self, e, **options)
+
+    monkeypatch.setattr(expr._Emit, "build", counting)
+    f = NaturalExtension.on_interval(parse("exp(x) + 0.5 * x^3"), -2.0, 2.0)
+    for _ in range(2):
+        taylor_expand(f, 0.3, 3, make(0.8))
+        mean_value_point(f, make(-1.0), make(1.5))
+        image_set(f, monad(RealSet.closed(-1.0, 1.5)))
+        inverse_extension(f).eval_at(make(2.0, {"h": 1.0}))
+        f.eval_at(make(0.5, {"h": 1.0}))
+    trees = f.deriv_exprs(4)
+    orders = [next(k for k, t in enumerate(trees) if t is e) for e in built]
+    assert sorted(orders) == [0, 1, 2, 4], orders
+
+
 def test_mean_value_scans_the_fine_grid_for_a_crossing_inside_one_coarse_cell(monkeypatch):
     # f' - slope = 1 - L'(x) for a steep logistic L centred on 0.328125,
     # the middle of the coarse cell [10/32, 11/32]: it is near 1 at every
@@ -929,6 +985,13 @@ def test_an_inverse_samples_its_grid_forms_as_its_kernels_with_one_inversion_eac
         assert len(calls) == 64
 
 
+def _parent_midpoints(lo, hi, n):
+    """The midpoints lo + (hi - lo) * (i + 0.5) / n of n equal cells on
+    [lo, hi], as the parent's validity probes and ODE samples took them."""
+    w = hi - lo
+    return [lo + w * (i + 0.5) / n for i in range(n)]
+
+
 @pytest.mark.parametrize("n", [512, 1024, 2048])
 def test_cell_tables_give_the_cell_midpoints_of_the_grid(n):
     # (i + 0.5) / n is exact for n a power of two, so lo + w * ((i + 0.5) / n)
@@ -938,4 +1001,4 @@ def test_cell_tables_give_the_cell_midpoints_of_the_grid(n):
     for _ in range(200):
         lo, hi = sorted(rng.uniform(-1e6, 1e6) for _ in "ab")
         nodes = calculus._Nodes(lo, hi - lo, calculus._unit(n, cells=True))
-        assert [nodes[i] for i in range(n)] == calculus._midpoints(lo, hi, n)
+        assert [nodes[i] for i in range(n)] == _parent_midpoints(lo, hi, n)

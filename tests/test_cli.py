@@ -182,6 +182,19 @@ class TestTaylor:
         assert code == 0
         assert 0 < strict_json(out)["theta"] < 1
 
+    @pytest.mark.parametrize("order, code", [("169", 0), ("170", 1), ("400", 1)])
+    def test_the_order_is_at_most_169(self, capsys, order, code):
+        got, out = run(
+            capsys, "taylor", "exp(x)", "--center", "0", "--order", order,
+            "--at", '{"shadow":0.5,"d":{}}',
+        )
+        doc = strict_json(out)
+        assert got == code and len(out.splitlines()) == 1
+        if code:
+            assert doc == {"error": f"expansion order must be an integer from 0 to 169, not {order}"}
+        else:
+            assert doc["partial_sum"] == pytest.approx(1.6487212707001282)
+
 
 class TestSeq:
     def test_prefix(self, capsys):

@@ -471,7 +471,7 @@ ORDERS = {
     "deriv_higher": (lambda m: _EXP.deriv_higher(m, make(0.5)),
                      "derivative order must be an integer >= 1"),
     "taylor_expand": (lambda m: calculus.taylor_expand(_EXP, 0.3, m, make(0.5)),
-                      "expansion order must be an integer >= 0"),
+                      "expansion order must be an integer from 0 to 169"),
     "root": (lambda m: core.root(make(4.0), m), "root degree must be an integer >= 2"),
     "differentiate": (lambda m: differentiate(Exp(_X), m),
                       "derivative order must be an integer >= 0"),
