@@ -27,7 +27,6 @@ from .core import GeneralizedReal, as_generalized
 from .errors import (
     DomainError,
     MonadicaError,
-    NonFiniteInput,
     NotDifferentiable,
     NotInjective,
     OutOfDomain,
@@ -227,7 +226,7 @@ class NaturalExtension(core.Record):
         """value(shadow) + derivative(shadow) * dx."""
         x = as_generalized(x)
         self._require(x.shadow)
-        return _tangent(x, self.real_fn(0)(x.shadow), self.real_fn(1)(x.shadow))
+        return core._tangent(x, self.real_fn(0)(x.shadow), self.real_fn(1)(x.shadow))
 
     def deriv_at(self, x) -> float:
         """The derivative, constant on each monad."""
@@ -255,7 +254,7 @@ class NaturalExtension(core.Record):
         """m-th extension: (m-1)-th derivative value plus m-th derivative
         times dx."""
         x, (value, slope) = self._top_derivs(m, "extension order", x, 2)
-        return _tangent(x, value, slope)
+        return core._tangent(x, value, slope)
 
     def deriv_higher(self, m: int, x) -> float:
         """m-th derivative at the shadow of x (always a real)."""
@@ -274,14 +273,6 @@ class NaturalExtension(core.Record):
             raise NotDifferentiable(
                 f"derivative of order {m} is not defined at {x.shadow!r}"
             ) from exc
-
-
-def _tangent(x: GeneralizedReal, value: float, slope: float) -> GeneralizedReal:
-    """``core._tangent``, naming the shadow of x when the result is not finite."""
-    try:
-        return core._tangent(x, value, slope)
-    except NonFiniteInput as exc:
-        raise NonFiniteInput(f"the extension is not finite at shadow {x.shadow!r}") from exc
 
 
 def compose_ext(outer: NaturalExtension, inner: NaturalExtension) -> NaturalExtension:

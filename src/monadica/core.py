@@ -227,8 +227,12 @@ def _from_floats(shadow: float, coeffs: dict[str, float]) -> GeneralizedReal:
 
 def _tangent(x: GeneralizedReal, value: float, slope: float) -> GeneralizedReal:
     """value + slope * dx for x = shadow + dx: a first-order result, built
-    from a float value and slope at the shadow of x."""
-    return _from_floats(float(value), {g: slope * c for g, c in x.dpart.items()})
+    from a float value and slope at the shadow of x.  A result that is not
+    finite raises NonFiniteInput, which names it as the result at that shadow."""
+    try:
+        return _from_floats(float(value), {g: slope * c for g, c in x.dpart.items()})
+    except NonFiniteInput as exc:
+        raise NonFiniteInput(f"the extension is not finite at shadow {x.shadow!r}") from exc
 
 
 ZERO = GeneralizedReal(0.0)

@@ -288,9 +288,10 @@ class Arithmetic:
 
 class _Memo(Arithmetic):
     """Walks each node once per binding, keyed by node id and binding id: a
-    binding is the caller's point or a kept value, so no id is reused during
-    the walk, and 0.0 and -0.0 stay apart.  A repeat returns a completed
-    walk's value, so no value and no first error changes."""
+    binding is the caller's point, a kept value or an emitted name (``_Emit``
+    keeps each as one str object), so no id is reused during the walk, and
+    0.0 and -0.0 stay apart.  A repeat returns a completed walk's value, so
+    no value and no first error changes."""
 
     def __init__(self) -> None:
         self.memo: dict[tuple[int, int], object] = {}
@@ -547,8 +548,10 @@ def compile_real(e: Expr) -> Callable[[float], float]:
     same rules, so every node does the same float operations in the same
     order (a quotient: numerator, denominator, then the zero check), and
     every domain check raises the same error with the same message, an
-    overflow included.  Each node object is walked once per binding of the
-    variable (``Compose`` rebinds it), and the emitted values are numbered:
+    overflow included.  A NaN stays a NaN, but the sign of a NaN made from
+    NaN operands is not kept: CPython's specialised ``+`` can flip it once
+    the kernel has warmed up.  Each node object is walked once per binding
+    of the variable (``Compose`` rebinds it), and the emitted values are numbered:
     an operation on the same operand names is assigned once and named again
     wherever it recurs, a check is emitted once, and each constant gets one
     name (an int or str keyed by type and value, a float by its bits, any
@@ -586,27 +589,19 @@ def _emits(template: str):
     return lambda self, *names: self.let(template.format(*names))
 
 
-class _Emit(Arithmetic):
+class _Emit(_Memo):
     """Names of Python variables: each distinct operation emits one
     assignment, and each distinct check one raising test; see compile_real."""
 
     def __init__(self) -> None:
+        super().__init__()
         self.lines: list[str] = []
         self.env: dict[str, object] = {"OutOfDomain": OutOfDomain}
         for f in ("exp", "log", "sin", "cos", "sqrt"):
             self.env[f] = getattr(math, f)
-        self.names: dict[tuple[int, str], str] = {}
         self.numbers: dict[str, str] = {}  # right-hand side -> its name
         self.bound: dict[tuple, str] = {}  # constant's key -> its name
         self.checked: set[str] = set()
-
-    def walk(self, e: Expr, x: str) -> str:
-        """e's value with the variable bound to x, emitted once per binding."""
-        key = (id(e), x)
-        name = self.names.get(key)
-        if name is None:
-            name = self.names[key] = e.rule(self, x)
-        return name
 
     def bind(self, obj) -> str:
         """A name for a Python object (constants are bound, never printed),

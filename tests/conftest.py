@@ -1,11 +1,15 @@
-"""Shared by the test modules: a fresh interpreter on this checkout's src/, and
-one run of each CLI verb in it, which the CLI and namespace tests both read."""
+"""Shared by the test modules: a fresh interpreter on this checkout's src/,
+one run of each CLI verb in it, which the CLI and namespace tests both read,
+and the benchmark's generator with one build of its higher-order input."""
 
 import functools
+import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -63,3 +67,20 @@ def pytest_generate_tests(metafunc):
 def verb_run(cli_verb):
     """(exit code, loaded module names) of the shared run of ``cli_verb``."""
     return _run_verb(cli_verb)
+
+
+@pytest.fixture(scope="session")
+def bench_gen():
+    """The benchmark's seeded input generator, perfbench/gen.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def higher_order_input(bench_gen):
+    """The benchmark's higher-order input at seed 1 with 130 ops, built once
+    (about 3 s): 88 functions, and 40 of the ops are mean-value ops."""
+    return bench_gen.higher_order(random.Random(1), 130)

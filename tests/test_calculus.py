@@ -1,5 +1,6 @@
 import copy
 import functools
+import json
 import math
 import pickle
 import random
@@ -860,6 +861,18 @@ def test_mean_value_keeps_the_parent_answer_on_nan_samples(text, a, b):
 
 
 # -- the two-level mean value search ------------------------------------------------
+
+
+def test_mean_value_points_of_the_benchmark_ops_are_roots(bench_gen, higher_order_input):
+    # every point either level of the search returns must solve f'(c) = slope
+    functions, domain = higher_order_input["spec"]["functions"], bench_gen.DOMAIN
+    ops = [op for op in higher_order_input["ops"] if op["kind"] == "mean_value"]
+    assert ops
+    for op in ops:
+        f = NaturalExtension.on_interval(parse(functions[op["f"]]), -domain, domain)
+        a, b = (core.from_dict(json.loads(op[end])) for end in "ab")
+        c = mean_value_point(f, a, b)
+        assert _is_root(f, a.shadow, b.shadow, c), (op, c)
 
 
 def test_coarse_mean_value_nodes_are_inner_nodes_bit_for_bit():

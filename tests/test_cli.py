@@ -41,6 +41,12 @@ class TestEval:
         assert code == 1
         assert "error" in json.loads(out)
 
+    def test_an_overflowing_result_is_named_as_a_result(self, capsys):
+        # the coefficient 2e200 of h overflows; the input itself is finite
+        code, out = run(capsys, "eval", "x*x", "--at", '{"shadow":1e200,"d":{"h":1}}')
+        assert code == 1
+        assert strict_json(out) == {"error": "the extension is not finite at shadow 1e+200"}
+
 
 class TestDiff:
     def test_first_derivative(self, capsys):

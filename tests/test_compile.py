@@ -14,7 +14,14 @@ from fractions import Fraction
 import pytest
 
 from monadica import expr
-from monadica.calculus import InverseExpr, NaturalExtension, _Nodes, gen_eval, inverse_extension
+from monadica.calculus import (
+    InverseExpr,
+    NaturalExtension,
+    _Nodes,
+    _unit,
+    gen_eval,
+    inverse_extension,
+)
 from monadica.core import make
 from monadica.errors import DomainError
 from monadica.expr import (
@@ -35,6 +42,7 @@ from monadica.expr import (
     Sub,
     Var,
     compile_real,
+    differentiate,
     parse,
 )
 
@@ -158,6 +166,40 @@ def test_grid_kernels_match_the_scalar_kernels_bit_for_bit():
                         seen_checks.update(c for c in CHECKS if message.startswith(c))
     assert seen_checks == set(CHECKS)
     assert values > 20000 and overflows > 20
+
+
+def test_kernels_match_the_tree_walk_on_the_benchmark_functions(higher_order_input):
+    # compile_real numbers its values, so repeats merge most in the higher
+    # derivatives; every value must keep its bits and every error its type
+    # and message. The one kernel of each tree evaluates the 33 points one
+    # at a time and as one node table, which must give the same values up
+    # to the first error, then that error
+    texts = higher_order_input["spec"]["functions"]
+    points = [-2.0 + i / 8.0 for i in range(33)]
+    assert points == [-2.0 + 4.0 * u for u in _unit(32)]
+    checked = tables = 0
+    for text in texts:
+        tree = parse(text)
+        for k in range(5):
+            e = differentiate(tree, k)
+            # real_fn(0) and _sample(0, ...) call the one kernel of e
+            f = NaturalExtension(e, -math.inf, math.inf)
+            want = [outcome(e.eval_real, x) for x in points]
+            for x, w in zip(points, want):
+                assert outcome(f.real_fn(0), x) == w, (text, k, x)
+                checked += 1
+
+            def table(units):
+                return f._sample(0, _Nodes(-2.0, 4.0, units))
+
+            # over the table: the values before the first error, then that error
+            first = next((i for i, w in enumerate(want) if w[0] == "error"), len(want))
+            got = [("value", struct.pack("<d", v)) for v in table(_unit(32)[:first])]
+            if first < len(want):
+                got.append(outcome(table, _unit(32)))
+            assert got == want[: first + 1], (text, k)
+            tables += 1
+    assert texts and checked == len(texts) * 5 * 33 and tables == len(texts) * 5, (checked, tables)
 
 
 def test_a_grid_of_no_points_is_empty_and_a_deep_tree_is_a_domain_error():

@@ -279,7 +279,7 @@ ERRORS = [
     ("(x - 1)^0.5", 0.5, "OutOfDomain", "real power needs a positive base, got -0.5"),
     ("exp(exp(x))", 800.0, "OutOfDomain", "evaluation overflows at 800.0"),
     ("sin(x * x)", 1e200, "OutOfDomain", "evaluation overflows at 1e+200"),
-    ("1/x", 1e-200, "NonFiniteInput", "coefficient of 'h' must be a finite real"),
+    ("1/x", 1e-200, "NonFiniteInput", "the extension is not finite at shadow 1e-200"),
 ]
 
 

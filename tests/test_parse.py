@@ -3,12 +3,10 @@ it replaced, kept here as the oracle; parse's error boundary; and trees too
 deep for Python's recursion limit, which every entry point turns into a
 DomainError."""
 
-import importlib.util
 import json
 import math
 import random
 import re
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -39,15 +37,6 @@ from monadica.expr import (
     pow_int,
     sub,
 )
-
-
-def _load_gen():
-    """The benchmark's seeded function generator, perfbench/gen.py."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 # -- the replaced parser, verbatim -----------------------------------------------
@@ -208,20 +197,19 @@ def outcome(parser, text):
 
 
 @pytest.fixture(scope="module")
-def corpus():
+def corpus(bench_gen):
     """Seeded renderings of both benchmark pools, each with single-character
     edits.  The higher-order functions are drawn as gen's higher-order pool
     draws its candidates and inverse functions, without the derivative-size
     strata that make building that pool take seconds."""
-    gen = _load_gen()
     texts = list(EDGE_TEXTS)
     for seed in SEEDS:
-        texts += gen.make_inputs("first-order", seed, 1)["spec"]["functions"]
+        texts += bench_gen.make_inputs("first-order", seed, 1)["spec"]["functions"]
         rng = random.Random(f"higher-order:{seed}")
-        texts += [gen.render(gen.monotone_function(rng, n)) for n in range(4, 12)]
+        texts += [bench_gen.render(bench_gen.monotone_function(rng, n)) for n in range(4, 12)]
         for _ in range(40):
-            t = gen._function(rng, rng.randint(3, 10), gen._slope_varies)
-            texts.append(gen.render(t))
+            t = bench_gen._function(rng, rng.randint(3, 10), bench_gen._slope_varies)
+            texts.append(bench_gen.render(t))
     rng = random.Random(13)
     for text in list(texts):
         for _ in range(EDITS_PER_TEXT):

@@ -12,7 +12,13 @@ from monadica.calculus import (
     ode_verify,
 )
 from monadica.core import make
-from monadica.errors import DomainError, MonadicaError, ProvisoViolated, RegionMismatch
+from monadica.errors import (
+    DomainError,
+    MonadicaError,
+    NonFiniteInput,
+    ProvisoViolated,
+    RegionMismatch,
+)
 from monadica.expr import Const, Neg, Var, gen_eval, parse, pow_int
 from test_compile import outcome, random_tree
 
@@ -86,6 +92,13 @@ class TestEvaluation:
         p = step_solution()
         assert p.eval_at(make(0, {"h": 3})) == make(1, {"h": 3})
         assert p.eval_at(make(-1)) == make(0)
+
+    def test_an_overflowing_monad_rule_names_the_shadow(self):
+        # slope 1e308 times the coefficient 10 of h overflows
+        p = PiecewiseExtension((0.0,), (X, X), (MonadRule(0.0, 1e308),))
+        with pytest.raises(NonFiniteInput) as info:
+            p.eval_at(make(0.0, {"h": 10.0}))
+        assert str(info.value) == "the extension is not finite at shadow 0.0"
 
 
 def linear_scan_region(breakpoints, s):
