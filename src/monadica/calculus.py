@@ -46,7 +46,7 @@ _PROBES = 129  # cells probed for validity by NaturalExtension.on_interval
 _INVERSE_SAMPLES = 1024  # cells sampled for monotonicity by inverse_extension
 _ODE_SAMPLES = 25  # points checked per gap by ode_verify
 _ROOT_CELLS = 1024  # grid cells scanned for a sign change before bisecting
-_COARSE_CELLS = 32  # cells mean_value_point scans first, nested in _ROOT_CELLS's
+_COARSE_CELLS = 32  # cells _first_root scans first, nested in _ROOT_CELLS's
 _ZERO_CELLS = 512  # grid cells scanned for zeros of the derivative in images
 _BOUND_CELLS = 2048  # grid cells sampled for the Taylor remainder bound
 
@@ -119,6 +119,31 @@ def _crossings(g, xs, vals: list[float], tol: float) -> Iterator[float]:
         root, groot = _bisect(g, xs[i], xs[i + 1], ga, tol)
         if abs(groot) <= min(abs(ga), abs(gb)):
             yield root
+
+
+# i / 32 and 32i / 1024 are the same float, so each _COARSE node is an _INNER node
+_COARSE = _unit(_COARSE_CELLS)[1:-1]
+_INNER = _unit(_ROOT_CELLS)[1:-1]
+
+
+def _first_root(g, gaps, lo: float, w: float, tol: float) -> float | None:
+    """A point strictly between lo and lo + w where |g| <= tol, given
+    gaps(xs) = g at every node of xs, or None.  It scans the 31 inner nodes of 32
+    equal cells, then, only when they show no point, the 1 023 inner nodes
+    of 1 024 cells, which include those 31.  Each level takes the first node
+    of least |g| (NaN is never least) if that is within tol, else the first
+    bisected sign change that is a root (see ``_crossings``)."""
+    for units in (_COARSE, _INNER):
+        xs = _Nodes(lo, w, units)
+        vals = gaps(xs)
+        mags = list(map(abs, vals))
+        least = min(filter(tol.__ge__, mags), default=None)
+        if least is not None:
+            return xs[mags.index(least)]
+        root = next(_crossings(g, xs, vals, tol), None)
+        if root is not None:
+            return root
+    return None
 
 
 def _touch_zeros(f: NaturalExtension, xs, vals: list[float], tol: float) -> Iterator[float]:
@@ -212,9 +237,9 @@ class NaturalExtension(core.Record):
             raise OutOfDomain(f"evaluation overflows at {nodes[len(out)]!r}") from exc
         return out
 
-    def _require(self, s: float) -> None:
+    def _require(self, s: float, what: str = "shadow") -> None:
         if not self.lo < s < self.hi:
-            raise OutOfDomain(f"shadow {s!r} lies outside the domain")
+            raise OutOfDomain(f"{what} {s!r} lies outside the domain")
 
     def _require_closure(self, a: float, b: float) -> None:
         if not (self.lo < a < self.hi and self.lo < b < self.hi):
@@ -286,8 +311,8 @@ def compose_ext(outer: NaturalExtension, inner: NaturalExtension) -> NaturalExte
 class TaylorExpansion(core.Record):
     """Partial sum, a sampled remainder bound (the largest |f^(n+1)| over
     2049 points from the center to x, refined by a ternary search, so not
-    an enclosure), and (when a numeric root search on the same samples
-    succeeds) a remainder witness theta in ]0,1[ or None."""
+    an enclosure), and a remainder witness theta in ]0,1[ that ``_first_root``
+    finds on the same samples, or None."""
 
     __slots__ = ("partial_sum", "remainder_bound", "theta")
 
@@ -324,7 +349,7 @@ def taylor_expand(f: NaturalExtension, center: float, order: int, x) -> TaylorEx
     order = core._count(order, "expansion order", 0, 169)  # 170! is the last float factorial
     center = core._real(center, "center")
     x = as_generalized(x)
-    f._require(center)
+    f._require(center, "center")
     f._require(x.shadow)
     if x.shadow == center:
         raise OutOfDomain("evaluation shadow must differ from the center")
@@ -343,37 +368,20 @@ def taylor_expand(f: NaturalExtension, center: float, order: int, x) -> TaylorEx
     top = f.real_fn(order + 1)
     xs = _Nodes(center, h, _unit(_BOUND_CELLS))
     tops = f._sample(order + 1, xs)
+    rest = target - partial
 
     def gap(theta: float) -> float:
-        return target - partial - scale * top(center + theta * h)
+        return rest - scale * top(center + theta * h)
 
-    # the inner theta node i / 1024 is bound node 2i: i / 1024 and
-    # 2i / 2048 are the same float, so center + theta * h is too
-    rest = target - partial
-    inner = [rest - scale * v for v in tops[2:-1:2]]
-    theta = _find_unit_root(gap, inner, abs_tol=1e-13 * max(1.0, abs(target)))
-    bound = _max_abs_on_segment(top, xs, tops) * abs(h) ** (order + 1)
-    bound /= math.factorial(order + 1)
+    def gaps(thetas: _Nodes) -> list[float]:
+        # theta node i / n is bound node i * 2048 / n, the same float for n
+        # a power of two, so center + theta * h is too
+        step = _BOUND_CELLS // (len(thetas.units) + 1)
+        return [rest - scale * v for v in tops[step:-1:step]]
+
+    theta = _first_root(gap, gaps, 0.0, 1.0, 1e-13 * max(1.0, abs(target)))
+    bound = _max_abs_on_segment(top, xs, tops) * abs(h) ** (order + 1) / math.factorial(order + 1)
     return TaylorExpansion(partial, bound, theta)
-
-
-# the inner nodes of the unit grid, and with its ends moved inside
-_INNER = _unit(_ROOT_CELLS)[1:-1]
-_THETAS = [1e-9, *_INNER, 1.0 - 1e-9]
-# i / 32 and 32i / 1024 are the same float, so each coarse node is an _INNER node
-_COARSE = _unit(_COARSE_CELLS)[1:-1]
-
-
-def _find_unit_root(g, inner: list[float], abs_tol: float) -> float | None:
-    """A root of g in the open unit interval: grid scan plus bisection,
-    given inner = g at the inner nodes of _THETAS."""
-    if abs(inner[_ROOT_CELLS // 2 - 1]) <= abs_tol:
-        return 0.5
-    vals = [g(_THETAS[0]), *inner, g(_THETAS[-1])]
-    for t, v in zip(_THETAS, vals):
-        if abs(v) <= abs_tol:
-            return t
-    return next(_crossings(g, _THETAS, vals, abs_tol), None)
 
 
 # -- mean value point --------------------------------------------------------------
@@ -381,16 +389,8 @@ def _find_unit_root(g, inner: list[float], abs_tol: float) -> float | None:
 
 def mean_value_point(f: NaturalExtension, a, b) -> float:
     """A real point strictly between the shadows where the derivative equals
-    the shadow-level mean slope.
-
-    The search scans f' - slope on the 31 inner nodes of 32 equal cells of
-    the segment, then, only when they show no point, on the 1 023 inner
-    nodes of 1 024 cells, which include those 31.  Each level takes the
-    first node where |f' - slope| is smallest, when that is within
-    1e-13 * max(1, |slope|), else the first bisected sign change that is a
-    root (see ``_crossings``).  When neither level finds a point it raises
-    ``DomainError``: a sign change that bisects onto a pole is not a root,
-    and a crossing narrower than a cell of the fine grid is not seen."""
+    the shadow-level mean slope, as ``_first_root`` finds it within
+    1e-13 * max(1, |slope|); when it finds none, ``DomainError``."""
     a, b = as_generalized(a), as_generalized(b)
     if not core.lt(a, b):
         raise DomainError("endpoints must satisfy a < b (indiscernible rejected)")
@@ -407,16 +407,14 @@ def mean_value_point(f: NaturalExtension, a, b) -> float:
     def gap(t: float) -> float:
         return lam(t) - slope
 
-    for units in (_COARSE, _INNER):
-        ts = _Nodes(sa, width, units)
-        vals = [v - slope for v in f._sample(1, ts)]
-        mags = list(map(abs, vals))
-        least = min(mags)  # the first minimum, as min picks it, NaN included
-        if least <= tol:
-            return ts[mags.index(least)]
-        root = next(_crossings(gap, ts, vals, tol), None)
-        if root is not None:
-            return root
+    def gaps(ts: _Nodes) -> list[float]:
+        return [v - slope for v in f._sample(1, ts)]
+
+    root = _first_root(gap, gaps, sa, width, tol)
+    if root is not None:
+        return root
+    ts = _Nodes(sa, width, _INNER)
+    vals = gaps(ts)
     missed = f"no mean-value point found on [{sa!r}, {sb!r}]: the derivative "
     cell = next(_sign_changes(vals, tol), None)
     if cell is not None:
@@ -425,9 +423,7 @@ def mean_value_point(f: NaturalExtension, a, b) -> float:
             f"{ts[cell + 1]!r}, but the crossing is not a root: |f' - slope| "
             f"grows toward it, as at a pole"
         )
-    raise DomainError(
-        f"{missed}neither meets nor crosses the mean slope {slope!r} on the grid"
-    )
+    raise DomainError(f"{missed}neither meets nor crosses the mean slope {slope!r} on the grid")
 
 
 # -- inversion ----------------------------------------------------------------------
@@ -619,6 +615,10 @@ class MonadRule(core.Record):
 
     __slots__ = ("value", "slope")
 
+    def __init__(self, value, slope) -> None:
+        object.__setattr__(self, "value", core._clean(value, "monad rule value"))
+        object.__setattr__(self, "slope", core._clean(slope, "monad rule slope"))
+
 
 class LimitProbe(core.Record):
     """Numerically probed one-sided difference quotients at a point."""
@@ -692,7 +692,7 @@ class PiecewiseExtension(core.Record):
         """Difference quotients at steps 2**-k, k = 4..20, per side; a side
         converges when its last three estimates are Cauchy within 1e-5 and
         the limit exists when both sides agree within 1e-4.  Heuristic."""
-        xi0 = core._real(xi0, "point")
+        xi0 = core._clean(xi0, "point")
         c = self._value(xi0)
         nearest = min(
             (abs(b - xi0) for b in self.breakpoints if b != xi0), default=_INF
@@ -732,7 +732,7 @@ class PiecewiseExtension(core.Record):
         the declaration.  Off the breakpoints it is the symbolic derivative
         of the gap expression; None when that is not evaluable.
         """
-        xi0 = core._real(xi0, "point")
+        xi0 = core._clean(xi0, "point")
         i, on_breakpoint = self._region(xi0)
         if not on_breakpoint:
             try:

@@ -534,7 +534,7 @@ def test_domain_checks_accept_exactly_the_open_interval(lo, hi):
             assert rejection(lambda: f.deriv_at(make(p, {"h": 1.0}))) == want, p
         # the center is checked as given, -0.0 included
         x = interior if p != interior else (interior + min(hi, 4.0)) / 2.0
-        want = None if inside(p) else f"shadow {float(p)!r} lies outside the domain"
+        want = None if inside(p) else f"center {float(p)!r} lies outside the domain"
         assert rejection(lambda: taylor_expand(f, p, 1, x)) == want, p
         if math.isfinite(p) and p != interior:
             a, b = sorted((float(p) + 0.0, interior))
@@ -586,8 +586,8 @@ def test_an_extension_that_is_not_finite_names_the_input_shadow(method, x, shado
 
 
 # -- the Taylor kernel against the two scans it replaced ------------------------------
-# The remainder bound once sampled its own grid, lower end first, and the
-# witness search its own unit grid; both are kept here as oracles.
+# The remainder bound once sampled its own grid, lower end first; it is kept
+# here as an oracle, and the witness is checked against the reference search.
 
 
 def _parent_grid(lo, hi, n):
@@ -612,21 +612,9 @@ def _parent_max_abs_on_segment(fn, lo, hi):
     return max(vals[best], abs(fn((a + b) / 2.0)))
 
 
-_PARENT_THETAS = [1e-9, *_parent_grid(0.0, 1.0, 1024)[1:-1], 1.0 - 1e-9]
-
-
-def _parent_find_unit_root(g, abs_tol):
-    if abs(g(0.5)) <= abs_tol:
-        return 0.5
-    vals = [g(t) for t in _PARENT_THETAS]
-    for t, v in zip(_PARENT_THETAS, vals):
-        if abs(v) <= abs_tol:
-            return t
-    return next(calculus._crossings(g, _PARENT_THETAS, vals, abs_tol), None)
-
-
 def _parent_taylor(f, center, order, x):
-    """taylor_expand at a float x, with the two scans above."""
+    """taylor_expand at a float x: the parent's partial sum and bound, and
+    the witness by the reference root search (``_reference_first_root``)."""
     h = x - center
     lams = f.deriv_exprs(order + 1)
     partial = 0.0
@@ -639,7 +627,8 @@ def _parent_taylor(f, center, order, x):
     def gap(theta):
         return target - partial - scale * top(center + theta * h)
 
-    theta = _parent_find_unit_root(gap, abs_tol=1e-13 * max(1.0, abs(target)))
+    found = _reference_first_root(gap, 0.0, 1.0, 1e-13 * max(1.0, abs(target)))
+    theta = found[0] if found else None
     bound = _parent_max_abs_on_segment(top, center, x) * abs(h) ** (order + 1)
     return partial, bound / math.factorial(order + 1), theta
 
@@ -665,8 +654,21 @@ def _resolved(fn, lo, hi):
     return all(m >= mags[best] / 2.0 for m in beside)
 
 
+def _solves_lagrange(f, center, order, x, theta):
+    """The benchmark oracle's check of a witness: 0 < theta < 1, and
+    f^(n+1)(center + theta h) h^(n+1) / (n+1)! is f(x) - P_n(x) to 1e-8 of
+    the largest of 1, |f(x)| and the sizes of the Taylor terms."""
+    h = x - center
+    terms = [f.real_fn(k)(center) * h**k / math.factorial(k) for k in range(order + 1)]
+    target = f.real_fn(0)(x)
+    scale = max(1.0, abs(target), *map(abs, terms))
+    top = f.real_fn(order + 1)(center + theta * h) * h ** (order + 1) / math.factorial(order + 1)
+    return 0.0 < theta < 1.0 and abs(target - sum(terms) - top) <= 1e-8 * scale
+
+
 def test_taylor_matches_the_separate_scans_it_replaced():
     compared = {"ahead": 0, "behind": 0, "unresolved": 0}
+    witnesses = 0
     for seed in range(30):
         rng = random.Random(seed)
         tree = random_tree(rng, 3, [], X)
@@ -681,6 +683,9 @@ def test_taylor_matches_the_separate_scans_it_replaced():
                 if want is None or got is None:
                     assert want == got, (seed, order, side)
                     continue
+                if got[2] != "None":
+                    assert _solves_lagrange(f, center, order, x, float(got[2])), (seed, order)
+                    witnesses += 1
                 if side == "ahead":
                     # the same grid, so the same floats
                     assert got == want, (seed, order, str(tree))
@@ -695,6 +700,7 @@ def test_taylor_matches_the_separate_scans_it_replaced():
                     assert abs(a - b) <= 1e-14 * max(abs(a), abs(b)), (seed, order, str(tree))
                 compared[side] += 1
     assert compared["ahead"] >= 60 and compared["behind"] >= 60, compared
+    assert witnesses >= 150
 
 
 def _count_samples(f, k):
@@ -720,12 +726,11 @@ def test_taylor_samples_the_top_derivative_once(order):
     f = NaturalExtension.on_interval(parse(text))
     calls, _ = _count_samples(f, order + 1)
     got = taylor_expand(f, 0.3, order, make(0.8))
-    # the grid, the witness search's two ends, the ternary refinement, and
-    # at most one bisection, each point counted whichever form evaluates it
-    assert 2049 + 121 <= len(calls) <= 2049 + 2 + 121 + 64
-    calls.clear()
+    # the grid, the ternary refinement, and at most one bisection, each
+    # point counted whichever form evaluates it: the witness search reads
+    # the grid's samples and evaluates no node of its own
+    assert 2049 + 121 <= len(calls) <= 2049 + 121 + 64
     want = _parent_taylor(f, 0.3, order, 0.8)
-    assert len(calls) > 3200  # the two scans sampled the segment apart
     assert _taylor_outcome(lambda: got) == _taylor_outcome(lambda: want)
 
 
@@ -771,10 +776,11 @@ def test_node_grids_round_subnormal_offsets_once(n):
 
 # -- scans on samples that are NaN -------------------------------------------------
 # A kernel returns NaN without raising where an overflowing product meets
-# its negation (inf - inf).  The scans must pick what the parent's Python
-# loops picked: max and min keep the first NaN they start from and skip the
-# later ones, and a node within tolerance after a NaN first node is still
-# found by the witness search but not by the mean value search.
+# its negation (inf - inf).  The scans must pick what Python loops pick:
+# the remainder bound's max keeps the first NaN it starts from and skips the
+# later ones, as the parent's loop did, and the root search never takes a
+# NaN as the least |g|, so a node within tolerance after a NaN first node is
+# found, by the mean value as by the Taylor witness.
 
 
 def _reference_crossings(g, xs, vals, tol):
@@ -786,25 +792,30 @@ def _reference_crossings(g, xs, vals, tol):
                 yield root
 
 
-def _reference_mean_value_point(f, sa, sb, levels=(32, 1024)):
-    """mean_value_point at float endpoints, as Python loops over the scaled
-    index formula: the inner nodes of each grid in levels in turn, the next
-    one scanned only when the last shows no point.  levels=(1024,) is the
-    one-level search the two levels replaced."""
-    phi, lam = f.real_fn(0), f.real_fn(1)
-    slope = (phi(sb) - phi(sa)) / (sb - sa)
-    tol = 1e-13 * max(1.0, abs(slope))
+def _reference_first_root(g, lo, hi, tol, levels=(32, 1024)):
+    """calculus._first_root as Python loops over the scaled index formula:
+    the inner nodes of each grid in levels in turn, the next one scanned
+    only when the last shows no point; (root,) or None."""
     for n in levels:
-        ts = _parent_grid(sa, sb, n)[1:-1]
-        vals = [lam(t) - slope for t in ts]
+        ts = _parent_grid(lo, hi, n)[1:-1]
+        vals = [g(t) for t in ts]
         mags = [abs(v) for v in vals]
-        best = min(range(len(ts)), key=mags.__getitem__)
-        if mags[best] <= tol:
-            return (ts[best],)
-        root = next(_reference_crossings(lambda t: lam(t) - slope, ts, vals, tol), None)
+        near = [i for i in range(len(ts)) if mags[i] <= tol]  # never a NaN
+        if near:
+            return (ts[min(near, key=mags.__getitem__)],)
+        root = next(_reference_crossings(g, ts, vals, tol), None)
         if root is not None:
             return (root,)
     return None
+
+
+def _reference_mean_value_point(f, sa, sb, levels=(32, 1024)):
+    """mean_value_point at float endpoints by the reference search;
+    levels=(1024,) is the one-level search the two levels replaced."""
+    phi, lam = f.real_fn(0), f.real_fn(1)
+    slope = (phi(sb) - phi(sa)) / (sb - sa)
+    tol = 1e-13 * max(1.0, abs(slope))
+    return _reference_first_root(lambda t: lam(t) - slope, sa, sb, tol, levels)
 
 
 def _is_root(f, sa, sb, c):
@@ -822,8 +833,10 @@ _NAN_TAYLOR = [
     ("sin(x) + (x^2*1e308 - x^2*1e308)", -1.0, 0.5, 0),  # NaN first, theta by bisection
     ("x^2 + (x^2*1e308 - x^2*1e308)", -1.0, 0.5, 0),
 ]
+# the theta the parent's one-level witness search gave in each case
+_NAN_TAYLOR_THETAS = dict(zip(_NAN_TAYLOR, [0.25, 0.25, 0.33755046163946645, 0.5]))
 _NAN_MEAN_VALUE = [
-    ("x^2 + (x^2*1e308 - x^2*1e308)", -1.0, 0.5),  # NaN first: the exact node is passed over
+    ("x^2 + (x^2*1e308 - x^2*1e308)", -1.0, 0.5),  # NaN first: the exact node -0.25 is found
     ("x^2 + (x^2*1e308 - x^2*1e308)", -0.5, 1.0),  # NaN last: the exact node is found
     ("sin(x) + (x^2*1e308 - x^2*1e308)", -1.0, 0.5),
     ("sin(x) + (x^2*1e308 - x^2*1e308)", -0.5, 1.0),
@@ -841,23 +854,21 @@ def test_taylor_keeps_the_parent_answer_on_nan_samples(text, center, x, order):
     assert _some_nan(f.real_fn(order + 1), center, x)
     want = _taylor_outcome(lambda: _parent_taylor(f, center, order, x))
     assert _taylor_outcome(lambda: taylor_expand(f, center, order, make(x))) == want
+    assert want[2] == repr(_NAN_TAYLOR_THETAS[text, center, x, order])
 
 
 @pytest.mark.parametrize("text, a, b", _NAN_MEAN_VALUE)
 def test_mean_value_keeps_the_parent_answer_on_nan_samples(text, a, b):
     # the answer of the two-level reference; the sin(x) case on [-0.5, 1.0]
     # meets its root at +0.4937 on the coarse grid, where the one-level
-    # search bisected onto the root at -0.4937 first
+    # search bisected onto the root at -0.4937 first.  Each case has a point:
+    # the first once raised, when a NaN first sample hid the exact node
     f = NaturalExtension(parse(text), -math.inf, math.inf)
     assert _some_nan(f.real_fn(1), a, b)
     want = _reference_mean_value_point(f, a, b)
-    try:
-        got = (mean_value_point(f, make(a), make(b)),)
-    except DomainError as exc:
-        assert str(exc).startswith("no mean-value point found")
-        got = None
+    got = (mean_value_point(f, make(a), make(b)),)
     assert repr(got) == repr(want)
-    assert got is None or _is_root(f, a, b, got[0])
+    assert _is_root(f, a, b, got[0])
 
 
 # -- the two-level mean value search ------------------------------------------------
@@ -886,6 +897,23 @@ def test_coarse_mean_value_nodes_are_inner_nodes_bit_for_bit():
         inner = calculus._Nodes(lo, width, calculus._INNER)
         for i in range(31):
             assert coarse[i].hex() == inner[step * (i + 1) - 1].hex(), (lo, width, i)
+
+
+def test_theta_nodes_are_remainder_bound_nodes_bit_for_bit():
+    # the witness reads theta node i / 32 from bound node 64i and i / 1024
+    # from node 2i, so center + theta * h must be the float the table holds
+    table = calculus._unit(calculus._BOUND_CELLS)
+    rng = random.Random(30)
+    for _ in range(300):
+        center = rng.uniform(-1e3, 1e3) * 10.0 ** rng.uniform(-30.0, 30.0)
+        h = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 300.0)
+        bound = calculus._Nodes(center, h, table)
+        coarse = calculus._Nodes(center, h, calculus._COARSE)
+        inner = calculus._Nodes(center, h, calculus._INNER)
+        for i in range(1, 32):
+            assert bound[64 * i].hex() == coarse[i - 1].hex(), (center, h, i)
+        for i in range(1, 1024):
+            assert bound[2 * i].hex() == inner[i - 1].hex(), (center, h, i)
 
 
 def test_mean_value_samples_31_nodes_when_they_show_the_crossing(monkeypatch):

@@ -441,6 +441,8 @@ GATED = {
     "on_interval_hi": lambda v: NaturalExtension.on_interval(_X, -1.0, v),
     "taylor_center": lambda v: calculus.taylor_expand(_EXP, v, 2, make(0.5)),
     "breakpoint": lambda v: PiecewiseExtension((v,), (_X, _X), (MonadRule(0.0, 1.0),)),
+    "monad_rule_value": lambda v: MonadRule(v, 1.0),
+    "monad_rule_slope": lambda v: MonadRule(0.0, v),
     "limit_probe": _VEE.limit_probe,
     "piecewise_deriv_at": _VEE.deriv_at,
     "geometric": seq.geometric,
@@ -461,6 +463,20 @@ GATED = {
 def test_gated_entry_points_take_only_ints_and_floats(entry, bad):
     with pytest.raises(DomainError, match="must be a number, not|lies beyond the float range"):
         GATED[entry](bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_monad_rules_and_piecewise_points_are_finite(bad):
+    # a non-finite point once fell past every breakpoint, into the last gap
+    for call in (lambda v: MonadRule(v, 1.0), lambda v: MonadRule(0.0, v),
+                 _VEE.deriv_at, _VEE.limit_probe):
+        with pytest.raises(NonFiniteInput, match="must be a finite real"):
+            call(bad)
+
+
+def test_monad_rules_store_floats():
+    rule = MonadRule(2, -1)
+    assert (type(rule.value), type(rule.slope)) == (float, float) and rule == MonadRule(2.0, -1.0)
 
 
 # -- orders, degrees, indices and counts are ints, never bools -------------------

@@ -46,6 +46,22 @@ def test_one_integer_gate():
     assert found == allowed, f"int tested outside core._count: {sorted(found - allowed)}"
 
 
+def test_one_level_search():
+    # a derivative meets a level (the mean value point, the Taylor witness)
+    # by the one scan in calculus._first_root; the image's zero search
+    # collects every crossing, not the first
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef) and any(
+                isinstance(c, ast.Call) and getattr(c.func, "id", None) == "_crossings"
+                for c in ast.walk(fn)
+            ):
+                found.add(f"{path.stem}.{fn.name}")
+    allowed = {"calculus._first_root", "calculus._deriv_zeros"}
+    assert found == allowed, f"_crossings called outside the one search: {sorted(found - allowed)}"
+
+
 def test_each_derivative_rule_stated_once():
     # the (value, slope) pair arithmetic in expr states every rule, and
     # differentiate runs it over trees; Expr.deriv calls differentiate,
