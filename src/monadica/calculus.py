@@ -381,6 +381,9 @@ def taylor_expand(f: NaturalExtension, center: float, order: int, x) -> TaylorEx
 
     theta = _first_root(gap, gaps, 0.0, 1.0, 1e-13 * max(1.0, abs(target)))
     bound = _max_abs_on_segment(top, xs, tops) * abs(h) ** (order + 1) / math.factorial(order + 1)
+    for name, value in (("partial sum", partial), ("remainder bound", bound)):
+        if not math.isfinite(value):
+            raise OutOfDomain(f"{name} {value!r} of the expansion about {center!r} is not finite")
     return TaylorExpansion(partial, bound, theta)
 
 
@@ -430,13 +433,10 @@ def mean_value_point(f: NaturalExtension, a, b) -> float:
 
 
 class InverseExpr(Expr):
-    """Inverse of a strictly monotone extension, evaluated by bisection."""
+    """Inverse of a strictly monotone extension, evaluated by bisection.
+    Interned like every node: equal extensions have one inverse node."""
 
     __slots__ = ("fn", "_last")
-
-    def __init__(self, fn: NaturalExtension) -> None:
-        object.__setattr__(self, "fn", fn)
-        object.__setattr__(self, "_last", (None, 0.0))
 
     def _window(self) -> tuple[float, float]:
         wlo, whi = _finite_window(self.fn.lo, self.fn.hi, _PROBE_WINDOW)
@@ -451,7 +451,7 @@ class InverseExpr(Expr):
         one point to the value and the slope, so the last root is kept and
         each point inverts once; the memo compares value and sign, so 0.0
         and -0.0 stay apart and NaN never matches."""
-        key, root = self._last
+        key, root = getattr(self, "_last", (None, 0.0))
         if key == y and math.copysign(1.0, key) == math.copysign(1.0, y):
             return root
         phi = self.fn.real_fn(0)
@@ -584,8 +584,9 @@ def image_set(f: NaturalExtension, g: GeneralizedSet) -> GeneralizedSet:
             continue
         margin = (b - a) * 1e-9
         knots = [a] + [z for z in zeros if a + margin < z < b - margin] + [b]
-        for s, t in zip(knots, knots[1:]):
-            ya, yb = phi(s), phi(t)
+        ys = list(map(phi, knots))
+        _require_finite("value", knots, ys)
+        for s, t, ya, yb in zip(knots, knots[1:], ys, ys[1:]):
             side_a_closed = s == a and iv.lo_closed and not is_flat(a)
             side_b_closed = t == b and iv.hi_closed and not is_flat(b)
             if ya <= yb:

@@ -16,7 +16,10 @@ from __future__ import annotations
 import enum
 import json
 import math
+import struct
 import sys
+import weakref
+from _weakref import _remove_dead_weakref
 from typing import Mapping
 
 from .errors import DomainError, NonFiniteInput, NotInvertible
@@ -69,27 +72,79 @@ def _clean(value: float, what: str) -> float:
     return 0.0 if v == 0.0 else v
 
 
+_BITS = struct.Struct("<d").pack
+
+
+def _key(value):
+    """The value as interning and ``expr._Emit.bind`` tell values apart: a
+    record by its own equality (an interned one's is identity); a float by
+    its bits, so 0.0 and -0.0 and NaNs of either sign stay apart; an int or
+    str by type and value; any other object by identity."""
+    if isinstance(value, Record):
+        return value
+    kind = type(value)
+    if kind is float:
+        return _BITS(value)
+    return kind, value if kind is int or kind is str else id(value)
+
+
+#: The live interned records, each under its class and the keys of its fields.
+#: The references are weak, so a record that no caller holds leaves the table.
+_INTERNED: dict[tuple, weakref.ref] = {}
+
+
+def _intern(key, record):
+    """The live record under key: record, unless another thread's came first.
+    An entry is removed only while its reference is dead (atomically, as
+    WeakValueDictionary does), so a live record put in its place stays."""
+    ref = weakref.ref(record, lambda _: _remove_dead_weakref(_INTERNED, key))
+    while (found := _INTERNED.setdefault(key, ref)()) is None:
+        _remove_dead_weakref(_INTERNED, key)  # a dead record not dropped yet
+    return found
+
+
 class Record:
     """Base class of the library's immutable values.  A record declares its
     fields once, as its ``__slots__``, and gets from them a constructor taking
     them in that order, immutability, equality and hashing by value, a repr,
     pickling and copying.  Slots named ``_...`` hold derived state, not fields;
     a record that defines its own ``__init__`` keeps it and sets its slots
-    with ``object.__setattr__``."""
+    with ``object.__setattr__``.
+
+    A class that sets ``_interned`` (and a ``__weakref__`` slot) is built once
+    per distinct value: its constructor returns the live record whose fields
+    have the same ``_key``s, so equal records are one object, compared and
+    hashed by identity, and a copy or an unpickled record is that object."""
 
     __slots__ = ()
+    _interned = False
 
     def __init_subclass__(cls):
         # compiled once per class, so a record costs what a hand-written
-        # __init__ costs; the slot setters go around __setattr__ below
+        # __init__ costs (an interned one a lookup more); the slot setters go
+        # around __setattr__ below
         cls._fields = names = tuple(n for n in cls.__slots__ if not n.startswith("_"))
         if "__init__" in vars(cls):
             return
         env = {f"set_{n}": getattr(cls, n).__set__ for n in names}
         params = "".join(f", {n}" for n in names)
-        body = "".join(f"    set_{n}(self, {n})\n" for n in names) or "    pass\n"
-        exec(f"def __init__(self{params}):\n{body}", env)
-        cls.__init__ = env["__init__"]
+        sets = "".join(f"    set_{n}(self, {n})\n" for n in names)
+        if not cls._interned:
+            body = sets or "    pass\n"
+            exec(f"def __init__(self{params}):\n{body}", env)
+            cls.__init__ = env["__init__"]
+            return
+        env.update(key=_key, get=_INTERNED.get, new=object.__new__, intern=_intern)
+        keys = "".join(f", key({n})" for n in names)
+        exec(
+            f"def __new__(cls{params}):\n    k = (cls{keys})\n    ref = get(k)\n"
+            "    if ref is not None:\n        self = ref()\n"
+            "        if self is not None:\n            return self\n"
+            f"    self = new(cls)\n{sets}    return intern(k, self)\n",
+            env,
+        )
+        cls.__new__ = staticmethod(env["__new__"])
+        cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
 
     def _values(self) -> tuple:
         return tuple([getattr(self, n) for n in self._fields])

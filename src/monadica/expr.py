@@ -4,8 +4,9 @@ Nodes cover the elementary functions used throughout the library.  A node
 is an immutable record (``core.Record``) whose fields, its ``__slots__``, are
 only its operand subtrees and int or float constants; the interval on which
 a function is valid belongs to its natural extension
-(``calculus.NaturalExtension``), not to its nodes.  Each node type has one
-``rule`` for its value, pointwise checks included, which floats
+(``calculus.NaturalExtension``), not to its nodes.  Nodes are interned:
+equal nodes are one object, compared and hashed by identity.  Each node
+type has one ``rule`` for its value, pointwise checks included, which floats
 (``eval_real``), emitted code (``compile_real``) and (value, slope) pairs
 (``gen_eval``) all run; the pairs state each derivative rule once, and run
 over trees they differentiate symbolically (``differentiate``), with
@@ -19,7 +20,6 @@ import itertools
 import math
 import operator
 import re
-import struct
 from typing import Callable
 
 from . import core
@@ -31,10 +31,12 @@ TOO_DEEP = "expression nests too deeply"
 
 
 class Expr(core.Record):
-    """Base class of the nodes.  A node is a ``core.Record`` whose fields are
-    its operands and constants, declared once as its ``__slots__``."""
+    """Base class of the nodes.  A node is an interned ``core.Record`` whose
+    fields are its operands and constants, declared once as its ``__slots__``:
+    constructing a node equal to a live one returns that one."""
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
+    _interned = True
 
     def eval_real(self, xi: float) -> float:
         """The value at a real point.  A float operation that overflows
@@ -287,11 +289,12 @@ class Arithmetic:
 
 
 class _Memo(Arithmetic):
-    """Walks each node once per binding, keyed by node id and binding id: a
-    binding is the caller's point, a kept value or an emitted name (``_Emit``
-    keeps each as one str object), so no id is reused during the walk, and
-    0.0 and -0.0 stay apart.  A repeat returns a completed walk's value, so
-    no value and no first error changes."""
+    """Walks each node once per binding, keyed by node id and binding id.
+    Equal nodes are one object, so equal subtrees are walked once.  A binding
+    is the caller's point, a kept value or an emitted name (``_Emit`` keeps
+    each as one str object), so no id is reused during the walk, and 0.0 and
+    -0.0 stay apart.  A repeat returns a completed walk's value, so no value
+    and no first error changes."""
 
     def __init__(self) -> None:
         self.memo: dict[tuple[int, int], object] = {}
@@ -550,19 +553,13 @@ def compile_real(e: Expr) -> Callable[[float], float]:
     every domain check raises the same error with the same message, an
     overflow included.  A NaN stays a NaN, but the sign of a NaN made from
     NaN operands is not kept: CPython's specialised ``+`` can flip it once
-    the kernel has warmed up.  Each node object is walked once per binding
-    of the variable (``Compose`` rebinds it), and the emitted values are numbered:
-    an operation on the same operand names is assigned once and named again
-    wherever it recurs, a check is emitted once, and each constant gets one
-    name (an int or str keyed by type and value, a float by its bits, any
-    other object by identity).  A derivative shares its function's subtrees,
-    which are walked once, and the numbering computes once the equal subtrees
-    that differentiation builds as new objects; the k-th derivative of
-    ``exp(sin(x))*x^3 + log(2+cos(x))/(1+x^2)`` takes 13, 24, 41, 65 and
-    98 lines at k = 0 to 4, where merging only repeated node objects
-    takes 13, 27, 61, 148 and 373.  Dropping a repeat changes no float and
-    no error: it computes the same operation on the same inputs, and a
-    repeated check already passed where it first occurred.  The lines run in
+    the kernel has warmed up.  Each node is assigned once per binding of the
+    variable (``Compose`` rebinds it); nodes are interned, so equal subtrees
+    are one node and computed once.  A check is emitted once, and each
+    constant gets one name (keyed by ``core._key``).  The k-th derivative of
+    ``exp(sin(x))*x^3 + log(2+cos(x))/(1+x^2)`` takes 13, 24, 41, 65 and 98
+    lines at k = 0 to 4.  Dropping a repeated check changes no error: it
+    already passed where it first occurred.  The lines run in
     one loop over a table of nodes (``_Emit.build``), so natural extensions
     sample a table in one call; this function is that kernel at one node.
     Compiling costs about 4 tree walks (that fourth derivative) to 60 (a
@@ -590,8 +587,8 @@ def _emits(template: str):
 
 
 class _Emit(_Memo):
-    """Names of Python variables: each distinct operation emits one
-    assignment, and each distinct check one raising test; see compile_real."""
+    """Names of Python variables: each node walked emits one assignment,
+    and each distinct check one raising test; see compile_real."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -599,20 +596,15 @@ class _Emit(_Memo):
         self.env: dict[str, object] = {"OutOfDomain": OutOfDomain}
         for f in ("exp", "log", "sin", "cos", "sqrt"):
             self.env[f] = getattr(math, f)
-        self.numbers: dict[str, str] = {}  # right-hand side -> its name
-        self.bound: dict[tuple, str] = {}  # constant's key -> its name
+        self.bound: dict[object, str] = {}  # constant's key -> its name
         self.checked: set[str] = set()
 
     def bind(self, obj) -> str:
         """A name for a Python object (constants are bound, never printed),
-        one per constant: an int or str is keyed by type and value, a float
-        by its bits, so 0.0 and -0.0 and NaNs of either sign stay apart, and
-        any other object by identity (the environment keeps it alive)."""
-        kind = type(obj)
-        if kind is float:
-            key = (kind, struct.pack("<d", obj))
-        else:
-            key = (kind, obj if kind is int or kind is str else id(obj))
+        one per ``core._key``, the key that interns nodes: a float by its
+        bits, so 0.0 and -0.0 and NaNs of either sign stay apart, and an
+        object by identity (the environment keeps it alive)."""
+        key = core._key(obj)
         name = self.bound.get(key)
         if name is None:
             name = self.bound[key] = f"k{len(self.env)}"
@@ -622,11 +614,9 @@ class _Emit(_Memo):
     const = bind
 
     def let(self, rhs: str) -> str:
-        """The name of rhs's value, assigned where rhs first occurs."""
-        name = self.numbers.get(rhs)
-        if name is None:
-            name = self.numbers[rhs] = f"v{len(self.lines)}"
-            self.lines.append(f"{name} = {rhs}")
+        """A new name, assigned rhs's value."""
+        name = f"v{len(self.lines)}"
+        self.lines.append(f"{name} = {rhs}")
         return name
 
     def check(self, failed: str, message: str, shown: str) -> None:

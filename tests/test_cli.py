@@ -103,6 +103,16 @@ class TestOverflow:
         assert code == 1
         assert "overflows" in strict_json(out)["error"]
 
+    def test_a_partial_sum_that_is_not_finite_is_a_json_error(self, capsys):
+        code, out = run(
+            capsys, "taylor", "x*1e306", "--center", "0.5", "--order", "1",
+            "--at", '{"shadow":1000,"d":{}}',
+        )
+        assert code == 1 and len(out.splitlines()) == 1
+        assert strict_json(out) == {
+            "error": "partial sum inf of the expansion about 0.5 is not finite"
+        }
+
 
 class TestStrictNumbers:
     def test_string_shadow_is_a_domain_error(self, capsys):
@@ -200,6 +210,27 @@ class TestTaylor:
             assert doc == {"error": f"expansion order must be an integer from 0 to 169, not {order}"}
         else:
             assert doc["partial_sum"] == pytest.approx(1.6487212707001282)
+
+
+class TestHighOrders:
+    # 17 nodes whose derivatives build equal subtrees again and again; the
+    # copies grow about 2.7-fold per order unless equal nodes are one object
+    F = "exp(sin(x))*x^3 + log(2+cos(x))/(1+x^2)"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["diff", "--order", "14"],
+            ["taylor", "--center", "0.3", "--order", "10"],
+        ],
+        ids=["diff", "taylor"],
+    )
+    def test_high_orders_finish_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, out = run(capsys, *argv, "--at", '{"shadow":0.5,"d":{}}', "--", self.F)
+        assert time.perf_counter() - start < 2.0
+        assert code == 0 and len(out.splitlines()) == 1
+        strict_json(out)
 
 
 class TestSeq:

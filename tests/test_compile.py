@@ -296,8 +296,8 @@ def test_shared_nodes_are_evaluated_once_per_binding():
     assert gen_eval(Mul(c, X), make(0.5, {"h": 1.0})) == make(0.75, {"h": 2.0})
 
 
-# differentiation builds some equal subtrees as new objects (sin's slope
-# makes a cos(u) beside cos's own), so this tree's derivatives repeat work
+# differentiation builds equal subtrees again (sin's slope makes a cos(u)
+# beside cos's own), which interning makes one node
 SWELLING = parse("exp(sin(x))*x^3 + log(2+cos(x))/(1+x^2)")
 
 
@@ -316,8 +316,7 @@ def test_emitted_kernels_repeat_no_operation_and_no_check():
 
 
 def test_emitted_line_counts_per_derivative_order():
-    # a deterministic work count; merging only repeated node objects takes
-    # 13, 27, 61, 148 and 373 lines
+    # a deterministic work count
     counts = [len(emitted(expr.differentiate(SWELLING, k))) for k in range(5)]
     assert counts == [13, 24, 41, 65, 98]
 

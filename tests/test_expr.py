@@ -1,9 +1,15 @@
+import gc
 import math
 import operator
 import random
+import sys
+import threading
+import timeit
+import weakref
 
 import pytest
 
+from monadica import core
 from monadica.calculus import gen_eval
 from monadica.core import make
 from monadica.errors import DomainError, MonadicaError, NotDifferentiable, OutOfDomain
@@ -12,7 +18,9 @@ from monadica.expr import (
     Const,
     Cos,
     Exp,
+    Expr,
     Log,
+    Mul,
     PowReal,
     Root,
     Sin,
@@ -246,3 +254,89 @@ class TestParser:
 
     def test_trailing_whitespace_is_ignored(self):
         assert parse(" x * 2 \t\n") == parse("x*2")
+
+
+# differentiation builds equal subtrees again and again (sin's slope makes a
+# cos(u) beside cos's own); interned, each is one node
+F = "exp(sin(x))*x^3 + log(2+cos(x))/(1+x^2)"
+
+
+def _distinct_nodes(e):
+    """The node objects of e's DAG, each once."""
+    seen, stack = {}, [e]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(c for c in node._values() if isinstance(c, Expr))
+    return list(seen.values())
+
+
+class TestInterning:
+    def test_equal_trees_are_one_object(self):
+        assert parse(F) is parse(F)
+        d = differentiate(parse(F), 4)
+        assert differentiate(parse(F), 4) is d
+        # no two node objects of the derivative have the same structure: the
+        # operands, by induction canonical, by identity; constants by repr
+        nodes = _distinct_nodes(d)
+        shapes = {
+            (type(n), *(id(c) if isinstance(c, Expr) else (type(c), repr(c)) for c in n._values()))
+            for n in nodes
+        }
+        assert len(shapes) == len(nodes)
+        # a subtree built apart is the derivative's own node
+        cos_x = Cos(X)
+        assert any(n is cos_x for n in nodes)
+
+    def test_signed_zero_constants_stay_apart_and_keep_their_values(self):
+        zero, minus_zero = Const(0.0), Const(-0.0)
+        assert zero is not minus_zero and zero != minus_zero
+        assert Const(-0.0) is minus_zero
+        for c, sign in ((zero, 1.0), (minus_zero, -1.0)):
+            e = Mul(X, c)
+            for got in (e.eval_real(1.0), compile_real(e)(1.0)):
+                assert got == 0.0 and math.copysign(1.0, got) == sign
+
+    def test_a_node_no_caller_holds_leaves_the_table(self):
+        node = Mul(Exp(X), Const(1234.5678))
+        key = (Mul, core._key(Exp(X)), core._key(Const(1234.5678)))
+        assert core._INTERNED[key]() is node
+        ref = weakref.ref(node)
+        del node
+        gc.collect()
+        assert ref() is None and key not in core._INTERNED
+
+    def test_threads_racing_to_build_the_same_nodes_get_one_object_each(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(5):
+                # constants of this round only, so every node is new
+                texts = [f"sin(x * {round_}.{k}17) + exp({k}.{round_}31 - x)^3" for k in range(20)]
+                built = [[] for _ in range(8)]
+                start = threading.Barrier(len(built))
+
+                def work(out):
+                    start.wait()
+                    out.extend(differentiate(parse(t), 2) for t in texts)
+
+                threads = [threading.Thread(target=work, args=(out,)) for out in built]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                for trees in built:
+                    assert len(trees) == len(texts)
+                    assert all(a is b for a, b in zip(trees, built[0]))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_hash_and_equality_of_a_large_derivative_walk_no_tree(self):
+        f = parse(F)
+        d, again, lower = differentiate(f, 12), differentiate(f, 12), differentiate(f, 11)
+        for check in (lambda: hash(d), lambda: d == again, lambda: d == lower):
+            # the best of 5, so a pause of the host is not counted
+            assert min(timeit.repeat(check, number=1, repeat=5)) < 1e-3
+        assert d == again and d != lower

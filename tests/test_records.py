@@ -1,5 +1,6 @@
 """Every immutable value of the library is a ``core.Record``: its fields are
-its ``__slots__``, and it pickles and copies to an equal value."""
+its ``__slots__``, and it pickles and copies to an equal value; an
+expression node, which is interned, to the very same object."""
 
 import copy
 import dataclasses
@@ -18,7 +19,7 @@ from monadica.calculus import (
     taylor_expand,
 )
 from monadica.core import make
-from monadica.expr import Var, parse
+from monadica.expr import Var, differentiate, parse
 from monadica.sets import GeneralizedSet, RealSet
 from monadica.verify import CheckResult
 
@@ -45,6 +46,12 @@ def test_natural_extensions_with_filled_caches_round_trip(kind, trip):
     assert got == f and repr(got) == repr(f) and hash(got) == hash(f)
     for x in (0.5, make(1.5, {"h": 2.0})):
         assert got.eval_at(x) == f.eval_at(x)
+
+
+@pytest.mark.parametrize("trip", sorted(ROUND_TRIPS))
+def test_a_node_round_trips_to_the_same_object(trip):
+    node = differentiate(parse("exp(sin(x)) * x^3 + 2.5 / (1 + x^2)"), 2)
+    assert ROUND_TRIPS[trip](node) is node
 
 
 def _piecewise():

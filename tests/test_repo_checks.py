@@ -76,3 +76,32 @@ def test_each_derivative_rule_stated_once():
                 found.add(f"{path.stem}.{node.name}")
     allowed = {"expr.Expr", "calculus.InverseExpr", "calculus.NaturalExtension"}
     assert found == allowed, f"deriv defined outside the pair rules: {sorted(found - allowed)}"
+
+
+def test_nodes_are_built_only_by_the_interning_constructor():
+    # core.Record gives every node class one constructor, which interns it,
+    # and identity as its equality and hash; a node class that defined its
+    # own would build nodes around the table, or compare them by value
+    classes = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                bases = {b.attr if isinstance(b, ast.Attribute) else getattr(b, "id", None) for b in node.bases}
+                classes[node.name] = (f"{path.stem}.{node.name}", bases, node.body)
+    nodes = {"Expr"}
+    while more := {name for name, (_, bases, _) in classes.items() if bases & nodes} - nodes:
+        nodes |= more
+    assert {"Const", "Add", "Compose", "InverseExpr"} <= nodes
+    found = set()
+    for name in nodes:
+        qualname, _, body = classes[name]
+        for stmt in body:
+            if isinstance(stmt, ast.FunctionDef):
+                defined = {stmt.name}
+            elif isinstance(stmt, ast.Assign):
+                defined = {getattr(t, "id", None) for t in stmt.targets}
+            else:
+                continue
+            found.update(f"{qualname}.{d}" for d in defined & {"__eq__", "__hash__", "__init__", "__new__"})
+    allowed = set()
+    assert found == allowed, f"node classes with their own constructor or equality: {sorted(found - allowed)}"
