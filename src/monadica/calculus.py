@@ -371,7 +371,9 @@ def taylor_expand(f: NaturalExtension, center: float, order: int, x) -> TaylorEx
     rest = target - partial
 
     def gap(theta: float) -> float:
-        return rest - scale * top(center + theta * h)
+        # a theta on the bound's table is that node, the same float: read it
+        j = theta * _BOUND_CELLS
+        return rest - scale * (tops[int(j)] if j.is_integer() else top(center + theta * h))
 
     def gaps(thetas: _Nodes) -> list[float]:
         # theta node i / n is bound node i * 2048 / n, the same float for n

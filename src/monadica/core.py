@@ -88,7 +88,8 @@ def _key(value):
     return kind, value if kind is int or kind is str else id(value)
 
 
-#: The live interned records, each under its class and the keys of its fields.
+#: The live interned records, each under its class and the keys of its fields,
+#: and the live trees ``expr.parse`` built, each also under (parse, its text).
 #: The references are weak, so a record that no caller holds leaves the table.
 _INTERNED: dict[tuple, weakref.ref] = {}
 

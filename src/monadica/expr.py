@@ -764,9 +764,15 @@ def _prefix(toks: list, i: int) -> tuple[Expr, int]:
 
 def parse(text: str) -> Expr:
     """Parse infix syntax: x, numbers, pi, + - * / ^, exp/log/sin/cos/sqrt,
-    root(m, e), pow(alpha, e)."""
+    root(m, e), pow(alpha, e).  The tree is interned under (parse, text)
+    too, so parsing text whose tree is live is one lookup; errors are not
+    stored."""
     if type(text) is not str:
         raise DomainError(f"an expression must be text, not {text!r}")
+    key = (parse, text)
+    ref = core._INTERNED.get(key)
+    if ref is not None and (e := ref()) is not None:
+        return e
     toks: list = _TOKEN_RE.findall(text)
     if toks and not toks[-1]:
         *_, bad = _TOKEN_RE.finditer(text)
@@ -778,4 +784,4 @@ def parse(text: str) -> Expr:
         raise DomainError(TOO_DEEP) from exc
     if toks[i] is not None:
         raise DomainError(f"trailing input at {toks[i]!r}")
-    return e
+    return core._intern(key, e)

@@ -768,6 +768,26 @@ def test_taylor_samples_the_top_derivative_once(order):
     assert _taylor_outcome(lambda: got) == _taylor_outcome(lambda: want)
 
 
+@pytest.mark.parametrize("order, before", [(0, 2206), (1, 2207), (2, 2205), (3, 2202)])
+def test_taylor_witness_reads_bisection_points_on_the_bound_table(order, before, monkeypatch):
+    # when the witness search evaluated every bisection midpoint afresh,
+    # taylor evaluated f^(n+1) at `before` points; the 6 midpoints that are
+    # nodes of the bound's table (theta * 2048 an integer) are read from it
+    f = NaturalExtension.on_interval(parse("exp(sin(x))*x^3 + log(2+cos(x))/(1+x^2)"))
+    calls, _ = _count_samples(f, order + 1)
+    thetas = []
+    bisect = calculus._bisect
+
+    def recording(g, *args):
+        return bisect(lambda t: thetas.append(t) or g(t), *args)
+
+    monkeypatch.setattr(calculus, "_bisect", recording)
+    got = taylor_expand(f, 0.3, order, make(0.8))
+    assert sum((t * 2048).is_integer() for t in thetas) == 6
+    assert len(calls) == before - 6
+    assert got.theta == _parent_taylor(f, 0.3, order, 0.8)[2]
+
+
 def _magnitude(rng):
     return rng.choice((-1.0, 1.0)) * math.ldexp(rng.uniform(0.5, 1.0), rng.randint(-1070, 1000))
 

@@ -9,7 +9,7 @@ import weakref
 
 import pytest
 
-from monadica import core
+from monadica import core, expr
 from monadica.calculus import gen_eval
 from monadica.core import make
 from monadica.errors import DomainError, MonadicaError, NotDifferentiable, OutOfDomain
@@ -330,6 +330,77 @@ class TestInterning:
                 for trees in built:
                     assert len(trees) == len(texts)
                     assert all(a is b for a, b in zip(trees, built[0]))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_parsing_held_text_again_runs_no_parser(self, monkeypatch):
+        text = "sin(x * 3.0917) + exp(x)^2"
+        tree = parse(text)
+        assert core._INTERNED[(parse, text)]() is tree
+
+        def refuse(*args):
+            raise AssertionError("the parser ran on held text")
+
+        monkeypatch.setattr(expr, "_climb", refuse)
+        assert parse(text) is tree
+
+    def test_differently_spaced_texts_are_two_entries_for_one_node(self):
+        tight, loose = "x*2.4617", " x * 2.4617 "
+        tree = parse(tight)
+        assert parse(loose) is tree
+        assert core._INTERNED[(parse, tight)]() is core._INTERNED[(parse, loose)]() is tree
+
+    def test_the_text_memo_keeps_no_tree_alive(self):
+        text = "log(2 + cos(x)) * 9.8173"
+        ref = weakref.ref(parse(text))
+        gc.collect()
+        assert ref() is None and (parse, text) not in core._INTERNED
+
+    @pytest.mark.parametrize("text", ["x +", "(" * 600 + "x" + ")" * 600])
+    def test_a_text_that_fails_to_parse_is_not_stored(self, text):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(DomainError) as info:
+                parse(text)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert (parse, text) not in core._INTERNED
+
+    def test_a_text_of_another_type_is_refused_before_any_lookup(self, monkeypatch):
+        class Text(str):
+            pass
+
+        # a table that raises on any read shows that no lookup happens
+        monkeypatch.setattr(core, "_INTERNED", None)
+        for bad in (Text("x"), b"x"):
+            with pytest.raises(DomainError, match="an expression must be text"):
+                parse(bad)
+
+    def test_threads_racing_to_parse_the_same_text_get_one_tree_each(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(5):
+                # texts of this round only, so every entry is new
+                texts = [f"cos(x * {round_}.{k}43) - log(2 + x^2) * {k}.{round_}59" for k in range(20)]
+                built = [[] for _ in range(8)]
+                start = threading.Barrier(len(built))
+
+                def work(out):
+                    start.wait()
+                    out.extend(parse(t) for t in texts)
+
+                threads = [threading.Thread(target=work, args=(out,)) for out in built]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                for trees in built:
+                    assert len(trees) == len(texts)
+                    assert all(a is b for a, b in zip(trees, built[0]))
+                for text, tree in zip(texts, built[0]):
+                    assert core._INTERNED[(parse, text)]() is tree
         finally:
             sys.setswitchinterval(interval)
 

@@ -105,3 +105,27 @@ def test_nodes_are_built_only_by_the_interning_constructor():
             found.update(f"{qualname}.{d}" for d in defined & {"__eq__", "__hash__", "__init__", "__new__"})
     allowed = set()
     assert found == allowed, f"node classes with their own constructor or equality: {sorted(found - allowed)}"
+
+
+def test_one_weak_table_and_no_parse_cache():
+    # core._INTERNED is the one table of live values, parsed text included: a
+    # WeakValueDictionary or a weak reference made elsewhere would be a
+    # second one, and a cache decorator on an expr function a strong one
+    weak, cached = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                weak.update(f"{path.stem}.{a.name}" for a in node.names if a.name in ("weakref", "_weakref"))
+            elif isinstance(node, ast.ImportFrom) and node.module in ("weakref", "_weakref"):
+                weak.update(f"{path.stem}.{alias.name}" for alias in node.names)
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "weakref":
+                weak.add(f"{path.stem}.{node.attr}")
+            elif isinstance(node, ast.FunctionDef) and path.stem == "expr":
+                for d in node.decorator_list:
+                    name = d.func if isinstance(d, ast.Call) else d
+                    if (name.attr if isinstance(name, ast.Attribute) else getattr(name, "id", None)) in (
+                        "cache", "lru_cache", "cached_property"
+                    ):
+                        cached.add(f"expr.{node.name}")
+    assert weak == {"core.weakref", "core.ref", "core._remove_dead_weakref"}, f"weak tables beside core's: {sorted(weak)}"
+    assert cached == set(), f"cached functions in expr: {sorted(cached)}"

@@ -10,6 +10,10 @@ the other lacks; the standard library keeps its bytecode.  Pair i runs the
 parent first when i is even and the change first when it is odd.  For every end-to-end metric of
 ``BENCHMARK.json`` the output holds the per-run values of both sides in seed
 order, their medians and quartiles, and the change's wins (pairs where it is better; ties count for neither).
+Each metric is also read against its ``bound`` in ``BENCHMARK.json``:
+``worse_by`` is (change median - parent median) / parent median, negated for
+a metric where higher is better, so positive is worse (0.05 is 5% worse), and
+``within_bound`` is whether ``worse_by <= bound``.
 Each workload also records every run's ``correct`` flag and failed-op count,
 and ``env`` records ``PYTHONDONTWRITEBYTECODE`` as the runs saw it (null when
 unset).
@@ -84,6 +88,7 @@ def main(argv=None) -> int:
     parent, change = args.parent.resolve(), args.change.resolve()
     spec = json.loads((parent / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     doc = {
         "machine": {
             "platform": platform.platform(),
@@ -117,6 +122,8 @@ def main(argv=None) -> int:
             old = [r["metrics"][name]["value"] for r in runs["parent"]]
             new = [r["metrics"][name]["value"] for r in runs["change"]]
             sign = 1 if direction == "higher" else -1
+            before, after = statistics.median(old), statistics.median(new)
+            worse_by = sign * (before - after) / before
             metrics[name] = {
                 "unit": runs["parent"][0]["metrics"][name]["unit"],
                 "better": direction,
@@ -124,6 +131,8 @@ def main(argv=None) -> int:
                 "change": summarize(new),
                 "wins": sum(sign * (b - a) > 0 for a, b in zip(old, new)),
                 "pairs": len(old),
+                "worse_by": worse_by,
+                "within_bound": worse_by <= bounds[name],
             }
         doc["workloads"][workload] = {
             "correct": {side: [r["correct"] for r in rs] for side, rs in runs.items()},
