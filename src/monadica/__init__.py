@@ -40,8 +40,8 @@ _EXPORTS = {
             "RegionMismatch", "UnboundedError", "UnknownGenerator", "VanishingDerivative",
         ),
         "expr": (
-            "Add", "Compose", "Const", "Cos", "Div", "Exp", "Expr", "Log", "Mul", "Neg",
-            "PowInt", "PowReal", "Root", "Sin", "Sub", "Var", "differentiate", "gen_eval",
+            "Add", "Const", "Cos", "Div", "Exp", "Expr", "Log", "Mul", "Neg", "PowInt",
+            "PowReal", "Root", "Sin", "Sub", "Var", "compose", "differentiate", "gen_eval",
             "parse", "pow_int",
         ),
         "seq": (

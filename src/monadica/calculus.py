@@ -34,7 +34,7 @@ from .errors import (
     RegionMismatch,
     VanishingDerivative,
 )
-from .expr import Compose, Const, Div, Expr, _value_at, compile_real, differentiate
+from .expr import Const, Div, Expr, Var, _value_at, compile_real, compose, differentiate
 from .expr import gen_eval  # noqa: F401  (re-exported: callers import it from here)
 
 if TYPE_CHECKING:
@@ -302,7 +302,7 @@ class NaturalExtension(core.Record):
 
 def compose_ext(outer: NaturalExtension, inner: NaturalExtension) -> NaturalExtension:
     """Extension of the composite, on the inner domain."""
-    return NaturalExtension.on_interval(Compose(outer.expr, inner.expr), inner.lo, inner.hi)
+    return NaturalExtension.on_interval(compose(outer.expr, inner.expr), inner.lo, inner.hi)
 
 
 # -- Taylor expansion --------------------------------------------------------------
@@ -435,18 +435,19 @@ def mean_value_point(f: NaturalExtension, a, b) -> float:
 
 
 class InverseExpr(Expr):
-    """Inverse of a strictly monotone extension, evaluated by bisection.
-    Interned like every node: equal extensions have one inverse node."""
+    """Inverse of a strictly monotone extension fn at its operand arg,
+    evaluated by bisection.  Interned like every node: equal extensions have
+    one inverse node per operand."""
 
-    __slots__ = ("fn", "_last")
+    __slots__ = ("fn", "arg", "_last")
 
     def _window(self) -> tuple[float, float]:
         wlo, whi = _finite_window(self.fn.lo, self.fn.hi, _PROBE_WINDOW)
         inset = (whi - wlo) * 1e-12
         return wlo + inset, whi - inset
 
-    def rule(self, arith, y):
-        return arith.lift(self.invert, y, self.slope)
+    def rule(self, arith, x):
+        return arith.lift(self.invert, arith.walk(self.arg, x), self.slope)
 
     def invert(self, y: float) -> float:
         """The point where the function takes the value y.  eval_at passes
@@ -479,11 +480,15 @@ class InverseExpr(Expr):
             raise OutOfDomain(f"division by zero at {y!r}")
         return 1.0 / d
 
-    def deriv(self) -> Expr:
-        return Div(Const(1.0), Compose(self.fn.deriv, self))
+    def tangent(self, arg: Expr) -> tuple[Expr, Expr]:
+        """The inverse at the tree arg, and its slope there, 1 / f'(inverse),
+        as trees: what differentiation lifts this node to."""
+        node = InverseExpr(self.fn, arg)
+        return node, Div(Const(1.0), compose(self.fn.deriv, node))
 
     def __str__(self):
-        return f"inverse({self.fn.expr})"
+        inverse = f"inverse({self.fn.expr})"
+        return inverse if self.arg is Var() else f"{inverse}({self.arg})"
 
 
 def _require_finite(what: str, xs, vals: list[float]) -> None:
@@ -519,7 +524,7 @@ def inverse_extension(f: NaturalExtension) -> NaturalExtension:
     ):
         raise VanishingDerivative("derivative has a zero on the domain")
     ylo, yhi = sorted((values[0] + 0.0, values[-1] + 0.0))  # no signed zero
-    inv_expr = InverseExpr(f)
+    inv_expr = InverseExpr(f, Var())
     g = NaturalExtension(inv_expr, ylo, yhi)
     # What compiling the two trees would give, without compiling them; a
     # copy compiles them, and either way eval_at inverts once per point

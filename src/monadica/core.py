@@ -146,6 +146,7 @@ class Record:
         )
         cls.__new__ = staticmethod(env["__new__"])
         cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+        cls.__copy__ = cls.__deepcopy__ = lambda self, memo=None: self  # no field walked
 
     def _values(self) -> tuple:
         return tuple([getattr(self, n) for n in self._fields])

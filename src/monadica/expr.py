@@ -7,10 +7,13 @@ a function is valid belongs to its natural extension
 (``calculus.NaturalExtension``), not to its nodes.  Nodes are interned:
 equal nodes are one object, compared and hashed by identity.  Each node
 type has one ``rule`` for its value, pointwise checks included, which floats
-(``eval_real``), emitted code (``compile_real``) and (value, slope) pairs
-(``gen_eval``) all run; the pairs state each derivative rule once, and run
-over trees they differentiate symbolically (``differentiate``), with
-constant folding and deliberately no simplification beyond that.
+(``eval_real``), emitted code (``compile_real``), (value, slope) pairs
+(``gen_eval``) and text (``str``) all run; the pairs state each derivative
+rule once, and run over trees they differentiate symbolically
+(``differentiate``), with constant folding and deliberately no
+simplification beyond that.  A walk binds the variable once, so it keeps
+each node's value under the node alone; a composite is built by
+substitution (``compose``), out of the same shared nodes.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from . import core
 from .errors import DomainError, NotDifferentiable, NotInvertible, OutOfDomain
 
 #: The message of the DomainError each entry point raises in place of a
-#: RecursionError: parse, differentiate, eval_real, compile_real, gen_eval.
+#: RecursionError: parse, compose, differentiate, eval_real, compile_real,
+#: gen_eval, str and repr.
 TOO_DEEP = "expression nests too deeply"
 
 
@@ -42,8 +46,8 @@ class Expr(core.Record):
         """The value at a real point.  A float operation that overflows
         raises OutOfDomain, like any other point where the tree has no value;
         so does sin or cos of an intermediate that overflowed to infinity
-        (a ValueError in math).  Each node is walked once per binding of
-        the variable, so a derivative's shared subtrees are computed once."""
+        (a ValueError in math).  Each node is walked once, so a
+        derivative's shared subtrees are computed once."""
         try:
             return _Float().walk(self, xi)
         except (OverflowError, ValueError) as exc:
@@ -59,6 +63,20 @@ class Expr(core.Record):
     def deriv(self) -> "Expr":
         """The symbolic derivative; see ``differentiate``."""
         return differentiate(self)
+
+    def __str__(self):
+        """Infix text that ``parse`` reads back (a lifted node prints its
+        own); each distinct node is printed once."""
+        try:
+            return _Show().walk(self, "x")
+        except RecursionError as exc:
+            raise DomainError(TOO_DEEP) from exc
+
+    def __repr__(self):
+        try:
+            return super().__repr__()
+        except RecursionError as exc:
+            raise DomainError(TOO_DEEP) from exc
 
     # operator sugar, mirroring how the trees are written in tests
     def __add__(self, other):
@@ -108,18 +126,12 @@ class Const(Expr):
     def rule(self, arith, x):
         return arith.const(self.value)
 
-    def __str__(self):
-        return repr(self.value)
-
 
 class Var(Expr):
     __slots__ = ()
 
     def rule(self, arith, x):
         return x
-
-    def __str__(self):
-        return "x"
 
 
 class Add(Expr):
@@ -128,9 +140,6 @@ class Add(Expr):
     def rule(self, arith, x):
         return arith.add(arith.walk(self.lhs, x), arith.walk(self.rhs, x))
 
-    def __str__(self):
-        return f"({self.lhs} + {self.rhs})"
-
 
 class Sub(Expr):
     __slots__ = ("lhs", "rhs")
@@ -138,18 +147,12 @@ class Sub(Expr):
     def rule(self, arith, x):
         return arith.sub(arith.walk(self.lhs, x), arith.walk(self.rhs, x))
 
-    def __str__(self):
-        return f"({self.lhs} - {self.rhs})"
-
 
 class Mul(Expr):
     __slots__ = ("lhs", "rhs")
 
     def rule(self, arith, x):
         return arith.mul(arith.walk(self.lhs, x), arith.walk(self.rhs, x))
-
-    def __str__(self):
-        return f"({self.lhs} * {self.rhs})"
 
 
 class Div(Expr):
@@ -162,18 +165,12 @@ class Div(Expr):
         arith.nonzero(b, "division by zero at {!r}", x)
         return arith.div(a, b)
 
-    def __str__(self):
-        return f"({self.lhs} / {self.rhs})"
-
 
 class Neg(Expr):
     __slots__ = ("arg",)
 
     def rule(self, arith, x):
         return arith.neg(arith.walk(self.arg, x))
-
-    def __str__(self):
-        return f"(-{self.arg})"
 
 
 class PowInt(Expr):
@@ -184,9 +181,6 @@ class PowInt(Expr):
         if self.exponent < 0:
             arith.nonzero(b, "zero base with negative exponent at {!r}", x)
         return arith.pow_int(b, self.exponent)
-
-    def __str__(self):
-        return f"({self.base})^{self.exponent}"
 
 
 class PowReal(Expr):
@@ -199,9 +193,6 @@ class PowReal(Expr):
         arith.positive(b, "real power needs a positive base, got {!r}")
         return arith.pow_real(b, self.exponent)
 
-    def __str__(self):
-        return f"({self.base})^{self.exponent!r}"
-
 
 class Root(Expr):
     """Positive m-th root (m > 1); valid on positive arguments."""
@@ -213,18 +204,12 @@ class Root(Expr):
         arith.positive(b, "root needs a positive argument, got {!r}")
         return arith.root(b, self.degree)
 
-    def __str__(self):
-        return f"root({self.degree}, {self.base})"
-
 
 class Exp(Expr):
     __slots__ = ("arg",)
 
     def rule(self, arith, x):
         return arith.exp(arith.walk(self.arg, x))
-
-    def __str__(self):
-        return f"exp({self.arg})"
 
 
 class Log(Expr):
@@ -237,9 +222,6 @@ class Log(Expr):
         arith.positive(a, "log needs a positive argument, got {!r}")
         return arith.log(a)
 
-    def __str__(self):
-        return f"log({self.arg})"
-
 
 class Sin(Expr):
     __slots__ = ("arg",)
@@ -247,30 +229,12 @@ class Sin(Expr):
     def rule(self, arith, x):
         return arith.sin(arith.walk(self.arg, x))
 
-    def __str__(self):
-        return f"sin({self.arg})"
-
 
 class Cos(Expr):
     __slots__ = ("arg",)
 
     def rule(self, arith, x):
         return arith.cos(arith.walk(self.arg, x))
-
-    def __str__(self):
-        return f"cos({self.arg})"
-
-
-class Compose(Expr):
-    """outer applied to the value of inner."""
-
-    __slots__ = ("outer", "inner")
-
-    def rule(self, arith, x):
-        return arith.walk(self.outer, arith.walk(self.inner, x))
-
-    def __str__(self):
-        return f"({self.outer})∘({self.inner})"
 
 
 # -- arithmetics -------------------------------------------------------------------
@@ -281,7 +245,8 @@ class Arithmetic:
     sub, mul, div, neg, pow_int, pow_real, root, exp, log, sin, cos; the
     checks ``nonzero(a, message, shown)`` and ``positive(a, message)``; and
     ``lift(fn, a, slope)``: fn(a), with derivative factor slope(a, fn(a)),
-    for a node computed by a Python function, fn a method of the node."""
+    for a node computed by a Python function, fn a method of the node; over
+    trees the node's ``tangent(a)`` gives the node over a and that factor."""
 
     def walk(self, e: Expr, x):
         """The value of e with the variable bound to x."""
@@ -289,21 +254,18 @@ class Arithmetic:
 
 
 class _Memo(Arithmetic):
-    """Walks each node once per binding, keyed by node id and binding id.
-    Equal nodes are one object, so equal subtrees are walked once.  A binding
-    is the caller's point, a kept value or an emitted name (``_Emit`` keeps
-    each as one str object), so no id is reused during the walk, and 0.0 and
-    -0.0 stay apart.  A repeat returns a completed walk's value, so no value
-    and no first error changes."""
+    """Walks each node once, keyed by the node: a walk binds the variable
+    once, and equal nodes are one object, so equal subtrees are walked once.
+    A repeat returns a completed walk's value, so no value and no first
+    error changes."""
 
     def __init__(self) -> None:
-        self.memo: dict[tuple[int, int], object] = {}
+        self.memo: dict[Expr, object] = {}
 
     def walk(self, e: Expr, x):
-        key = (id(e), id(x))
-        value = self.memo.get(key)
+        value = self.memo.get(e)
         if value is None:
-            value = self.memo[key] = e.rule(self, x)
+            value = self.memo[e] = e.rule(self, x)
         return value
 
 
@@ -434,30 +396,28 @@ class _Tree(_Memo, _Pair):
     """(tree, slope) pairs: ``_Pair``'s rules over expression trees, whose
     operators are the folding constructors, so the slope is the symbolic
     derivative.  A slope stays a float while it is constant.  Each node is
-    walked once per binding, so shared subtrees are differentiated once and
-    the derivative shares the function's subtrees.  The checks do nothing:
-    the nodes of the result carry their own."""
+    walked once, so shared subtrees are differentiated once and the
+    derivative shares the function's subtrees."""
 
     _exp, _log, _sin, _cos, _root = Exp, Log, Sin, Cos, Root
 
     def const(self, c):
         return Const(c), 0.0
 
-    def nonzero(self, p, message, shown):
-        pass
+    def nonzero(self, *check):
+        """Checks nothing: the nodes a tree or text is made of carry their own."""
 
-    def positive(self, p, message):
-        pass
+    positive = nonzero
 
     def lift(self, fn, p, slope):
-        # the derivative of a lifted node is the node's own, since fn is
-        # opaque; one that states none would recurse into differentiate
+        # fn is opaque, so a lifted node states its own tangent: the node
+        # over the walked operand and its slope there, as trees
         node, (a, da) = fn.__self__, p
-        if type(node).deriv is Expr.deriv:
+        tangent = getattr(node, "tangent", None)
+        if tangent is None:
             raise NotDifferentiable(f"{type(node).__name__} states no derivative")
-        if type(a) is Var:
-            return node, node.deriv() * da
-        return Compose(node, a), Compose(node.deriv(), a) * da
+        value, factor = tangent(a)
+        return value, factor * da
 
 
 # -- folding constructors ------------------------------------------------------
@@ -519,6 +479,23 @@ def pow_int(base: Expr, m: int) -> Expr:
     return PowInt(base, m)
 
 
+def compose(outer: Expr, inner: Expr) -> Expr:
+    """outer with inner in place of the variable: each node of outer rebuilt
+    by its own constructor, once per distinct node.  Nothing folds, so every
+    domain check of outer stays, and a node equal to a live one is that one."""
+    done: dict[Expr, Expr] = {Var(): inner}
+
+    def rebuilt(e: Expr) -> Expr:
+        if e not in done:
+            done[e] = type(e)(*[rebuilt(v) if isinstance(v, Expr) else v for v in e._values()])
+        return done[e]
+
+    try:
+        return rebuilt(outer)
+    except RecursionError as exc:
+        raise DomainError(TOO_DEEP) from exc
+
+
 def iter_nodes(e: Expr):
     """The node and all its expression descendants, parents first, without
     recursion."""
@@ -553,15 +530,15 @@ def compile_real(e: Expr) -> Callable[[float], float]:
     every domain check raises the same error with the same message, an
     overflow included.  A NaN stays a NaN, but the sign of a NaN made from
     NaN operands is not kept: CPython's specialised ``+`` can flip it once
-    the kernel has warmed up.  Each node is assigned once per binding of the
-    variable (``Compose`` rebinds it); nodes are interned, so equal subtrees
-    are one node and computed once.  A check is emitted once, and each
-    constant gets one name (keyed by ``core._key``).  The k-th derivative of
-    ``exp(sin(x))*x^3 + log(2+cos(x))/(1+x^2)`` takes 13, 24, 41, 65 and 98
-    lines at k = 0 to 4.  Dropping a repeated check changes no error: it
-    already passed where it first occurred.  The lines run in
-    one loop over a table of nodes (``_Emit.build``), so natural extensions
-    sample a table in one call; this function is that kernel at one node.
+    the kernel has warmed up.  Each node is assigned once; nodes are
+    interned, so equal subtrees are one node and computed once.  A check is
+    emitted once, and each constant gets one name (keyed by ``core._key``).
+    The k-th derivative of ``exp(sin(x))*x^3 + log(2+cos(x))/(1+x^2)`` takes
+    13, 24, 41, 65 and 98 lines at k = 0 to 4.  Dropping a repeated check
+    changes no error: it already passed where it first occurred.  The lines
+    run in one loop over a table of nodes (``_Emit.build``), so natural
+    extensions sample a table in one call; this function is that kernel at
+    one node.
     Compiling costs about 4 tree walks (that fourth derivative) to 60 (a
     single node), so ``eval_real`` remains the path for one-shot evaluation.
     """
@@ -661,6 +638,22 @@ class _Emit(_Memo):
         # keeps each kernel apart in profiles and tracebacks
         exec(compile(source, f"<kernel {next(_KERNELS)}>", "exec"), self.env)
         return self.env["compiled"]
+
+
+class _Show(_Memo):
+    """Text: each node walked formats its operands' text once; see
+    ``Expr.__str__``."""
+
+    # builtins (bound str.format, repr), so an instance lookup returns them as they are
+    add, sub, mul = "({} + {})".format, "({} - {})".format, "({} * {})".format
+    div, neg, exp = "({} / {})".format, "(-{})".format, "exp({})".format
+    log, sin, cos = "log({})".format, "sin({})".format, "cos({})".format
+    pow_int, pow_real, root = "({})^{}".format, "({})^{!r}".format, "root({1}, {0})".format
+    const, nonzero, positive = repr, _Tree.nonzero, _Tree.nonzero
+
+    def lift(self, fn, a, slope):
+        node = fn.__self__  # one that states no text of its own shows its repr
+        return (repr if type(node).__str__ is Expr.__str__ else str)(node)
 
 
 # -- text syntax -----------------------------------------------------------------

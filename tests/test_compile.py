@@ -26,7 +26,6 @@ from monadica.core import make
 from monadica.errors import DomainError
 from monadica.expr import (
     Add,
-    Compose,
     Const,
     Cos,
     Div,
@@ -42,6 +41,7 @@ from monadica.expr import (
     Sub,
     Var,
     compile_real,
+    compose,
     differentiate,
     parse,
 )
@@ -63,8 +63,9 @@ CHECKS = (
 
 
 def random_tree(rng, depth, pool, leaf):
-    """A tree over every node type; a quarter of the picks reuse an earlier
-    subtree object, so trees share nodes, also across Compose scopes."""
+    """A tree over every node type, with compositions; a quarter of the picks
+    reuse an earlier subtree object, so trees share nodes, also with the
+    subtrees a composition substitutes."""
     if pool and rng.random() < 0.25:
         return rng.choice(pool)
     if depth == 0 or rng.random() < 0.2:
@@ -77,7 +78,7 @@ def random_tree(rng, depth, pool, leaf):
             return random_tree(rng, depth - 1, pool, leaf)
 
         if kind in ("add", "sub", "mul", "div", "compose"):
-            node = {"add": Add, "sub": Sub, "mul": Mul, "div": Div, "compose": Compose}[kind]
+            node = {"add": Add, "sub": Sub, "mul": Mul, "div": Div, "compose": compose}[kind]
             t = node(sub(), sub())
         elif kind == "powint":
             t = PowInt(sub(), rng.choice((-3, -2, -1, 0, 1, 2, 5)))
@@ -108,7 +109,7 @@ def derivatives(tree, order):
 
 def test_compiled_trees_match_the_tree_walk_bit_for_bit():
     # InverseExpr states its rule in calculus, outside expr
-    inverse = InverseExpr(NaturalExtension.on_interval(parse("exp(x) + x"), -2.0, 2.0))
+    inverse = InverseExpr(NaturalExtension.on_interval(parse("exp(x) + x"), -2.0, 2.0), X)
     seen_checks, values = set(), 0
     for seed in range(6):
         rng = random.Random(seed)
@@ -140,7 +141,7 @@ GRIDS = (
 
 def test_grid_kernels_match_the_scalar_kernels_bit_for_bit():
     # a kernel over a node table gives what the tree walk gives at each node
-    inverse = InverseExpr(NaturalExtension.on_interval(parse("exp(x) + x"), -2.0, 2.0))
+    inverse = InverseExpr(NaturalExtension.on_interval(parse("exp(x) + x"), -2.0, 2.0), X)
     seen_checks, values, overflows = set(), 0, 0
     for seed in range(6):
         rng = random.Random(100 + seed)
@@ -243,7 +244,7 @@ def test_one_point_calls_match_the_tree_walk_at_signed_zeros_infinities_and_nans
     assert [outcome(compile_real(X), x) for x in SPECIAL] == [
         ("value", struct.pack("<d", x)) for x in SPECIAL
     ]
-    inverse = InverseExpr(NaturalExtension.on_interval(parse("exp(x) + x"), -2.0, 2.0))
+    inverse = InverseExpr(NaturalExtension.on_interval(parse("exp(x) + x"), -2.0, 2.0), X)
     rng = random.Random(28)
     kinds = set()
     for tree in [EVERY_TYPE] + [random_tree(rng, 4, [], inverse) for _ in range(60)]:
@@ -256,26 +257,14 @@ def test_one_point_calls_match_the_tree_walk_at_signed_zeros_infinities_and_nans
     assert kinds == {"value", "nan", "error"}
 
 
-def test_the_tree_walk_keeps_signed_zero_bindings_apart():
-    # one shared node under the bindings -0.0 and 0.0, which are equal
-    # floats; keyed by value they would merge, and the sum would be -0.0
-    twice = Add(X, X)
-    e = Add(
-        Mul(Compose(twice, Mul(X, Const(-0.0))), Const(0.0)),
-        Compose(twice, Mul(X, Const(0.0))),
-    )
-    want = ("value", struct.pack("<d", 0.0))
-    assert outcome(e.eval_real, 1.0) == outcome(compile_real(e), 1.0) == want
-
-
 class Counted(Expr):
-    """x + 1, counting its evaluations in calls[0], to observe how often a
+    """arg + 1, counting its evaluations in calls[0], to observe how often a
     node is evaluated.  Nodes are immutable, so the count lives in a list."""
 
-    __slots__ = ("calls",)
+    __slots__ = ("calls", "arg")
 
     def rule(self, arith, x):
-        return arith.lift(self.plus_one, x, lambda a, v: 1.0)
+        return arith.lift(self.plus_one, arith.walk(self.arg, x), lambda a, v: 1.0)
 
     def plus_one(self, xi):
         self.calls[0] += 1
@@ -283,14 +272,17 @@ class Counted(Expr):
 
 
 def test_shared_nodes_are_evaluated_once_per_binding():
-    c = Counted([0])
+    # a walk binds x once: c and the c over shared that composing builds
+    # are two nodes, each evaluated once, though the tree unfolded holds c
+    # eight times and c2 three times
+    c = Counted([0], X)
     shared = Mul(c, c)
-    e = Add(shared, Compose(Add(shared, c), shared))
+    e = Add(shared, compose(Add(shared, c), shared))
+    c2 = Counted(c.calls, shared)
+    assert e == Add(shared, Add(Mul(c2, c2), c2))
     want = e.eval_real(0.5)
     walked, c.calls[0] = c.calls[0], 0
     assert compile_real(e)(0.5) == want
-    # x-scope: c once; inner binding of the Compose: c once; the tree walk
-    # keeps each (node, binding) value as the compiled kernel names it
     assert (walked, c.calls[0]) == (2, 2)
     # gen_eval runs the same rule, with the slope lift gives it
     assert gen_eval(Mul(c, X), make(0.5, {"h": 1.0})) == make(0.75, {"h": 2.0})
@@ -315,6 +307,14 @@ def test_emitted_kernels_repeat_no_operation_and_no_check():
     assert checks and len(set(rhs)) == len(rhs) and len(set(checks)) == len(checks)
 
 
+def test_a_composite_is_emitted_once_with_its_equal_subtree():
+    # substitution builds sin(exp(x)) as the node the other operand holds,
+    # so the kernel computes it once
+    e = Add(compose(Sin(X), Exp(X)), Sin(Exp(X)))
+    assert e == Add(Sin(Exp(X)), Sin(Exp(X)))
+    assert sum(line.count("sin(") for line in emitted(e)) == 1
+
+
 def test_emitted_line_counts_per_derivative_order():
     # a deterministic work count
     counts = [len(emitted(expr.differentiate(SWELLING, k))) for k in range(5)]
@@ -336,7 +336,7 @@ NODES = {
 
 
 def test_every_node_type_has_its_own_rule():
-    assert len(NODES) == 15
+    assert len(NODES) == 14
     for cls in NODES | {InverseExpr}:
         assert "rule" in vars(cls), cls.__name__
     with pytest.raises(NotImplementedError):
@@ -344,7 +344,7 @@ def test_every_node_type_has_its_own_rule():
 
 
 # with its derivative, a tree of every node type
-EVERY_TYPE = Compose(parse("root(3, x) / (log(x) - pow(0.5, x)) + exp(x)^-2 * cos(-x)"), Sin(X))
+EVERY_TYPE = compose(parse("root(3, x) / (log(x) - pow(0.5, x)) + exp(x)^-2 * cos(-x)"), Sin(X))
 
 
 def test_nodes_hold_only_operands_and_constants():
@@ -353,8 +353,8 @@ def test_nodes_hold_only_operands_and_constants():
         assert not dataclasses.is_dataclass(cls), cls.__name__
         assert "__slots__" in vars(cls), cls.__name__
     # its one derived slot, the last inversion, is no field
-    assert InverseExpr._fields == ("fn",)
-    assert InverseExpr.__slots__ == ("fn", "_last")
+    assert InverseExpr._fields == ("fn", "arg")
+    assert InverseExpr.__slots__ == ("fn", "arg", "_last")
     # and the trees that parsing and differentiation build, of every type,
     # hold nothing else
     nodes = [n for tree in (EVERY_TYPE, EVERY_TYPE.deriv()) for n in expr.iter_nodes(tree)]
@@ -385,7 +385,7 @@ def test_nodes_are_immutable():
             node.extra = X
     for node, name in [(Const(1.0), "value"), (Add(X, X), "lhs"), (Neg(X), "arg"),
                        (PowInt(X, 2), "exponent"), (Root(X, 3), "degree"),
-                       (EVERY_TYPE, "inner")]:
+                       (EVERY_TYPE, "lhs")]:
         with pytest.raises(AttributeError):
             setattr(node, name, X)
         with pytest.raises(AttributeError):

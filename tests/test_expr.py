@@ -1,6 +1,9 @@
+import copy
 import gc
+import hashlib
 import math
 import operator
+import pickle
 import random
 import sys
 import threading
@@ -10,11 +13,10 @@ import weakref
 import pytest
 
 from monadica import core, expr
-from monadica.calculus import gen_eval
+from monadica.calculus import InverseExpr, NaturalExtension, compose_ext, gen_eval, inverse_extension
 from monadica.core import make
 from monadica.errors import DomainError, MonadicaError, NotDifferentiable, OutOfDomain
 from monadica.expr import (
-    Compose,
     Const,
     Cos,
     Exp,
@@ -26,12 +28,13 @@ from monadica.expr import (
     Sin,
     Var,
     compile_real,
+    compose,
     differentiate,
     iter_nodes,
     parse,
     pow_int,
 )
-from test_compile import NODES, Counted, random_tree
+from test_compile import NODES, Counted, outcome, random_tree
 
 X = Var()
 
@@ -75,7 +78,7 @@ class TestEvaluation:
                 evaluate(at)
 
     def test_compose(self):
-        e = Compose(Sin(X), pow_int(X, 2))
+        e = compose(Sin(X), pow_int(X, 2))
         assert e.eval_real(2.0) == math.sin(4.0)
 
 
@@ -121,7 +124,7 @@ class TestDifferentiation:
         assert got == pytest.approx((1 * 5 - 2 * 4) / 25, rel=1e-15)
 
     def test_chain_rule_through_compose(self):
-        e = Compose(Exp(X), Sin(X))
+        e = compose(Exp(X), Sin(X))
         got = differentiate(e).eval_real(0.5)
         want = math.exp(math.sin(0.5)) * math.cos(0.5)
         assert got == pytest.approx(want, rel=1e-15)
@@ -138,7 +141,53 @@ class TestDifferentiation:
 
     def test_a_lifted_node_without_a_derivative_is_not_differentiable(self):
         with pytest.raises(NotDifferentiable, match="^Counted states no derivative$"):
-            differentiate(Counted([0]) * X)
+            differentiate(Counted([0], X) * X)
+
+
+class TestCompose:
+    def test_composing_with_the_variable_gives_the_same_node(self):
+        for text in ("x*log(x)", "exp(sin(x))*x^3 + log(2+cos(x))/(1+x^2)", "x", "2.5"):
+            o = parse(text)
+            assert compose(o, Var()) is o
+
+    def test_no_domain_check_is_folded_away(self):
+        # folded, 0 * log(0) would be the constant 0
+        e = compose(parse("x*log(x)"), Const(0.0))
+        with pytest.raises(OutOfDomain, match="^log needs a positive argument, got 0.0$"):
+            e.eval_real(1.0)
+
+    def test_a_deep_outer_tree_is_a_domain_error(self):
+        deep = X
+        for _ in range(5000):
+            deep = Sin(deep)
+        with pytest.raises(DomainError, match=expr.TOO_DEEP):
+            compose(deep, Exp(X))
+
+    def test_a_composite_prints_as_text_that_parses_to_it(self):
+        c = compose(parse("exp(x) * log(x)"), parse("2 + sin(x)"))
+        assert str(c) == "(exp((2.0 + sin(x))) * log((2.0 + sin(x))))"
+        assert parse(str(c)) is c
+
+    def test_an_inverse_composes_over_its_operand(self):
+        g = inverse_extension(NaturalExtension.on_interval(parse("exp(x) + x"), -2.0, 2.0))
+        inner = NaturalExtension.on_interval(parse("sin(x)"), -1.0, 1.0)
+        h = compose_ext(g, inner)
+        assert type(h.expr) is InverseExpr and h.expr.fn is g.expr.fn and h.expr.arg is inner.expr
+        assert str(g.expr) == "inverse((exp(x) + x))"
+        assert str(h.expr) == "inverse((exp(x) + x))(sin(x))"
+        points = (-0.9, -0.3, 0.0, 0.4, 0.8)
+        for xi in points:
+            assert h.expr.eval_real(xi) == g.expr.eval_real(math.sin(xi))
+        for k in range(3):
+            d = differentiate(h.expr, k)
+            fn = compile_real(d)
+            for xi in points:
+                assert outcome(fn, xi) == outcome(d.eval_real, xi), (k, xi)
+        # the chain rule: cos(x) / f'(g(sin(x))), with f' = exp + 1
+        for xi in points:
+            y = g.expr.eval_real(math.sin(xi))
+            want = math.cos(xi) / (math.exp(y) + 1.0)
+            assert h.deriv_at(xi) == pytest.approx(want, rel=1e-12)
 
 
 def to_sympy(e, x, sympy):
@@ -148,8 +197,6 @@ def to_sympy(e, x, sympy):
         return x
     if kind == "Const":
         return sympy.Rational(e.value)  # the float's exact binary value
-    if kind == "Compose":
-        return to_sympy(e.outer, to_sympy(e.inner, x, sympy), sympy)
     if kind in ("PowInt", "PowReal", "Root"):
         b = to_sympy(e.base, x, sympy)
         if kind == "Root":
@@ -411,3 +458,47 @@ class TestInterning:
             # the best of 5, so a pause of the host is not counted
             assert min(timeit.repeat(check, number=1, repeat=5)) < 1e-3
         assert d == again and d != lower
+
+
+class TestPrinting:
+    def test_a_large_derivative_prints_each_distinct_node_once(self):
+        d = differentiate(parse(F), 7)
+        show = expr._Show()
+        text = show.walk(d, "x")
+        assert len(show.memo) == len(_distinct_nodes(d))
+        # the text the per-class printers gave (0.67 s on a two-CPU x86-64 host)
+        assert len(text) == 7179708
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "936449979a8c6c22111adc2435633d31d07ebd71282a8bed1fbf430594475563"
+        )
+        assert min(timeit.repeat(lambda: str(d), number=1, repeat=3)) < 0.25
+
+    def test_a_lifted_node_without_text_of_its_own_shows_its_repr(self):
+        c = Counted([0], X)
+        assert str(Sin(c)) == f"sin({c!r})"
+
+    def test_a_deep_derivative_prints_pickles_and_copies_or_is_too_deep(self):
+        text = "x"
+        for _ in range(200):
+            text = f"sin({text})"
+        d = differentiate(parse(text), 2)
+        done = {}
+        for fn in (str, repr, pickle.dumps, copy.deepcopy):
+            try:
+                done[fn] = fn(d)
+            except DomainError as exc:
+                assert str(exc) == expr.TOO_DEEP, fn
+        # printing walks each distinct node once, so this one prints
+        assert done[str].startswith("((((-sin(sin(") and len(done[str]) == 13775784
+        assert copy.deepcopy(d) is d and copy.copy(d) is d
+        if pickle.dumps in done:
+            assert pickle.loads(done[pickle.dumps]) is d
+
+    def test_a_copy_is_the_node_without_walking_it(self):
+        deep = X
+        for _ in range(20000):
+            deep = Sin(deep)
+        assert copy.deepcopy(deep) is deep and copy.copy(deep) is deep
+        for fn in (str, repr):
+            with pytest.raises(DomainError, match=expr.TOO_DEEP):
+                fn(deep)

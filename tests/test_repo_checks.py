@@ -65,33 +65,60 @@ def test_one_level_search():
 def test_each_derivative_rule_stated_once():
     # the (value, slope) pair arithmetic in expr states every rule, and
     # differentiate runs it over trees; Expr.deriv calls differentiate,
-    # InverseExpr is the one lifted node with a derivative of its own, and
+    # InverseExpr is the one lifted node with a tangent of its own, and
     # NaturalExtension.deriv is the property that reads its derivative tree
     found = set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ClassDef) and any(
-                isinstance(f, ast.FunctionDef) and f.name == "deriv" for f in node.body
+                isinstance(f, ast.FunctionDef) and f.name in ("deriv", "tangent") for f in node.body
             ):
                 found.add(f"{path.stem}.{node.name}")
     allowed = {"expr.Expr", "calculus.InverseExpr", "calculus.NaturalExtension"}
     assert found == allowed, f"deriv defined outside the pair rules: {sorted(found - allowed)}"
 
 
-def test_nodes_are_built_only_by_the_interning_constructor():
-    # core.Record gives every node class one constructor, which interns it,
-    # and identity as its equality and hash; a node class that defined its
-    # own would build nodes around the table, or compare them by value
+def _classes():
+    """Each class of the library by name: its module-qualified name, the
+    names of its bases and its body."""
     classes = {}
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ClassDef):
                 bases = {b.attr if isinstance(b, ast.Attribute) else getattr(b, "id", None) for b in node.bases}
                 classes[node.name] = (f"{path.stem}.{node.name}", bases, node.body)
+    return classes
+
+
+def _node_classes(classes):
+    """The names of Expr and of every class derived from it."""
     nodes = {"Expr"}
     while more := {name for name, (_, bases, _) in classes.items() if bases & nodes} - nodes:
         nodes |= more
-    assert {"Const", "Add", "Compose", "InverseExpr"} <= nodes
+    return nodes
+
+
+def test_trees_print_through_their_rules():
+    # Expr.__str__ runs the node rules through the text arithmetic, and the
+    # lifted InverseExpr, whose function is opaque, states its own text; a
+    # walk binds x once, so no node rebinds it as a Compose node did
+    classes = _classes()
+    found = {
+        classes[name][0]
+        for name in _node_classes(classes) - {"Expr"}
+        if any(isinstance(f, ast.FunctionDef) and f.name == "__str__" for f in classes[name][2])
+    }
+    assert found == {"calculus.InverseExpr"}, f"node classes with their own printer: {sorted(found)}"
+    assert "Compose" not in classes
+
+
+def test_nodes_are_built_only_by_the_interning_constructor():
+    # core.Record gives every node class one constructor, which interns it,
+    # and identity as its equality and hash; a node class that defined its
+    # own would build nodes around the table, or compare them by value
+    classes = _classes()
+    nodes = _node_classes(classes)
+    assert {"Const", "Add", "InverseExpr"} <= nodes
     found = set()
     for name in nodes:
         qualname, _, body = classes[name]

@@ -16,7 +16,8 @@ a metric where higher is better, so positive is worse (0.05 is 5% worse), and
 ``within_bound`` is whether ``worse_by <= bound``.
 Each workload also records every run's ``correct`` flag and failed-op count,
 and ``env`` records ``PYTHONDONTWRITEBYTECODE`` as the runs saw it (null when
-unset).
+unset).  Each side records its resolved ``path``: runs have read differently
+with the same ``src/`` in the working repository and in a fresh copy.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ SECONDS = 15
 
 
 def checkout_id(root: Path) -> dict:
-    """HEAD sha, whether the tree differs from it, and a hash of ``src/``."""
+    """HEAD sha, whether the tree differs from it, a hash of ``src/``, and
+    the checkout's resolved path."""
 
     def git(*args):
         proc = subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True)
@@ -51,6 +53,7 @@ def checkout_id(root: Path) -> dict:
         "git_sha": git("rev-parse", "HEAD"),
         "dirty": None if status is None else bool(status),
         "src_sha256": digest.hexdigest(),
+        "path": str(root),
     }
 
 
