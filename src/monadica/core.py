@@ -448,20 +448,32 @@ def archimedean_witness(x, y) -> int:
     return m
 
 
+def _between(x: float, y: float) -> float:
+    """The float nearest the midpoint of finite floats x < y, halved before
+    adding where the sum overflows; it lies strictly between them whenever
+    a float does, and when none does it is a DomainError naming the pair."""
+    mid = (x + y) / 2.0
+    if mid == math.inf or mid == -math.inf:
+        mid = x / 2.0 + y / 2.0
+    if not x < mid < y:
+        raise DomainError(f"no float lies strictly between {x!r} and {y!r}")
+    return mid
+
+
 def density_real_between(x, y) -> float:
     """A real strictly between two ordered values (midpoint of the shadows)."""
     x, y = as_generalized(x), as_generalized(y)
     if not lt(x, y):
         raise DomainError("density requires strictly ordered endpoints")
-    return (x.shadow + y.shadow) / 2.0
+    return _between(x.shadow, y.shadow)
 
 
 def density_nonreal_between(xi: float, eta: float) -> GeneralizedReal:
     """A nonreal value strictly between two reals (midpoint plus an impulse)."""
-    xi, eta = _real(xi, "xi"), _real(eta, "eta")
+    xi, eta = _clean(xi, "xi"), _clean(eta, "eta")
     if not xi < eta:
         raise DomainError("density requires strictly ordered endpoints")
-    return GeneralizedReal((xi + eta) / 2.0, {DENSITY_WITNESS_ID: 1.0})
+    return GeneralizedReal(_between(xi, eta), {DENSITY_WITNESS_ID: 1.0})
 
 
 # -- wire format --------------------------------------------------------------

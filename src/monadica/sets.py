@@ -20,11 +20,12 @@ import math
 from bisect import bisect_left, bisect_right
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .core import Record, _loads, _real, as_generalized, from_json, sigma
+from .core import JSON_NUMBER_TYPES, Record, _loads, _real, as_generalized, from_json, sigma
 from .errors import (
     DomainError,
     EmptySetError,
     LengthUndefined,
+    NonFiniteInput,
     NotMonadic,
     NotRepresentable,
     UnboundedError,
@@ -65,61 +66,58 @@ def _in_sorted(xs: Sequence[float], p: float) -> bool:
     return k < len(xs) and xs[k] == p
 
 
-# Sorts after every entry of _normalize and merges with none, so it flushes
-# the last one.
+# A merge entry is (lo, lo_open, hi, hi_closed).  This one sorts after every
+# other and merges with none, so it flushes the last.
 _END = (_INF, True, _INF, False)
 
 
-def _normalize(
-    intervals: Iterable[tuple], points: Iterable[float]
-) -> tuple[tuple[Interval, ...], tuple[float, ...]]:
-    """Validate raw ``(lo, hi, lo_closed, hi_closed)`` tuples (an ``Interval``
-    is one) and points; return the sorted, merged intervals and points."""
-    # Points enter the sort as degenerate closed intervals [p, p], so one
-    # merge pass closes the open endpoints they sit on and bridges (a, p)
-    # and (p, b); the degenerate survivors are the stray points.  Entries
-    # are (lo, lo_open, hi, hi_closed): plain tuple order puts closed lows
-    # first, so the first entry at a low sets its closedness, and the merge
-    # does not depend on the order of entries that share (lo, lo_open).
-    ints = []
-    append = ints.append
-    try:
-        for lo, hi, lc, hc in intervals:
-            lo = float(lo) + 0.0
-            if lo != lo:
-                raise DomainError("interval lo may not be NaN")
-            hi = float(hi) + 0.0
-            if hi != hi:
-                raise DomainError("interval hi may not be NaN")
-            lc = bool(lc) and -_INF < lo < _INF
-            hc = bool(hc) and -_INF < hi < _INF
-            if lo >= hi:
-                if lo > hi:
-                    raise DomainError(f"interval endpoints out of order: {lo} > {hi}")
-                if not -_INF < lo < _INF:
-                    raise DomainError("interval endpoints may not both be infinite")
-                if not (lc and hc):
-                    continue  # degenerate open/half-open interval is empty
-            append((lo, not lc, hi, hc))
-        for p in points:
-            p = float(p) + 0.0
-            if not -_INF < p < _INF:
-                raise DomainError("set points must be finite reals")
-            append((p, False, p, True))
-    except OverflowError:
-        raise DomainError("a number lies beyond the float range") from None
-    except (TypeError, ValueError):
-        raise DomainError(
-            "malformed set: intervals are (lo, hi, lo_closed, hi_closed) with numeric "
-            "endpoints, and points are numbers"
-        ) from None
+def _entry(lo: float, hi: float, lo_closed: bool, hi_closed: bool) -> tuple | None:
+    """The one check of an interval's values (ints or floats by exact type, an
+    int beyond the float range an OverflowError): its merge entry, or None."""
+    lo += 0.0  # an int becomes a float, and -0.0 becomes 0.0
+    if lo != lo:
+        raise DomainError("interval lo may not be NaN")
+    hi += 0.0
+    if hi != hi:
+        raise DomainError("interval hi may not be NaN")
+    lo_closed = lo_closed and lo > -_INF
+    hi_closed = hi_closed and hi < _INF
+    if lo >= hi:
+        if lo > hi:
+            raise DomainError(f"interval endpoints out of order: {lo} > {hi}")
+        if not -_INF < lo < _INF:
+            raise DomainError("interval endpoints may not both be infinite")
+        if not (lo_closed and hi_closed):
+            return None  # a degenerate open or half-open interval is empty
+    return (lo, not lo_closed, hi, hi_closed)
 
-    ints.sort()
-    ints.append(_END)
-    out_ints: list[Interval] = []
-    out_pts: list[float] = []
-    lo, lo_open, hi, hc = ints[0]
-    for t_lo, t_open, t_hi, t_hc in ints[1:]:
+
+def _point(p: float) -> tuple:
+    """The merge entry of a set point, an int or a float by exact type."""
+    p += 0.0
+    if not -_INF < p < _INF:
+        raise DomainError("set points must be finite reals")
+    return (p, False, p, True)
+
+
+def _entries(intervals: Iterable[Interval], points: Iterable[float]) -> list[tuple]:
+    """The merge entries of intervals and points already in normal form."""
+    out = [(lo, not lc, hi, hc) for lo, hi, lc, hc in intervals]
+    return out + [(p, False, p, True) for p in points]
+
+
+def _merge(entries: list[tuple]) -> tuple[tuple[Interval, ...], tuple[float, ...]]:
+    """Sort and consume checked merge entries; return the normal form's parts."""
+    # A point is a closed entry [p, p], so one pass closes an open endpoint it
+    # sits on and bridges (a, p) and (p, b); degenerate survivors are the stray
+    # points.  Tuple order puts closed lows first, so the first entry at a low
+    # sets its closedness, whatever the order of entries sharing (lo, lo_open).
+    entries.sort()
+    entries.append(_END)
+    out_ints, out_pts = [], []
+    new, it = tuple.__new__, iter(entries)
+    lo, lo_open, hi, hc = next(it)
+    for t_lo, t_open, t_hi, t_hc in it:
         if t_lo < hi or (t_lo == hi and (hc or not t_open)):
             if t_hi > hi:
                 hi, hc = t_hi, t_hc
@@ -129,9 +127,31 @@ def _normalize(
         if lo == hi:
             out_pts.append(lo)
         else:
-            out_ints.append(tuple.__new__(Interval, (lo, hi, not lo_open, hc)))
+            out_ints.append(new(Interval, (lo, hi, not lo_open, hc)))
         lo, lo_open, hi, hc = t_lo, t_open, t_hi, t_hc
     return tuple(out_ints), tuple(out_pts)
+
+
+def _normalize(intervals: Iterable[tuple], points: Iterable[float]) -> tuple[tuple, tuple]:
+    """Check raw ``(lo, hi, lo_closed, hi_closed)`` tuples (an ``Interval`` is
+    one) and points with int or float numbers; return the normal form's parts."""
+    entries = []
+    try:
+        for lo, hi, lc, hc in intervals:
+            if type(lo) not in JSON_NUMBER_TYPES or type(hi) not in JSON_NUMBER_TYPES:
+                raise TypeError
+            if (entry := _entry(lo, hi, bool(lc), bool(hc))) is not None:
+                entries.append(entry)
+        for p in points:
+            if type(p) not in JSON_NUMBER_TYPES:
+                raise TypeError
+            entries.append(_point(p))
+    except OverflowError:
+        raise DomainError("a number lies beyond the float range") from None
+    except (TypeError, ValueError):
+        raise DomainError("malformed set: intervals are (lo, hi, lo_closed, hi_closed) with "
+                          "numeric endpoints, and points are numbers") from None
+    return _merge(entries)
 
 
 class RealSet(Record):
@@ -144,10 +164,18 @@ class RealSet(Record):
     __slots__ = ("intervals", "points", "_lows")
 
     def __init__(self, intervals: Iterable[tuple] = (), points: Iterable[float] = ()) -> None:
-        ints, pts = _normalize(intervals, points)
+        self._set(*_normalize(intervals, points))
+
+    def _set(self, ints: tuple[Interval, ...], pts: tuple[float, ...]) -> "RealSet":
         object.__setattr__(self, "intervals", ints)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "_lows", [iv.lo for iv in ints])
+        return self
+
+    @classmethod
+    def _of(cls, entries: list[tuple]) -> "RealSet":
+        """The set of checked merge entries, as the operations and the wire reader make them."""
+        return object.__new__(cls)._set(*_merge(entries))
 
     # -- constructors -----------------------------------------------------
 
@@ -198,7 +226,7 @@ class RealSet(Record):
     # -- boolean algebra ------------------------------------------------------
 
     def union(self, other: "RealSet") -> "RealSet":
-        return RealSet(self.intervals + other.intervals, self.points + other.points)
+        return RealSet._of(_entries(self.intervals + other.intervals, self.points + other.points))
 
     def intersect(self, other: "RealSet") -> "RealSet":
         # Both interval lists are sorted and disjoint: sweep them together,
@@ -226,24 +254,24 @@ class RealSet(Record):
                 i += 1
                 j += 1
             if lo < hi or (lo == hi and lc and hc):
-                ints.append((lo, hi, lc, hc))
+                ints.append((lo, not lc, hi, hc))
         pts = [p for p in self.points if other.contains(p)]
         pts += [p for p in other.points if self.contains(p)]
-        return RealSet(ints, pts)
+        return RealSet._of(ints + _entries((), pts))
 
     def complement(self) -> "RealSet":
-        comps = list(self.intervals)
-        comps += [(p, p, True, True) for p in self.points]
-        comps.sort(key=lambda t: t[0])
+        # the components are disjoint, so their entries sort by their lows
+        comps = _entries(self.intervals, self.points)
+        comps.sort()
         gaps = []
-        cur_lo, cur_closed = -_INF, False
-        for lo, hi, lc, hc in comps:
-            if cur_lo < lo or (cur_lo == lo and cur_closed and not lc):
-                gaps.append((cur_lo, lo, cur_closed, not lc))
-            cur_lo, cur_closed = hi, not hc
+        cur_lo, cur_open = -_INF, True
+        for lo, lo_open, hi, hc in comps:
+            if cur_lo < lo or (cur_lo == lo and not cur_open and lo_open):
+                gaps.append((cur_lo, cur_open, lo, lo_open))
+            cur_lo, cur_open = hi, hc
         if cur_lo < _INF:
-            gaps.append((cur_lo, _INF, cur_closed, False))
-        return RealSet(gaps)
+            gaps.append((cur_lo, cur_open, _INF, False))
+        return RealSet._of(gaps)
 
     def difference(self, other: "RealSet") -> "RealSet":
         return self.intersect(other.complement())
@@ -251,11 +279,11 @@ class RealSet(Record):
     # -- standard topology ----------------------------------------------------
 
     def interior(self) -> "RealSet":
-        return RealSet([(lo, hi, False, False) for lo, hi, _, _ in self.intervals])
+        return RealSet._of([(lo, True, hi, False) for lo, hi, _, _ in self.intervals])
 
     def closure(self) -> "RealSet":
-        # normalizing opens the infinite endpoints again
-        return RealSet([(lo, hi, True, True) for lo, hi, _, _ in self.intervals], self.points)
+        ints = [(lo, lo == -_INF, hi, hi < _INF) for lo, hi, _, _ in self.intervals]
+        return RealSet._of(ints + _entries((), self.points))
 
     def boundary(self) -> "RealSet":
         return self.closure().difference(self.interior())
@@ -319,7 +347,7 @@ def shadow(g: "GeneralizedSet | RealSet") -> RealSet:
     """The set of shadows of all members."""
     if isinstance(g, RealSet):
         return g
-    return RealSet(g.base.intervals, g.base.points + g.extras)
+    return RealSet._of(_entries(g.base.intervals, g.base.points + g.extras))
 
 
 def member(x, g: GeneralizedSet) -> bool:
@@ -346,9 +374,7 @@ def difference(g1: GeneralizedSet, g2: GeneralizedSet) -> GeneralizedSet:
         if base.contains(p):
             # removing one bare real from a monad leaves a set that is not
             # of monad-plus-points shape
-            raise NotRepresentable(
-                f"difference would puncture the monad at {p!r}"
-            )
+            raise NotRepresentable(f"difference would puncture the monad at {p!r}")
     extras = [
         p for p in g1.extras if not g2.base.contains(p) and not _in_sorted(g2.extras, p)
     ]
@@ -358,15 +384,7 @@ def difference(g1: GeneralizedSet, g2: GeneralizedSet) -> GeneralizedSet:
 # -- intervals in the generalized continuum -------------------------------------
 
 INTERVAL_KINDS = (
-    "closed",
-    "open",
-    "half_lo",
-    "half_hi",
-    "ray_ge",
-    "ray_gt",
-    "ray_le",
-    "ray_lt",
-    "full",
+    "closed", "open", "half_lo", "half_hi", "ray_ge", "ray_gt", "ray_le", "ray_lt", "full"
 )
 
 
@@ -403,14 +421,14 @@ def length(g: GeneralizedSet) -> float:
     if g.extras:
         raise LengthUndefined("length is only defined for monadic interval sets")
     base = g.base
-    if base.is_empty:
-        return 0.0
-    if not base.intervals and len(base.points) == 1:
+    if not base.intervals and len(base.points) <= 1:
         return 0.0
     if len(base.intervals) == 1 and not base.points:
         iv = base.intervals[0]
         if not iv.bounded:
             raise LengthUndefined("length is undefined for unbounded intervals")
+        if iv.hi - iv.lo == _INF:
+            raise NonFiniteInput(f"the length of {iv} exceeds the float range")
         return iv.hi - iv.lo
     raise LengthUndefined("length is undefined for non-interval sets")
 
@@ -440,12 +458,7 @@ def exterior(g: GeneralizedSet) -> GeneralizedSet:
     return monad(_require_monadic(g, "exterior").exterior())
 
 
-_TOPO_OPS = {
-    "interior": interior,
-    "exterior": exterior,
-    "boundary": boundary,
-    "closure": closure,
-}
+_TOPO_OPS = {"interior": interior, "exterior": exterior, "boundary": boundary, "closure": closure}
 
 
 def topo(op: str, g: GeneralizedSet) -> GeneralizedSet:
@@ -534,17 +547,7 @@ def is_lower_bound(bound, g: GeneralizedSet) -> bool:
 # -- wire format ---------------------------------------------------------------------
 
 
-def _enc_endpoint(v: float):
-    if v == _INF:
-        return "+inf"
-    if v == -_INF:
-        return "-inf"
-    return v
-
-
 def _dec_endpoint(v) -> float:
-    if type(v) is float:
-        return v
     if v == "+inf" or v == "inf":
         return _INF
     if v == "-inf":
@@ -553,18 +556,10 @@ def _dec_endpoint(v) -> float:
 
 
 def realset_to_dict(s: RealSet) -> dict:
-    return {
-        "intervals": [
-            {
-                "lo": _enc_endpoint(iv.lo),
-                "hi": _enc_endpoint(iv.hi),
-                "lo_closed": iv.lo_closed,
-                "hi_closed": iv.hi_closed,
-            }
-            for iv in s.intervals
-        ],
-        "points": list(s.points),
-    }
+    # in normal form only lo can be -inf and only hi +inf
+    ints = [{"lo": lo if lo > -_INF else "-inf", "hi": hi if hi < _INF else "+inf",
+             "lo_closed": lc, "hi_closed": hc} for lo, hi, lc, hc in s.intervals]
+    return {"intervals": ints, "points": list(s.points)}
 
 
 def _dec_list(data: Mapping, key: str) -> Sequence:
@@ -579,22 +574,28 @@ def _dec_reals(data: Mapping, key: str) -> tuple[float, ...]:
     return tuple([_real(v, what) for v in _dec_list(data, key)])
 
 
-def _dec_interval(item) -> tuple:
-    try:
-        lo, hi = item["lo"], item["hi"]
-        lo_closed, hi_closed = item.get("lo_closed", True), item.get("hi_closed", True)
-    except (KeyError, TypeError, AttributeError):
-        raise DomainError(f"malformed interval encoding: {item!r}") from None
-    if type(lo_closed) is not bool or type(hi_closed) is not bool:
-        raise DomainError(f"malformed interval encoding: closedness must be true or false: {item!r}")
-    return (_dec_endpoint(lo), _dec_endpoint(hi), lo_closed, hi_closed)
-
-
 def realset_from_dict(data: Mapping) -> RealSet:
+    """Checks each item's types and values in document order: the first fault is the error."""
     if not isinstance(data, Mapping):
         raise DomainError(f"malformed set encoding: {data!r}")
-    ints = [_dec_interval(item) for item in _dec_list(data, "intervals")]
-    return RealSet(ints, _dec_reals(data, "points"))
+    entries = []
+    append = entries.append
+    for item in _dec_list(data, "intervals"):
+        try:
+            lo, hi = item["lo"], item["hi"]
+            lc, hc = item.get("lo_closed", True), item.get("hi_closed", True)
+        except (KeyError, TypeError, AttributeError):
+            raise DomainError(f"malformed interval encoding: {item!r}") from None
+        if type(lc) is not bool or type(hc) is not bool:
+            raise DomainError(f"malformed interval encoding: closedness must be true or false: {item!r}")
+        lo = lo if type(lo) is float else _dec_endpoint(lo)
+        hi = hi if type(hi) is float else _dec_endpoint(hi)
+        if (entry := _entry(lo, hi, lc, hc)) is not None:
+            append(entry)
+    what = "malformed set encoding: a member of 'points'"
+    for p in _dec_list(data, "points"):
+        append(_point(p if type(p) is float else _real(p, what)))
+    return RealSet._of(entries)
 
 
 def set_to_dict(g: GeneralizedSet) -> dict:
@@ -604,8 +605,7 @@ def set_to_dict(g: GeneralizedSet) -> dict:
 
 
 def set_from_dict(data: Mapping) -> GeneralizedSet:
-    base = realset_from_dict(data)
-    return GeneralizedSet(base, _dec_reals(data, "extras"))
+    return GeneralizedSet(realset_from_dict(data), _dec_reals(data, "extras"))
 
 
 def set_to_json(g: GeneralizedSet) -> str:

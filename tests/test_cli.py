@@ -276,6 +276,15 @@ class TestSets:
         assert json.loads(run(capsys, "sets", "length", self.CLOSED_01)[1]) == 1.0
         assert json.loads(run(capsys, "sets", "sup", self.CLOSED_01)[1]) == 1.0
 
+    def test_a_length_beyond_the_float_range_is_an_error(self, capsys):
+        wide = '{"intervals":[{"lo":-1e308,"hi":1e308}],"points":[],"extras":[]}'
+        code, out = run(capsys, "sets", "length", wide)
+        assert code == 1
+        assert strict_json(out)["error"] == (
+            "the length of Interval(lo=-1e+308, hi=1e+308, lo_closed=True, hi_closed=True) "
+            "exceeds the float range"
+        )
+
     def test_member(self, capsys):
         code, out = run(
             capsys, "sets", "member", '{"shadow":0.5,"d":{"e:1":1}}', self.CLOSED_01

@@ -1,9 +1,10 @@
 import json
 import math
+import re
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from monadica import calculus, core, seq, sets
@@ -220,6 +221,52 @@ class TestOrder:
             core.density_real_between(make(0, {"e:1": 1}), make(0, {"e:2": 1}))
         with pytest.raises(DomainError):
             core.density_nonreal_between(1, 1)
+
+    def test_density_refuses_non_finite_endpoints(self):
+        for xi, eta in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)):
+            with pytest.raises(NonFiniteInput):
+                core.density_nonreal_between(xi, eta)
+
+
+_FLOAT_MAX = 1.7976931348623157e308
+# anchors where the midpoint is fragile: near the float limit, at 1 and near 0
+_density_anchor = st.sampled_from(
+    [_FLOAT_MAX, -_FLOAT_MAX, 1.7e308, -1.7e308, 1e308, -1e308, 1.0, -1.0, 0.0, 5e-324]
+) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _float_pairs(draw):
+    """(x, y) with x < y: any two floats, or 1 to 4 floats apart."""
+    x = draw(_density_anchor)
+    steps = draw(st.sampled_from([0, 1, 1, 2, 3, 4]))
+    if steps == 0:
+        y = draw(_density_anchor)
+    else:
+        y, toward = x, (-math.inf if x > 0 else math.inf)
+        for _ in range(steps):
+            y = math.nextafter(y, toward)
+    assume(x != y)
+    return min(x, y) + 0.0, max(x, y) + 0.0
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(_float_pairs())
+def test_density_witnesses_lie_strictly_between(pair):
+    x, y = pair
+    if math.nextafter(x, math.inf) == y:
+        for witness in (lambda: core.density_real_between(make(x), make(y)),
+                        lambda: core.density_nonreal_between(x, y)):
+            with pytest.raises(DomainError, match=re.escape(f"between {x!r} and {y!r}")):
+                witness()
+        return
+    mid = core.density_real_between(make(x), make(y))
+    assert x < mid < y
+    if math.isfinite(x + y):
+        assert mid == (x + y) / 2  # the midpoint as it was computed before
+    z = core.density_nonreal_between(x, y)
+    assert z.shadow == mid and z.dpart == {core.DENSITY_WITNESS_ID: 1.0}
+    assert core.lt(x, z) and core.lt(z, y)
 
 
 class TestWireFormat:

@@ -1,7 +1,11 @@
+import json
 import math
 import random
+import re
 import time
 from dataclasses import dataclass
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +17,7 @@ from monadica.errors import (
     DomainError,
     EmptySetError,
     LengthUndefined,
+    NonFiniteInput,
     NotMonadic,
     NotRepresentable,
     UnboundedError,
@@ -196,6 +201,12 @@ class TestHatIntervals:
             sets.length(monad(RealSet.closed(0, 1).union(RealSet.closed(2, 3))))
         with pytest.raises(LengthUndefined):
             sets.length(GeneralizedSet(RealSet.open(0, 1), (2.0,)))
+
+    def test_a_length_beyond_the_float_range_is_non_finite(self):
+        assert sets.length(hat_interval("closed", -8e307, 8e307)) == 1.6e308
+        named = "the length of Interval(lo=-1e+308, hi=1e+308, lo_closed=True, hi_closed=True)"
+        with pytest.raises(NonFiniteInput, match=re.escape(named) + " exceeds the float range$"):
+            sets.length(hat_interval("closed", -1e308, 1e308))
 
     def test_adjacent_closed_hats_meet_in_the_shared_monad(self):
         got = sets.intersect(hat_interval("closed", 0, 1), hat_interval("closed", 1, 2))
@@ -437,13 +448,36 @@ def test_ints_beyond_the_float_range_are_domain_errors(build):
         lambda: RealSet(((None, 1, True, True),)),
         lambda: RealSet((), ("abc",)),
         lambda: RealSet(((0, 1),)),
+        lambda: RealSet((("1", "2", True, True),), ("3",)),
+        lambda: RealSet(((0, "2", True, True),)),
+        lambda: RealSet((), ("1.5",)),
+        lambda: RealSet(((True, 2, True, True),)),
+        lambda: RealSet((), (False,)),
+        lambda: RealSet(((Fraction(1, 2), 1, True, True),)),
+        lambda: RealSet((), (Fraction(3, 2),)),
+        lambda: RealSet(((0, Decimal("2"), True, True),)),
     ],
     ids=["point_text", "point_numeric_text", "point_bool", "interval_none", "open_text",
-         "hat_closed_text", "hat_ray_bool", "raw_none", "raw_point_text", "raw_short_tuple"],
+         "hat_closed_text", "hat_ray_bool", "raw_none", "raw_point_text", "raw_short_tuple",
+         "raw_numeric_text", "raw_hi_text", "raw_point_numeric_text", "raw_bool",
+         "raw_point_bool", "raw_fraction", "raw_point_fraction", "raw_decimal"],
 )
 def test_set_constructors_take_only_numbers(build):
     with pytest.raises(DomainError):
         build()
+
+
+def test_the_raw_constructor_keeps_its_two_messages():
+    malformed = (
+        "malformed set: intervals are (lo, hi, lo_closed, hi_closed) with numeric "
+        "endpoints, and points are numbers"
+    )
+    for raw, pts in ([(("1", "2", True, True),), ("3",)], [(), (True,)],
+                     [((Fraction(1, 2), 1, True, True),), ()]):
+        with pytest.raises(DomainError, match=f"^{re.escape(malformed)}$"):
+            RealSet(raw, pts)
+    with pytest.raises(DomainError, match="^a number lies beyond the float range$"):
+        RealSet(((0, _HUGE, True, True),))
 
 
 # -- normalization over raw 4-tuples against the dataclass version it replaced -------
@@ -604,3 +638,141 @@ def test_equality_and_hashing_compare_the_normalized_form():
     assert Interval(0.0, 3.0, False, True) == (0.0, 3.0, False, True)
     assert RealSet.open(0, 1) != RealSet.closed(0, 1)
     assert len({raw, tidy, RealSet.open(0, 3)}) == 2
+
+
+# -- one check at the edge: the wire reader, the constructor and the operations --------
+
+_WIRE_INF = {"+inf": INF, "inf": INF, "-inf": -INF}
+# mostly finite values, so that most documents give a set; JSON NaN and
+# Infinity, the infinity strings, and repeated values give degenerate,
+# out-of-order and doubly infinite intervals
+_wire_endpoint = st.sampled_from(
+    [0, 1, 2, -1, 0.0, -0.0, 0.5, 1.0, 1.5, 2.0, -1.0, -2.5, 3.0, 4.5]
+    + ["+inf", "inf", "-inf", math.nan, INF, -INF]
+)
+_wire_point = st.sampled_from([0, 1, -2, 0.0, -0.0, 1.0, 0.5, 2.5, 4.5, math.nan, INF, -INF])
+_wire_items = st.lists(
+    st.tuples(_wire_endpoint, _wire_endpoint, st.booleans(), st.booleans()), max_size=6
+)
+
+
+def _parts(build):
+    """The set's parts as reprs (signed zeros tell apart), or (type, message)."""
+    try:
+        s = build()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return repr(s.intervals), repr(s.points)
+
+
+@settings(deadline=None, max_examples=400, derandomize=True)
+@given(_wire_items, st.lists(_wire_point, max_size=4))
+def test_a_wire_document_reads_as_the_constructor_builds(items, pts):
+    doc = {
+        "intervals": [{"lo": lo, "hi": hi, "lo_closed": lc, "hi_closed": hc}
+                      for lo, hi, lc, hc in items],
+        "points": pts,
+    }
+    raw = [(_WIRE_INF.get(lo, lo) if isinstance(lo, str) else lo,
+            _WIRE_INF.get(hi, hi) if isinstance(hi, str) else hi, lc, hc)
+           for lo, hi, lc, hc in items]
+    text = json.dumps(doc)  # NaN and Infinity as JSON's extension writes them
+    assert _parts(lambda: sets.set_from_json(text).base) == _parts(lambda: RealSet(raw, pts))
+
+
+def _meet(x, y):
+    """The raw tuple of two intervals' intersection, or None when it is empty."""
+    lo, hi = max(x.lo, y.lo), min(x.hi, y.hi)
+    lc, hc = x.contains(lo) and y.contains(lo), x.contains(hi) and y.contains(hi)
+    return (lo, hi, lc, hc) if lo < hi or (lo == hi and lc and hc) else None
+
+
+def _raw_complement(s):
+    """The gaps between the components of s, as raw tuples."""
+    comps = sorted([tuple(iv) for iv in s.intervals] + [(p, p, True, True) for p in s.points])
+    gaps, lo, lc = [], -INF, False
+    for c_lo, c_hi, c_lc, c_hc in comps:
+        if lo < c_lo or (lo == c_lo and lc and not c_lc):
+            gaps.append((lo, c_lo, lc, not c_lc))
+        lo, lc = c_hi, not c_hc
+    return gaps + [(lo, INF, lc, False)] if lo < INF else gaps
+
+
+def _same(got, want):
+    assert repr(got) == repr(want)
+    assert sets._normalize(got.intervals, got.points) == (got.intervals, got.points)
+    assert repr(RealSet(got.intervals, got.points)) == repr(got)
+
+
+_raw_sets = st.builds(
+    lambda ivs, pts: RealSet(tuple(Interval(*t) for t in ivs), tuple(pts)),
+    _raw_intervals.map(lambda ivs: ivs[:8]),
+    _raw_points,
+)
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(_raw_sets, _raw_sets, st.lists(st.sampled_from(_GRID + [0.5, 40.0]), max_size=3))
+def test_each_operation_is_the_constructor_on_its_raw_tuples(a, b, extras):
+    _same(a.union(b), RealSet(a.intervals + b.intervals, a.points + b.points))
+    meets = [m for x in a.intervals for y in b.intervals if (m := _meet(x, y))]
+    met_pts = [p for p in a.points if b.contains(p)] + [p for p in b.points if a.contains(p)]
+    _same(a.intersect(b), RealSet(meets, met_pts))
+    _same(a.complement(), RealSet(_raw_complement(a)))
+    _same(a.difference(b), RealSet(_raw_complement(b)).intersect(a))
+    _same(a.interior(), RealSet([(iv.lo, iv.hi, False, False) for iv in a.intervals]))
+    _same(a.closure(), RealSet([(iv.lo, iv.hi, True, True) for iv in a.intervals], a.points))
+    _same(a.boundary(), a.closure().difference(a.interior()))
+    _same(a.exterior(), a.complement().interior())
+    g = GeneralizedSet(a, tuple(extras))
+    _same(shadow(g), RealSet(a.intervals, a.points + g.extras))
+
+
+def _counting(monkeypatch, *names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(sets, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(sets, name, counted)
+    return calls
+
+
+def test_decoding_checks_each_wire_interval_once_and_merges_once(monkeypatch):
+    calls = _counting(monkeypatch, "_entry", "_merge", "_normalize")
+    doc = {
+        "intervals": [
+            {"lo": "-inf", "hi": -3.0, "lo_closed": False, "hi_closed": True},
+            {"lo": 0, "hi": 1, "lo_closed": True, "hi_closed": False},
+            {"lo": 1.0, "hi": 1.0, "lo_closed": False, "hi_closed": True},  # empty
+            {"lo": 1.0, "hi": 2.0},
+            {"lo": 5.0, "hi": "+inf", "lo_closed": False, "hi_closed": False},
+        ],
+        "points": [-5.0, 3, 4.0],
+        "extras": [-10.0],
+    }
+    g = sets.set_from_json(json.dumps(doc))
+    assert calls == {"_entry": 5, "_merge": 1, "_normalize": 0}
+    assert g.base == RealSet(
+        [(-INF, -3.0, False, True), (0.0, 2.0, True, True), (5.0, INF, False, False)],
+        [-5.0, 3.0, 4.0],
+    )
+
+
+def test_no_set_operation_runs_the_raw_conversion(monkeypatch):
+    a = RealSet(((-INF, -1.0, False, True), (0.0, 1.0, True, False), (2.0, 3.0, False, False)),
+                (1.5, 2.0))
+    b = RealSet(((-2.0, 0.5, True, True), (2.5, INF, True, False)), (1.0,))
+    g1, g2 = GeneralizedSet(a, (-1.5,)), GeneralizedSet(b, (4.0,))
+    text = sets.set_to_json(g1)
+    calls = _counting(monkeypatch, "_entry", "_normalize")
+    results = [a.union(b), a.intersect(b), a.difference(b), a.complement(), a.interior(),
+               a.closure(), a.boundary(), a.exterior(), shadow(g1), monad(g1).base]
+    results += [f(g1, g2).base for f in (sets.union, sets.intersect)]
+    results += [sets.topo(op, monad(a)).base for op in ("interior", "closure", "boundary", "exterior")]
+    assert calls == {"_entry": 0, "_normalize": 0}
+    assert sets.set_from_json(text) == g1 and calls["_normalize"] == 0
+    for s in results:
+        _assert_normalized(s)
+        _assert_intervals(s)
