@@ -199,7 +199,7 @@ class NaturalExtension(core.Record):
         if math.isnan(lo) or math.isnan(hi) or not lo < hi:
             raise DomainError(f"invalid open interval ({lo}, {hi})")
         ext = cls(expr, lo + 0.0, hi + 0.0)  # no signed zero
-        ext.real_fn(0), ext.real_fn(1)  # a tree too deep raises TOO_DEEP as it is
+        ext.real_fn(0), ext.real_fn(1)  # a tree with no derivative raises as it is
         wlo, whi = _finite_window(lo, hi, _PROBE_WINDOW)
         probes = _Nodes(wlo, whi - wlo, _unit(_PROBES, cells=True))
         invalid = f"function is not valid on ({lo}, {hi}): "
@@ -446,8 +446,8 @@ class InverseExpr(Expr):
         inset = (whi - wlo) * 1e-12
         return wlo + inset, whi - inset
 
-    def rule(self, arith, x):
-        return arith.lift(self.invert, arith.walk(self.arg, x), self.slope)
+    def rule(self, arith, x, a):
+        return arith.lift(self.invert, a, self.slope)
 
     def invert(self, y: float) -> float:
         """The point where the function takes the value y.  eval_at passes

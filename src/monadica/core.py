@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import operator
 import struct
 import sys
 import weakref
@@ -122,9 +123,17 @@ class Record:
 
     def __init_subclass__(cls):
         # compiled once per class, so a record costs what a hand-written
-        # __init__ costs (an interned one a lookup more); the slot setters go
-        # around __setattr__ below
+        # __init__ and field tuple cost (an interned one a lookup more); the
+        # slot setters go around __setattr__ below
         cls._fields = names = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+        # the fields as a tuple, fetched in C: attrgetter gives one value for
+        # one name and a tuple for more
+        get = operator.attrgetter(*names) if names else None
+        cls._values = (
+            (lambda self: get(self)) if len(names) > 1
+            else (lambda self: (get(self),)) if names
+            else (lambda self: ())
+        )
         if "__init__" in vars(cls):
             return
         env = {f"set_{n}": getattr(cls, n).__set__ for n in names}
@@ -147,9 +156,6 @@ class Record:
         cls.__new__ = staticmethod(env["__new__"])
         cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
         cls.__copy__ = cls.__deepcopy__ = lambda self, memo=None: self  # no field walked
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, n) for n in self._fields])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

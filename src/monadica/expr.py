@@ -6,14 +6,14 @@ only its operand subtrees and int or float constants; the interval on which
 a function is valid belongs to its natural extension
 (``calculus.NaturalExtension``), not to its nodes.  Nodes are interned:
 equal nodes are one object, compared and hashed by identity.  Each node
-type has one ``rule`` for its value, pointwise checks included, which floats
-(``eval_real``), emitted code (``compile_real``), (value, slope) pairs
-(``gen_eval``) and text (``str``) all run; the pairs state each derivative
-rule once, and run over trees they differentiate symbolically
-(``differentiate``), with constant folding and deliberately no
-simplification beyond that.  A walk binds the variable once, so it keeps
-each node's value under the node alone; a composite is built by
-substitution (``compose``), out of the same shared nodes.
+type has one ``rule`` for its value from its operands' values, checks
+included, which floats (``eval_real``), emitted code (``compile_real``),
+(value, slope) pairs (``gen_eval``) and text (``str``) all run; the pairs
+state each derivative rule once, and run over trees they differentiate
+symbolically (``differentiate``), folding constants and nothing more.  One
+walk without recursion runs them all (``Arithmetic.walk``), and binds the
+variable once; a composite is built by substitution (``compose``), out
+of the same shared nodes.
 """
 
 from __future__ import annotations
@@ -28,9 +28,7 @@ from typing import Callable
 from . import core
 from .errors import DomainError, NotDifferentiable, NotInvertible, OutOfDomain
 
-#: The message of the DomainError each entry point raises in place of a
-#: RecursionError: parse, compose, differentiate, eval_real, compile_real,
-#: gen_eval, str and repr.
+#: The DomainError message of parse and repr, the two entry points that recurse.
 TOO_DEEP = "expression nests too deeply"
 
 
@@ -39,7 +37,7 @@ class Expr(core.Record):
     fields are its operands and constants, declared once as its ``__slots__``:
     constructing a node equal to a live one returns that one."""
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("__weakref__", "_plan")
     _interned = True
 
     def eval_real(self, xi: float) -> float:
@@ -52,12 +50,9 @@ class Expr(core.Record):
             return _Float().walk(self, xi)
         except (OverflowError, ValueError) as exc:
             raise OutOfDomain(f"evaluation overflows at {xi!r}") from exc
-        except RecursionError as exc:
-            raise DomainError(TOO_DEEP) from exc
 
-    def rule(self, arith: "Arithmetic", x):
-        """The value under the arithmetic, with the variable bound to x: the
-        operands walked left to right, then checked and combined."""
+    def rule(self, arith: "Arithmetic", x, *operands):
+        """The value under arith, x bound, from its (at most two) operands' values."""
         raise NotImplementedError
 
     def deriv(self) -> "Expr":
@@ -67,16 +62,19 @@ class Expr(core.Record):
     def __str__(self):
         """Infix text that ``parse`` reads back (a lifted node prints its
         own); each distinct node is printed once."""
-        try:
-            return _Show().walk(self, "x")
-        except RecursionError as exc:
-            raise DomainError(TOO_DEEP) from exc
+        return _Show().walk(self, "x")
 
     def __repr__(self):
         try:
             return super().__repr__()
         except RecursionError as exc:
             raise DomainError(TOO_DEEP) from exc
+
+    def __reduce__(self):
+        """The node's table (see ``_table``), which has no nesting, so a
+        tree of any depth pickles; unpickling builds it through the
+        interning constructors, so it gives this node."""
+        return _built, (_table(self),)
 
     # operator sugar, mirroring how the trees are written in tests
     def __add__(self, other):
@@ -137,22 +135,22 @@ class Var(Expr):
 class Add(Expr):
     __slots__ = ("lhs", "rhs")
 
-    def rule(self, arith, x):
-        return arith.add(arith.walk(self.lhs, x), arith.walk(self.rhs, x))
+    def rule(self, arith, x, a, b):
+        return arith.add(a, b)
 
 
 class Sub(Expr):
     __slots__ = ("lhs", "rhs")
 
-    def rule(self, arith, x):
-        return arith.sub(arith.walk(self.lhs, x), arith.walk(self.rhs, x))
+    def rule(self, arith, x, a, b):
+        return arith.sub(a, b)
 
 
 class Mul(Expr):
     __slots__ = ("lhs", "rhs")
 
-    def rule(self, arith, x):
-        return arith.mul(arith.walk(self.lhs, x), arith.walk(self.rhs, x))
+    def rule(self, arith, x, a, b):
+        return arith.mul(a, b)
 
 
 class Div(Expr):
@@ -160,8 +158,7 @@ class Div(Expr):
 
     __slots__ = ("lhs", "rhs")
 
-    def rule(self, arith, x):
-        a, b = arith.walk(self.lhs, x), arith.walk(self.rhs, x)
+    def rule(self, arith, x, a, b):
         arith.nonzero(b, "division by zero at {!r}", x)
         return arith.div(a, b)
 
@@ -169,15 +166,14 @@ class Div(Expr):
 class Neg(Expr):
     __slots__ = ("arg",)
 
-    def rule(self, arith, x):
-        return arith.neg(arith.walk(self.arg, x))
+    def rule(self, arith, x, a):
+        return arith.neg(a)
 
 
 class PowInt(Expr):
     __slots__ = ("base", "exponent")
 
-    def rule(self, arith, x):
-        b = arith.walk(self.base, x)
+    def rule(self, arith, x, b):
         if self.exponent < 0:
             arith.nonzero(b, "zero base with negative exponent at {!r}", x)
         return arith.pow_int(b, self.exponent)
@@ -188,8 +184,7 @@ class PowReal(Expr):
 
     __slots__ = ("base", "exponent")
 
-    def rule(self, arith, x):
-        b = arith.walk(self.base, x)
+    def rule(self, arith, x, b):
         arith.positive(b, "real power needs a positive base, got {!r}")
         return arith.pow_real(b, self.exponent)
 
@@ -199,8 +194,7 @@ class Root(Expr):
 
     __slots__ = ("base", "degree")
 
-    def rule(self, arith, x):
-        b = arith.walk(self.base, x)
+    def rule(self, arith, x, b):
         arith.positive(b, "root needs a positive argument, got {!r}")
         return arith.root(b, self.degree)
 
@@ -208,8 +202,8 @@ class Root(Expr):
 class Exp(Expr):
     __slots__ = ("arg",)
 
-    def rule(self, arith, x):
-        return arith.exp(arith.walk(self.arg, x))
+    def rule(self, arith, x, a):
+        return arith.exp(a)
 
 
 class Log(Expr):
@@ -217,8 +211,7 @@ class Log(Expr):
 
     __slots__ = ("arg",)
 
-    def rule(self, arith, x):
-        a = arith.walk(self.arg, x)
+    def rule(self, arith, x, a):
         arith.positive(a, "log needs a positive argument, got {!r}")
         return arith.log(a)
 
@@ -226,15 +219,15 @@ class Log(Expr):
 class Sin(Expr):
     __slots__ = ("arg",)
 
-    def rule(self, arith, x):
-        return arith.sin(arith.walk(self.arg, x))
+    def rule(self, arith, x, a):
+        return arith.sin(a)
 
 
 class Cos(Expr):
     __slots__ = ("arg",)
 
-    def rule(self, arith, x):
-        return arith.cos(arith.walk(self.arg, x))
+    def rule(self, arith, x, a):
+        return arith.cos(a)
 
 
 # -- arithmetics -------------------------------------------------------------------
@@ -249,27 +242,51 @@ class Arithmetic:
     trees the node's ``tangent(a)`` gives the node over a and that factor."""
 
     def walk(self, e: Expr, x):
-        """The value of e with the variable bound to x."""
-        return e.rule(self, x)
+        """The value of e with the variable bound to x: each rule of e's plan in
+        turn, given its operands' values, which then stay in ``memo``."""
+        entries, i, j = _plan(e)
+        values = self.memo = []
+        append = values.append
+        for rule, a, b in entries:
+            if b is not None:
+                append(rule(self, x, values[a], values[b]))
+            elif a is not None:
+                append(rule(self, x, values[a]))
+            else:
+                append(rule(self, x))
+        if j is not None:  # e itself, which its plan leaves out
+            append(e.rule(self, x, values[i], values[j]))
+        elif i is not None:
+            append(e.rule(self, x, values[i]))
+        else:
+            append(e.rule(self, x))
+        return values[-1]
 
 
-class _Memo(Arithmetic):
-    """Walks each node once, keyed by the node: a walk binds the variable
-    once, and equal nodes are one object, so equal subtrees are walked once.
-    A repeat returns a completed walk's value, so no value and no first
-    error changes."""
+def _plan(e: Expr) -> tuple[list, int | None, int | None]:
+    """e's plan, built once without recursion and kept on e: its distinct
+    descendants as a recursive walk finishes them, each as (bound rule, operand
+    positions or None), then e's positions; e is left out, to hold no cycle."""
+    if (plan := getattr(e, "_plan", None)) is not None:
+        return plan
+    at, entries, stack = {}, [], [e]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:  # (node, lhs, rhs), with its operands done
+            at[node[0]] = len(entries)
+            entries.append((node[0].rule, at.get(node[1]), at.get(node[2])))
+        elif node is not None and node not in at:
+            lhs = rhs = None
+            for v in node._values():
+                if isinstance(v, Expr):
+                    lhs, rhs = (v, None) if lhs is None else (lhs, v)
+            stack += (node, lhs, rhs), rhs, lhs  # the left operand on top, so first
+    _, i, j = entries.pop()  # e's own, the last to finish
+    object.__setattr__(e, "_plan", (entries, i, j))
+    return e._plan
 
-    def __init__(self) -> None:
-        self.memo: dict[Expr, object] = {}
 
-    def walk(self, e: Expr, x):
-        value = self.memo.get(e)
-        if value is None:
-            value = self.memo[e] = e.rule(self, x)
-        return value
-
-
-class _Float(_Memo):
+class _Float(Arithmetic):
     """Floats, with Python's own operations."""
 
     # builtins, so an instance lookup returns them unbound
@@ -310,8 +327,6 @@ def gen_eval(e: Expr, x) -> core.GeneralizedReal:
         value, slope = _Pair().walk(e, (x.shadow, 1.0))
     except (OverflowError, ValueError) as exc:  # as in Expr.eval_real
         raise OutOfDomain(f"evaluation overflows at {x}") from exc
-    except RecursionError as exc:
-        raise DomainError(TOO_DEEP) from exc
     return core._tangent(x, value, slope)
 
 
@@ -392,7 +407,7 @@ class _Pair(Arithmetic):
         return v, slope(a, v) * da
 
 
-class _Tree(_Memo, _Pair):
+class _Tree(_Pair):
     """(tree, slope) pairs: ``_Pair``'s rules over expression trees, whose
     operators are the folding constructors, so the slope is the symbolic
     derivative.  A slope stays a float while it is constant.  Each node is
@@ -480,20 +495,37 @@ def pow_int(base: Expr, m: int) -> Expr:
 
 
 def compose(outer: Expr, inner: Expr) -> Expr:
-    """outer with inner in place of the variable: each node of outer rebuilt
-    by its own constructor, once per distinct node.  Nothing folds, so every
-    domain check of outer stays, and a node equal to a live one is that one."""
-    done: dict[Expr, Expr] = {Var(): inner}
+    """outer with inner in place of the variable: outer's table rebuilt, each
+    node by its own constructor over the nodes rebuilt for its operands.
+    Nothing folds, so every domain check of outer stays, and a node equal
+    to a live one is that one."""
+    return _built(_table(outer), inner)
 
-    def rebuilt(e: Expr) -> Expr:
-        if e not in done:
-            done[e] = type(e)(*[rebuilt(v) if isinstance(v, Expr) else v for v in e._values()])
-        return done[e]
 
-    try:
-        return rebuilt(outer)
-    except RecursionError as exc:
-        raise DomainError(TOO_DEEP) from exc
+def _table(e: Expr) -> list[tuple]:
+    """e as rows, one per node of its plan and then e: the node's class, its
+    fields with each operand replaced by the operand's row, and the indexes
+    of those fields."""
+    entries, a, b = _plan(e)
+    rows = []
+    for rule, i, j in itertools.chain(entries, ((e.rule, a, b),)):
+        node = rule.__self__
+        fields, rows_of = node._values(), iter((i, j))
+        at = tuple(k for k, v in enumerate(fields) if isinstance(v, Expr))
+        fields = tuple(next(rows_of) if k in at else v for k, v in enumerate(fields))
+        rows.append((type(node), fields, at))
+    return rows
+
+
+def _built(rows: list[tuple], inner: Expr | None = None) -> Expr:
+    """The node of a table's last row, each row built in turn by its class
+    over the nodes of its operands' rows; with inner given, a row of the
+    variable gives inner."""
+    nodes: list[Expr] = []
+    for cls, fields, at in rows:
+        fields = [nodes[v] if k in at else v for k, v in enumerate(fields)]
+        nodes.append(inner if inner is not None and cls is Var else cls(*fields))
+    return nodes[-1]
 
 
 def iter_nodes(e: Expr):
@@ -508,14 +540,19 @@ def iter_nodes(e: Expr):
 
 def differentiate(e: Expr, order: int = 1) -> Expr:
     """Symbolic derivative of the given order (order 0 returns e itself):
-    the slope of the (tree, slope) pair walk, once per order."""
-    out = e
-    try:
-        for _ in range(core._count(order, "derivative order", 0)):
-            out = _coerce(_Tree().walk(out, (Var(), 1.0))[1])
-    except RecursionError as exc:
-        raise DomainError(TOO_DEEP) from exc
-    return out
+    the slope of the (tree, slope) pair walk, once per order.  Nodes are
+    interned, so a derivative equal to an earlier order's is that tree: once
+    order k repeats order j, order n is order j + (n - j) mod (k - j), and
+    no further walk runs."""
+    n = core._count(order, "derivative order", 0)
+    trees, seen = [e], {e: 0}
+    while len(trees) <= n:
+        d = _coerce(_Tree().walk(trees[-1], (Var(), 1.0))[1])
+        j = seen.setdefault(d, len(trees))
+        if j < len(trees):
+            return trees[j + (n - j) % (len(trees) - j)]
+        trees.append(d)
+    return trees[n]
 
 
 # -- compilation to straight-line code -------------------------------------------------
@@ -563,12 +600,11 @@ def _emits(template: str):
     return lambda self, *names: self.let(template.format(*names))
 
 
-class _Emit(_Memo):
+class _Emit(Arithmetic):
     """Names of Python variables: each node walked emits one assignment,
     and each distinct check one raising test; see compile_real."""
 
     def __init__(self) -> None:
-        super().__init__()
         self.lines: list[str] = []
         self.env: dict[str, object] = {"OutOfDomain": OutOfDomain}
         for f in ("exp", "log", "sin", "cos", "sqrt"):
@@ -625,10 +661,7 @@ class _Emit(_Memo):
 
     def build(self, e: Expr) -> Callable:
         """e's kernel(lo, w, units, out): e at each lo + w * u, appended to out."""
-        try:
-            result = self.walk(e, "x")
-        except RecursionError as exc:
-            raise DomainError(TOO_DEEP) from exc
+        result = self.walk(e, "x")
         body = "".join(f"        {line}\n" for line in self.lines)
         source = (
             f"def compiled(lo, w, units, out):\n    for u in units:\n"
@@ -640,7 +673,7 @@ class _Emit(_Memo):
         return self.env["compiled"]
 
 
-class _Show(_Memo):
+class _Show(Arithmetic):
     """Text: each node walked formats its operands' text once; see
     ``Expr.__str__``."""
 

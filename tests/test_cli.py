@@ -1,10 +1,11 @@
 import io
 import json
+import math
 import time
 
 import pytest
 
-from monadica import core, sets
+from monadica import core, expr, sets
 from monadica.cli import main
 from monadica.errors import DomainError
 
@@ -231,6 +232,39 @@ class TestHighOrders:
         assert time.perf_counter() - start < 2.0
         assert code == 0 and len(out.splitlines()) == 1
         strict_json(out)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["diff", "--order", "22"],
+            ["diff", "--order", "40"],
+            ["taylor", "--center", "0.3", "--order", "21"],
+            ["taylor", "--center", "0.3", "--order", "30"],
+        ],
+        ids=["diff-22", "diff-40", "taylor-21", "taylor-30"],
+    )
+    def test_orders_past_the_recursion_limit_answer(self, capsys, argv):
+        # each order's tree is more than 490 levels deep, which the walks
+        # took by recursion; they run a plan now
+        code, out = run(capsys, *argv, "--at", '{"shadow":0.5,"d":{}}', "--", self.F)
+        assert code == 0 and len(out.splitlines()) == 1
+        doc = strict_json(out)
+        if argv[0] == "diff":
+            assert doc == expr.differentiate(expr.parse(self.F), int(argv[2])).eval_real(0.5)
+        else:
+            assert math.isfinite(doc["partial_sum"]) and math.isfinite(doc["remainder_bound"])
+
+    @pytest.mark.parametrize(
+        "text, first, period",
+        [("x", 2, 1), ("sin(x)", 0, 4), ("exp(x)", 0, 1), ("x^3", 4, 1)],
+        ids=["x", "sin", "exp", "cube"],
+    )
+    def test_a_derivative_cycle_answers_at_once(self, capsys, text, first, period):
+        start = time.perf_counter()
+        code, out = run(capsys, "diff", "--order", "1000000000", "--at", '{"shadow":0.5,"d":{}}', text)
+        assert time.perf_counter() - start < 1.0
+        reduced = first + (10**9 - first) % period
+        assert code == 0 and json.loads(out) == expr.differentiate(expr.parse(text), reduced).eval_real(0.5)
 
 
 class TestSeq:

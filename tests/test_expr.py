@@ -5,12 +5,15 @@ import math
 import operator
 import pickle
 import random
+import struct
 import sys
 import threading
 import timeit
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monadica import core, expr
 from monadica.calculus import InverseExpr, NaturalExtension, compose_ext, gen_eval, inverse_extension
@@ -156,12 +159,11 @@ class TestCompose:
         with pytest.raises(OutOfDomain, match="^log needs a positive argument, got 0.0$"):
             e.eval_real(1.0)
 
-    def test_a_deep_outer_tree_is_a_domain_error(self):
-        deep = X
+    def test_a_deep_outer_tree_composes(self):
+        deep, want = X, Exp(X)
         for _ in range(5000):
-            deep = Sin(deep)
-        with pytest.raises(DomainError, match=expr.TOO_DEEP):
-            compose(deep, Exp(X))
+            deep, want = Sin(deep), Sin(want)
+        assert compose(deep, Exp(X)) is want
 
     def test_a_composite_prints_as_text_that_parses_to_it(self):
         c = compose(parse("exp(x) * log(x)"), parse("2 + sin(x)"))
@@ -499,6 +501,115 @@ class TestPrinting:
         for _ in range(20000):
             deep = Sin(deep)
         assert copy.deepcopy(deep) is deep and copy.copy(deep) is deep
-        for fn in (str, repr):
-            with pytest.raises(DomainError, match=expr.TOO_DEEP):
-                fn(deep)
+        # str walks the plan; repr expands the fields recursively
+        assert str(deep) == "sin(" * 20000 + "x" + ")" * 20000
+        with pytest.raises(DomainError, match=expr.TOO_DEEP):
+            repr(deep)
+
+
+def recursive_walk(arith, e, x, memo):
+    """The walk as the rules once ran it, recursively: each distinct node
+    once, its operands first, left to right; the oracle of the plan walk."""
+    if e not in memo:
+        operands = [recursive_walk(arith, v, x, memo) for v in e._values() if isinstance(v, Expr)]
+        memo[e] = e.rule(arith, x, *operands)
+    return memo[e]
+
+
+def _bits(value):
+    """A walk's value, with floats by their bits, so NaNs and signed zeros compare."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, tuple):
+        return tuple(map(_bits, value))
+    return value
+
+
+def _walked(walk):
+    try:
+        return "value", _bits(walk())
+    except Exception as exc:  # the first error itself is what gets compared
+        return "error", type(exc), str(exc)
+
+
+_INVERSE = []  # an inverse node no other test builds, made on first use
+
+
+class TestPlanWalk:
+    """Arithmetic.walk runs each root's plan in one loop, without recursion."""
+
+    def test_a_chain_20000_deep_takes_every_walk(self):
+        deep, value, slope, at_one = X, 0.5, 1.0, 1.0
+        for _ in range(20000):
+            deep, value, slope = Sin(deep), math.sin(value), math.cos(value) * slope
+            at_one = math.sin(at_one)
+        assert deep.eval_real(0.5) == value and compile_real(deep)(0.5) == value
+        assert gen_eval(deep, make(0.5, {"h": 1.0})) == make(value, {"h": slope})
+        assert differentiate(deep).eval_real(0.5) == pytest.approx(slope, rel=1e-12)
+        composed = compose(deep, Exp(X))
+        assert composed.eval_real(0.0) == at_one
+        assert str(deep) == "sin(" * 20000 + "x" + ")" * 20000
+        # the pickle is a flat table, which unpickles to the node itself
+        assert pickle.loads(pickle.dumps(deep)) is deep
+        assert pickle.loads(pickle.dumps(composed)) is composed
+
+    @pytest.mark.parametrize("order", [22, 30, 40])
+    def test_orders_past_the_recursion_limit_match_mpmath(self, order):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            f = lambda t: mpmath.exp(mpmath.sin(t)) * t**3 + mpmath.log(2 + mpmath.cos(t)) / (1 + t**2)
+            want = float(mpmath.diff(f, mpmath.mpf("0.3"), order))
+        assert differentiate(parse(F), order).eval_real(0.3) == pytest.approx(want, rel=1e-12)
+
+    def test_a_walked_tree_leaves_the_table_with_its_last_reference(self):
+        # a plan holds a root's descendants, never the root, so no cycle
+        # keeps a tree alive: with the collector off, every node that the
+        # walks built leaves core._INTERNED as its last reference goes
+        text = "exp(sin(x))*x^3 + log(2+cos(x))/(1+x^2) * 73.125"
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(core._INTERNED)
+            e = parse(text)
+            d = differentiate(e, 3)
+            e.eval_real(0.3), gen_eval(d, make(0.3, {"h": 1.0})), compile_real(d)(0.3), str(d)
+            assert compose(d, X) is d and pickle.loads(pickle.dumps(d)) is d
+            refs = [weakref.ref(e), weakref.ref(d)]
+            assert len(core._INTERNED) > before
+            del e, d
+            assert [r() for r in refs] == [None, None]
+            assert len(core._INTERNED) == before and (parse, text) not in core._INTERNED
+        finally:
+            gc.enable()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([-2.0, -0.5, 0.0, 0.3, 1.0, 2.5, 800.0]))
+    def test_the_plan_walk_is_the_recursive_walk(self, seed, point):
+        if not _INVERSE:
+            ext = NaturalExtension.on_interval(parse("2*x + sin(x)"), -2.0, 2.0)
+            _INVERSE.append(InverseExpr(ext, X))
+        tree = random_tree(random.Random(seed), 5, [], _INVERSE[0])
+        for arith, x in ((expr._Float, point), (expr._Pair, (point, 1.0)), (expr._Show, "x")):
+            memo = {}
+            want = _walked(lambda: recursive_walk(arith(), tree, x, memo))
+            walker = arith()
+            assert _walked(lambda: walker.walk(tree, x)) == want, (arith.__name__, str(tree), point)
+            if want[0] == "value":
+                assert len(walker.memo) == len(memo)
+
+
+class TestDerivativeCycles:
+    # nodes are interned, so an order that repeats an earlier one is that tree
+    CYCLES = [("x", 2, 1), ("sin(x)", 0, 4), ("exp(x)", 0, 1), ("x^3", 4, 1)]
+
+    @pytest.mark.parametrize("text, first, period", CYCLES, ids=[c[0] for c in CYCLES])
+    def test_a_repeated_order_is_the_earlier_tree(self, text, first, period):
+        e = parse(text)
+        assert differentiate(e, first + period) is differentiate(e, first)
+        for n in (first, first + 1, 97, 10**9, 10**18 + 3):
+            assert differentiate(e, n) is differentiate(e, first + (n - first) % period), n
+
+    def test_orders_that_never_repeat_are_walked_one_by_one(self):
+        # a factor of 2.0 builds up, so no order of exp(2*x) repeats another
+        d = differentiate(parse("exp(2*x)"), 12)
+        assert d.eval_real(0.0) == 4096.0

@@ -1,7 +1,7 @@
 """parse, one precedence-climbing loop, against the recursive-descent parser
-it replaced, kept here as the oracle; parse's error boundary; and trees too
-deep for Python's recursion limit, which every entry point turns into a
-DomainError."""
+it replaced, kept here as the oracle; parse's error boundary, which turns
+text nested too deep for Python's recursion limit into a DomainError; and
+trees of that depth, which every walk takes."""
 
 import json
 import math
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from monadica.calculus import gen_eval
 from monadica.cli import main
+from monadica.core import GeneralizedReal
 from monadica.errors import DomainError
 from monadica.expr import (
     TOO_DEEP,
@@ -318,35 +319,44 @@ def nested_sin(depth: int) -> Expr:
     return e
 
 
-@pytest.mark.parametrize("text", [LONG_SUM, NESTED_SIN], ids=["5000-term sum", "1000 nested sin"])
+# the nested text is too deep for the parser; the sum parses in a loop, and
+# its tree, 5000 levels deep, is walked through its plan
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["eval", "{}", "--at", '{"shadow":0.5,"d":{}}'],
-        ["diff", "{}", "--at", '{"shadow":0.5,"d":{}}'],
-        ["taylor", "--center", "0.3", "--order", "2", "--at", '{"shadow":0.5,"d":{}}', "--", "{}"],
-    ],
-    ids=lambda argv: argv[0],
+    "text, want",
+    [(LONG_SUM, None), (NESTED_SIN, {"error": TOO_DEEP})],
+    ids=["5000-term sum", "1000 nested sin"],
 )
-def test_cli_reports_deep_nesting_as_one_json_error(capsys, argv, text):
+@pytest.mark.parametrize(
+    "argv, answer",
+    [
+        (["eval", "{}", "--at", '{"shadow":0.5,"d":{}}'], {"shadow": 2500.0, "d": {}}),
+        (["diff", "{}", "--at", '{"shadow":0.5,"d":{}}'], 5000.0),
+        (["taylor", "--center", "0.3", "--order", "2", "--at", '{"shadow":0.5,"d":{}}', "--", "{}"], None),
+    ],
+    ids=["eval", "diff", "taylor"],
+)
+def test_cli_reports_deep_nesting_as_one_json_error(capsys, argv, answer, text, want):
     code = main([text if a == "{}" else a for a in argv])
     out = capsys.readouterr().out
-    assert code == 1
-    assert out.count("\n") == 1 and json.loads(out) == {"error": TOO_DEEP}
+    assert out.count("\n") == 1
+    got = json.loads(out)
+    if want is not None:
+        assert code == 1 and got == want
+    elif answer is not None:
+        assert code == 0 and got == answer
+    else:  # the sum is 5000 x, so its Taylor polynomial of order 2 is exact
+        assert code == 0 and got["partial_sum"] == pytest.approx(2500.0, rel=1e-12)
 
 
-def test_every_entry_point_raises_domain_error_on_a_deep_tree():
-    deep = nested_sin(5000)
+def test_only_parse_refuses_a_deep_tree():
     with pytest.raises(DomainError, match=TOO_DEEP):
         parse("(" * 1000 + "x" + ")" * 1000)
-    with pytest.raises(DomainError, match=TOO_DEEP):
-        deep.eval_real(0.5)
-    with pytest.raises(DomainError, match=TOO_DEEP):
-        compile_real(deep)
-    with pytest.raises(DomainError, match=TOO_DEEP):
-        gen_eval(deep, 0.5)
-    with pytest.raises(DomainError, match=TOO_DEEP):
-        differentiate(deep)
+    deep, value, slope = Var(), 0.5, 1.0
+    for _ in range(5000):
+        deep, value, slope = Sin(deep), math.sin(value), math.cos(value) * slope
+    assert deep.eval_real(0.5) == value and compile_real(deep)(0.5) == value
+    assert gen_eval(deep, 0.5) == GeneralizedReal(value)
+    assert differentiate(deep).eval_real(0.5) == pytest.approx(slope, rel=1e-12)
     # parse itself needs no stack for a long left-associative chain
     assert parse(LONG_SUM).lhs.rhs == Var()
 

@@ -156,3 +156,44 @@ def test_one_weak_table_and_no_parse_cache():
                         cached.add(f"expr.{node.name}")
     assert weak == {"core.weakref", "core.ref", "core._remove_dead_weakref"}, f"weak tables beside core's: {sorted(weak)}"
     assert cached == set(), f"cached functions in expr: {sorted(cached)}"
+
+
+def _scoped(node, scope):
+    """(qualified name of the enclosing function or class, node) for every
+    node below node."""
+    for child in ast.iter_child_nodes(node):
+        inner = f"{scope}.{child.name}" if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
+        yield inner, child
+        yield from _scoped(child, inner)
+
+
+def _library_nodes():
+    for path in sorted(SRC.glob("*.py")):
+        yield from _scoped(ast.parse(path.read_text()), path.stem)
+
+
+def test_one_walk():
+    # every arithmetic runs Arithmetic.walk, one loop over a root's plan; a
+    # rule is handed its operands' values and walks nothing, and no memo
+    # walk beside it keys values by node
+    walks, walking_rules = set(), set()
+    for scope, node in _library_nodes():
+        if isinstance(node, ast.FunctionDef) and node.name == "walk":
+            walks.add(scope)
+        elif isinstance(node, ast.Attribute) and node.attr == "walk" and scope.endswith(".rule"):
+            walking_rules.add(scope)
+    assert walks == {"expr.Arithmetic.walk"}, f"walks beside the plan walk: {sorted(walks)}"
+    assert walking_rules == set(), f"rules that walk their operands: {sorted(walking_rules)}"
+    assert "_Memo" not in _classes()
+
+
+def test_recursion_is_caught_only_where_the_code_recurses():
+    # parse is a recursive-descent parser and repr expands fields
+    # recursively; every walk runs a plan, so nothing else can overflow the stack
+    found = set()
+    for scope, node in _library_nodes():
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            names = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(getattr(n, "id", None) == "RecursionError" for n in names):
+                found.add(scope)
+    assert found == {"expr.parse", "expr.Expr.__repr__"}, f"RecursionError caught in: {sorted(found)}"
