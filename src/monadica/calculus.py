@@ -34,7 +34,7 @@ from .errors import (
     RegionMismatch,
     VanishingDerivative,
 )
-from .expr import Const, Div, Expr, Var, _value_at, compile_real, compose, differentiate
+from .expr import Const, Div, Expr, Var, _Orders, _value_at, compile_real, compose
 from .expr import gen_eval  # noqa: F401  (re-exported: callers import it from here)
 
 if TYPE_CHECKING:
@@ -179,13 +179,13 @@ class NaturalExtension(core.Record):
     table (``_sample``).
     """
 
-    __slots__ = ("expr", "lo", "hi", "_trees", "_compiled")
+    __slots__ = ("expr", "lo", "hi", "_orders", "_compiled")
 
     def __init__(self, expr: Expr, lo: float, hi: float) -> None:
         object.__setattr__(self, "expr", expr)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "_trees", (expr,))
+        object.__setattr__(self, "_orders", _Orders(expr))
         object.__setattr__(self, "_compiled", {})
 
     @classmethod
@@ -217,14 +217,14 @@ class NaturalExtension(core.Record):
     @property
     def deriv(self) -> Expr:
         """The symbolic derivative."""
-        return self.deriv_exprs(1)[1]
+        return self._orders[1]
 
     def real_fn(self, k: int) -> functools.partial:
         """The k-th derivative (k = 0 is the function) as a compiled function
         of one float, built on first use: the partial's one argument is its kernel."""
-        fn = self._compiled.get(k)
+        fn = self._compiled.get(core._count(k, "derivative order", 0))
         if fn is None:
-            fn = self._compiled[k] = compile_real(self.deriv_exprs(k)[k])
+            fn = self._compiled[k] = compile_real(self._orders[k])
         return fn
 
     def _sample(self, k: int, nodes: _Nodes) -> list[float]:
@@ -262,18 +262,10 @@ class NaturalExtension(core.Record):
     def deriv_exprs(self, upto: int) -> list[Expr]:
         """[function, derivative, ..., upto-th derivative] as expressions.
 
-        Each tree is differentiated once and kept: repeated calls return
-        the same objects."""
-        trees = self._trees
-        if len(trees) <= upto:
-            # grown apart and stored whole, so concurrent callers never see
-            # a tree at the wrong order
-            grown = list(trees)
-            while len(grown) <= upto:
-                grown.append(differentiate(grown[-1]))
-            trees = tuple(grown)
-            object.__setattr__(self, "_trees", trees)
-        return list(trees[: max(upto, 0) + 1])
+        Each tree is differentiated once and kept (``expr._Orders``):
+        repeated calls return the same objects."""
+        upto = core._count(upto, "derivative order", 0)
+        return [self._orders[k] for k in range(upto + 1)]
 
     def eval_higher(self, m: int, x) -> GeneralizedReal:
         """m-th extension: (m-1)-th derivative value plus m-th derivative
@@ -291,7 +283,7 @@ class NaturalExtension(core.Record):
         m = core._count(m, what, 1)
         x = as_generalized(x)
         self._require(x.shadow)
-        lams = self.deriv_exprs(m)[m + 1 - count :]
+        lams = [self._orders[k] for k in range(m + 1 - count, m + 1)]
         try:
             return x, [lam.eval_real(x.shadow) for lam in lams]
         except MonadicaError as exc:

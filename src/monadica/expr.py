@@ -538,21 +538,39 @@ def iter_nodes(e: Expr):
         stack.extend(c for c in reversed(node._values()) if isinstance(c, Expr))
 
 
-def differentiate(e: Expr, order: int = 1) -> Expr:
-    """Symbolic derivative of the given order (order 0 returns e itself):
-    the slope of the (tree, slope) pair walk, once per order.  Nodes are
+class _Orders:
+    """The derivative orders of a tree, each built on first use by the
+    (tree, slope) pair walk of the order before it, and kept.  Nodes are
     interned, so a derivative equal to an earlier order's is that tree: once
     order k repeats order j, order n is order j + (n - j) mod (k - j), and
     no further walk runs."""
-    n = core._count(order, "derivative order", 0)
-    trees, seen = [e], {e: 0}
-    while len(trees) <= n:
-        d = _coerce(_Tree().walk(trees[-1], (Var(), 1.0))[1])
-        j = seen.setdefault(d, len(trees))
-        if j < len(trees):
-            return trees[j + (n - j) % (len(trees) - j)]
-        trees.append(d)
-    return trees[n]
+
+    __slots__ = ("_known",)
+
+    def __init__(self, e: Expr) -> None:
+        self._known = (e,), None  # the orders built, and the one order k repeats
+
+    def __getitem__(self, n: int) -> Expr:
+        trees, j = self._known
+        if j is None and len(trees) <= n:
+            # grown on a copy and stored in one assignment, so concurrent
+            # readers never see a tree at the wrong order
+            grown, seen = list(trees), {t: k for k, t in enumerate(trees)}
+            while j is None and len(grown) <= n:
+                d = _coerce(_Tree().walk(grown[-1], (Var(), 1.0))[1])
+                j = seen.get(d)
+                if j is None:
+                    seen[d] = len(grown)
+                    grown.append(d)
+            trees = tuple(grown)
+            self._known = trees, j
+        return trees[n] if n < len(trees) else trees[j + (n - j) % (len(trees) - j)]
+
+
+def differentiate(e: Expr, order: int = 1) -> Expr:
+    """Symbolic derivative of the given order (order 0 returns e itself),
+    read from a fresh ``_Orders``: one walk per order until an order repeats."""
+    return _Orders(e)[core._count(order, "derivative order", 0)]
 
 
 # -- compilation to straight-line code -------------------------------------------------

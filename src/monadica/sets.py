@@ -314,15 +314,19 @@ class GeneralizedSet(Record):
     __slots__ = ("base", "extras")
 
     def __init__(self, base: RealSet = RealSet(), extras: Iterable[float] = ()) -> None:
+        self._set(base, extras, "extra point")
+
+    def _set(self, base: RealSet, extras: Iterable, what: str) -> "GeneralizedSet":
         cleaned = set()
         for p in extras:
-            p = _real(p, "extra point")
+            p = _real(p, what)
             if not math.isfinite(p):
                 raise DomainError("extra points must be finite reals")
             cleaned.add(0.0 if p == 0.0 else p)
         kept = sorted(p for p in cleaned if not base.contains(p))
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "extras", tuple(kept))
+        return self
 
     @property
     def is_monadic(self) -> bool:
@@ -569,11 +573,6 @@ def _dec_list(data: Mapping, key: str) -> Sequence:
     return items
 
 
-def _dec_reals(data: Mapping, key: str) -> tuple[float, ...]:
-    what = f"malformed set encoding: a member of {key!r}"
-    return tuple([_real(v, what) for v in _dec_list(data, key)])
-
-
 def realset_from_dict(data: Mapping) -> RealSet:
     """Checks each item's types and values in document order: the first fault is the error."""
     if not isinstance(data, Mapping):
@@ -605,7 +604,8 @@ def set_to_dict(g: GeneralizedSet) -> dict:
 
 
 def set_from_dict(data: Mapping) -> GeneralizedSet:
-    return GeneralizedSet(realset_from_dict(data), _dec_reals(data, "extras"))
+    what = "malformed set encoding: a member of 'extras'"
+    return object.__new__(GeneralizedSet)._set(realset_from_dict(data), _dec_list(data, "extras"), what)
 
 
 def set_to_json(g: GeneralizedSet) -> str:

@@ -997,6 +997,16 @@ def test_a_bisected_crossing_is_checked_by_the_value_the_bisection_found():
     assert len(points) == len(set(points)) == 38 and points[-1] == gamma
 
 
+@pytest.mark.parametrize("method", ["deriv_exprs", "real_fn"])
+@pytest.mark.parametrize("order", [1.5, "2", None, True, -3])
+def test_an_extension_checks_its_derivative_order(method, order):
+    # through core._count, as differentiate does: no bare TypeError, and
+    # neither True as order 1 nor a negative order as order 0
+    with pytest.raises(DomainError) as info:
+        getattr(exp_f, method)(order)
+    assert str(info.value) == f"derivative order must be an integer >= 0, not {order!r}"
+
+
 def test_each_derivative_order_is_compiled_once_per_extension(monkeypatch):
     built = []
     build = expr._Emit.build

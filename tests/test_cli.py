@@ -353,6 +353,14 @@ class TestSets:
         assert code == 1
         assert "malformed" in strict_json(out)["error"]
 
+    @pytest.mark.parametrize("bad", ['{"extras":[1e400]}', '{"extras":[NaN]}', '{"extras":[1e400,null]}'])
+    def test_a_non_finite_extra_is_refused(self, capsys, bad):
+        # json reads 1e400 as inf; the wire reader checks each extra once, in
+        # document order, so the first fault is the error
+        code, out = run(capsys, "sets", "union", bad, "{}")
+        assert code == 1
+        assert strict_json(out) == {"error": "extra points must be finite reals"}
+
     @pytest.mark.parametrize("closed", ['"false"', "0", "1", "null"])
     def test_closedness_must_be_a_json_boolean(self, capsys, closed):
         bad = '{"intervals":[{"lo":0,"hi":1,"lo_closed":%s}]}' % closed

@@ -16,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monadica import core, expr
-from monadica.calculus import InverseExpr, NaturalExtension, compose_ext, gen_eval, inverse_extension
+from monadica.calculus import (
+    InverseExpr, NaturalExtension, compose_ext, gen_eval, inverse_extension, taylor_expand,
+)
 from monadica.core import make
 from monadica.errors import DomainError, MonadicaError, NotDifferentiable, OutOfDomain
 from monadica.expr import (
@@ -608,6 +610,38 @@ class TestDerivativeCycles:
         assert differentiate(e, first + period) is differentiate(e, first)
         for n in (first, first + 1, 97, 10**9, 10**18 + 3):
             assert differentiate(e, n) is differentiate(e, first + (n - first) % period), n
+
+    @pytest.mark.parametrize("text, first, period", CYCLES, ids=[c[0] for c in CYCLES])
+    def test_an_extension_reads_its_orders_from_the_cycle(self, text, first, period):
+        # deriv_higher and eval_higher read differentiate's sequence, so a
+        # high order answers at once and is the earlier order's value
+        e = parse(text)
+        f = NaturalExtension.on_interval(e, -2.0, 2.0)
+        bits = struct.Struct("<d").pack
+
+        def at(n):
+            return bits(differentiate(e, n if n < first else first + (n - first) % period).eval_real(0.5))
+
+        for n in (first + period, 97, 10**9, 10**18 + 3):
+            assert bits(f.deriv_higher(n, 0.5)) == at(n), n
+            got = f.eval_higher(n, make(0.5, {"h": 1.0}))
+            assert (bits(got.shadow), bits(got.coefficient("h"))) == (at(n - 1), at(n)), n
+
+    def test_each_order_is_walked_once_until_one_repeats(self, monkeypatch):
+        walked = []
+        walk = expr._Tree.walk
+
+        def counting(self, root, x):
+            walked.append(root)
+            return walk(self, root, x)
+
+        monkeypatch.setattr(expr._Tree, "walk", counting)
+        f = NaturalExtension.on_interval(parse("sin(x)"), -2.0, 2.0)
+        taylor_expand(f, 0.3, 169, make(0.8))
+        assert len(walked) <= 4, [str(t) for t in walked]
+        trees = f.deriv_exprs(170)
+        assert len(trees) == 171 and len({id(t) for t in trees}) == 4
+        assert len(walked) <= 4
 
     def test_orders_that_never_repeat_are_walked_one_by_one(self):
         # a factor of 2.0 builds up, so no order of exp(2*x) repeats another

@@ -24,15 +24,22 @@ def test_test_oracles_are_not_runtime_dependencies(run_python):
     run_python(code)
 
 
-def _int_tests(node, scope):
+def _scopes(node, scope, hit):
+    """The qualified name of each function or class (or the module) whose
+    own code holds a node that ``hit`` accepts."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _int_tests(child, f"{scope}.{child.name}")
-        elif isinstance(child, ast.Compare):
-            if re.search(r"\btype\(.+\) is not int\b", ast.unparse(child)):
-                yield scope
+            yield from _scopes(child, f"{scope}.{child.name}", hit)
         else:
-            yield from _int_tests(child, scope)
+            if hit(child):
+                yield scope
+            yield from _scopes(child, scope, hit)
+
+
+def _int_test(node):
+    return isinstance(node, ast.Compare) and bool(
+        re.search(r"\btype\(.+\) is not int\b", ast.unparse(node))
+    )
 
 
 def test_one_integer_gate():
@@ -41,7 +48,7 @@ def test_one_integer_gate():
     # GeneralizedReal.__pow__ tests the type only to return NotImplemented
     found = set()
     for path in sorted(SRC.glob("*.py")):
-        found.update(_int_tests(ast.parse(path.read_text()), path.stem))
+        found.update(_scopes(ast.parse(path.read_text()), path.stem, _int_test))
     allowed = {"core._count", "core._real", "core.GeneralizedReal.__pow__"}
     assert found == allowed, f"int tested outside core._count: {sorted(found - allowed)}"
 
@@ -60,6 +67,21 @@ def test_one_level_search():
                 found.add(f"{path.stem}.{fn.name}")
     allowed = {"calculus._first_root", "calculus._deriv_zeros"}
     assert found == allowed, f"_crossings called outside the one search: {sorted(found - allowed)}"
+
+
+def _tree_walk(node):
+    return isinstance(node, ast.Call) and ast.unparse(node.func) == "_Tree().walk"
+
+
+def test_one_derivative_sequence():
+    # every derivative order is one (tree, slope) walk of the order before
+    # it, run by the one growth loop in expr._Orders; differentiate and
+    # NaturalExtension read their orders from it, so a repeat ends the walks
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found.update(_scopes(ast.parse(path.read_text()), path.stem, _tree_walk))
+    allowed = {"expr._Orders.__getitem__"}
+    assert found == allowed, f"derivative orders grown outside expr._Orders: {sorted(found - allowed)}"
 
 
 def test_each_derivative_rule_stated_once():
